@@ -158,6 +158,16 @@ def make_split(n: int, cfg: FitConfig) -> HvSplit:
     return HvSplit(np.sort(perm[:n_train]), np.sort(perm[n_train:]))
 
 
+def check_finite_inputs(sites, covariates, offset=None) -> None:
+    """Reject non-finite sites, covariates or offset (datasets and prediction inputs)."""
+    if not np.isfinite(sites).all():
+        raise ValidationError("non-finite coordinate")
+    if not np.isfinite(covariates).all():
+        raise ValidationError("non-finite covariate")
+    if offset is not None and not np.isfinite(offset).all():
+        raise ValidationError("non-finite offset")
+
+
 def validate_dataset(d: Dataset) -> None:
     """Check every Dataset invariant once; downstream code assumes them."""
     n = d.n_sites
@@ -169,14 +179,9 @@ def validate_dataset(d: Dataset) -> None:
         raise ValidationError(f"length mismatch: {len(d.covariates)} covariate rows vs {n} responses")
     if len(d.offset) != n:
         raise ValidationError(f"length mismatch: {len(d.offset)} offset values vs {n} responses")
-    if not np.isfinite(d.sites).all():
-        raise ValidationError("non-finite coordinate")
+    check_finite_inputs(d.sites, d.covariates, d.offset)
     if not np.isfinite(d.response).all():
         raise ValidationError("non-finite response")
-    if not np.isfinite(d.covariates).all():
-        raise ValidationError("non-finite covariate")
-    if not np.isfinite(d.offset).all():
-        raise ValidationError("non-finite offset")
     if d.family_tag not in FAMILY_TAGS:
         raise ValidationError(f"unknown family tag {d.family_tag!r}")
     if d.family_tag == "poisson":

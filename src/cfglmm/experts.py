@@ -32,7 +32,9 @@ SIGMA2_FLOOR = 1e-10
 _VARIANCE_CAP = 1e300
 
 # Chunk kernel matrices to roughly 32 MB so n * c products stay in cache-friendly
-# blocks without materializing the full matrix.
+# blocks without materializing the full matrix. The chunk boundaries also fix
+# how BLAS gemv groups the rows of each ``k2 @ t`` / ``q @ mu`` product, so
+# re-chunking changes results in the last bit.
 _CHUNK_DOUBLES = 4_000_000
 
 
@@ -76,15 +78,8 @@ def _chunks(n: int, width: int):
         yield slice(start, min(start + width, n))
 
 
-def fit_layer(
-    targets, site_weights, sites, centers: CenterSet, cfg: FitConfig, distances=None
-) -> ScaleLayer:
-    """Fit every local expert of one scale against a weighted working target.
-
-    ``distances``, when given, must be ``pairwise_distances(centers.centers,
-    sites)`` computed elsewhere (it is reused across scales that share the
-    same centers); results are identical either way.
-    """
+def fit_layer(targets, site_weights, sites, centers: CenterSet, cfg: FitConfig) -> ScaleLayer:
+    """Fit every local expert of one scale against a weighted working target."""
     t = np.asarray(targets, dtype=float).ravel()
     sw = np.asarray(site_weights, dtype=float).ravel()
     pts = as_sites(sites)
@@ -95,8 +90,6 @@ def fit_layer(
     h = centers.bandwidth
     cen = centers.centers
     n_centers = len(cen)
-    if distances is not None and distances.shape != (n_centers, len(pts)):
-        raise ValueError("distances must have shape (n_centers, n_sites)")
 
     raw_mean = np.zeros(n_centers)
     raw_var = np.zeros(n_centers)
@@ -104,10 +97,7 @@ def fit_layer(
     sum_sq_kernel = np.zeros(n_centers)
     t_sq = t * t
     for sl in _chunks(n_centers, _CHUNK_DOUBLES // max(len(pts), 1)):
-        if distances is None:
-            k2 = pairwise_distances(cen[sl], pts)
-        else:
-            k2 = distances[sl].copy()
+        k2 = pairwise_distances(cen[sl], pts)
         k2 *= -2.0 / h
         np.exp(k2, out=k2)  # kernel squared in one pass: exp(-d/h)^2 = exp(-2d/h)
         sum_sq_kernel[sl] = k2.sum(axis=1)
@@ -142,20 +132,12 @@ def fit_layer(
     )
 
 
-def evaluate_layer(layer: ScaleLayer, sites, distances=None) -> LayerEvaluation:
-    """Product-of-experts mean and variance of one layer at the query sites.
-
-    ``distances``, when given, must be ``pairwise_distances(sites,
-    layer.centers)`` (all experts, not just active ones); it is left intact.
-    """
+def evaluate_layer(layer: ScaleLayer, sites) -> LayerEvaluation:
+    """Product-of-experts mean and variance of one layer at the query sites."""
     pts = as_sites(sites)
     act = layer.active
     if not act.any():
         raise ValueError("layer has no active expert")
-    if distances is not None:
-        if distances.shape != (len(pts), layer.n_experts):
-            raise ValueError("distances must have shape (n_sites, n_experts)")
-        distances = distances if act.all() else distances[:, act]
     cen = layer.centers[act]
     mu = layer.mu[act]
     sigma2 = layer.sigma2[act]
@@ -163,10 +145,7 @@ def evaluate_layer(layer: ScaleLayer, sites, distances=None) -> LayerEvaluation:
     mean = np.empty(n)
     variance = np.empty(n)
     for sl in _chunks(n, _CHUNK_DOUBLES // max(len(cen), 1)):
-        if distances is None:
-            k = pairwise_distances(pts[sl], cen)
-        else:
-            k = distances[sl].copy()
+        k = pairwise_distances(pts[sl], cen)
         k *= -layer.weight_power / layer.bandwidth
         np.exp(k, out=k)
         q = k

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .data import as_sites, round_half_away
 
@@ -60,36 +61,35 @@ def kernel_weight(distance, bandwidth: float):
 def pairwise_distances(a, b) -> np.ndarray:
     """Exact Euclidean distances between two point sets, shape (len(a), len(b)).
 
-    Computed from coordinate differences (not the expanded-square identity) so
-    that coincident points give exactly zero. Callers chunk for large products.
+    Computed from coordinate differences, ``sqrt(dx*dx + dy*dy)`` (not the
+    expanded-square identity), so that coincident points give exactly zero.
+    Callers chunk for large products.
     """
-    pa = as_sites(a)
-    pb = as_sites(b)
-    d = np.subtract.outer(pa[:, 0], pb[:, 0])
-    d *= d
-    dy = np.subtract.outer(pa[:, 1], pb[:, 1])
-    dy *= dy
-    d += dy
-    np.sqrt(d, out=d)
-    return d
+    return cdist(as_sites(a), as_sites(b))
 
 
 def _assign_nearest(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest center per point via the expanded-square identity, chunked over
-    centers so no n x c matrix is materialized. Assignment-grade accuracy."""
+    centers so no n x c matrix is materialized. Assignment-grade accuracy.
+
+    Each chunk is 256 centers against every point: the chunk shapes fix the
+    BLAS kernels (a 1-wide chunk runs gemv), and with them the last bit of
+    ``best_d2``. The -2 factor is folded into the points, which is exact.
+    """
     n = len(points)
     p2 = (points * points).sum(1)
+    c2 = (centers * centers).sum(1)
+    m2p = -2.0 * points
+    rows = np.arange(n)
     best_d2 = np.full(n, np.inf)
     assign = np.zeros(n, dtype=np.intp)
     chunk = 256
     for start in range(0, len(centers), chunk):
-        cen = centers[start : start + chunk]
-        d2 = points @ cen.T
-        d2 *= -2.0
+        d2 = m2p @ centers[start : start + chunk].T
         d2 += p2[:, None]
-        d2 += (cen * cen).sum(1)[None, :]
+        d2 += c2[None, start : start + chunk]
         local = d2.argmin(axis=1)
-        local_d2 = d2[np.arange(n), local]
+        local_d2 = d2[rows, local]
         better = local_d2 < best_d2
         assign[better] = local[better] + start
         best_d2[better] = local_d2[better]
@@ -102,13 +102,26 @@ def _weighted_pick(weights: np.ndarray, rng: np.random.Generator) -> int:
     return int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
 
 
+def _sq_dist_to(x: np.ndarray, y: np.ndarray, c: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """``out = dx*dx + dy*dy``, bitwise equal to ``((points - c) ** 2).sum(1)``."""
+    np.subtract(x, c[0], out=out)
+    out *= out
+    np.subtract(y, c[1], out=tmp)
+    tmp *= tmp
+    out += tmp
+
+
 def _kmeans_pp(points: np.ndarray, weights: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    x, y = np.ascontiguousarray(points.T)
+    d2, new, buf = np.empty((3, len(points)))
     centers = np.empty((k, 2))
     centers[0] = points[_weighted_pick(weights, rng)]
-    d2 = ((points - centers[0]) ** 2).sum(1)
+    _sq_dist_to(x, y, centers[0], d2, buf)
     for j in range(1, k):
-        centers[j] = points[_weighted_pick(weights * d2, rng)]
-        np.minimum(d2, ((points - centers[j]) ** 2).sum(1), out=d2)
+        np.multiply(weights, d2, out=buf)
+        centers[j] = points[_weighted_pick(buf, rng)]
+        _sq_dist_to(x, y, centers[j], new, buf)
+        np.minimum(d2, new, out=d2)
     return centers
 
 

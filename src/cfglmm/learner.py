@@ -29,7 +29,7 @@ from .families import (
     wls_beta,
     working_state,
 )
-from .geometry import CenterSet, bbox_diagonal, center_count, pairwise_distances, place_centers
+from .geometry import bbox_diagonal, center_count, place_centers
 
 _KMEANS_STREAM = 1
 
@@ -139,10 +139,6 @@ def fit_cf(
     trace: list[ScaleRecord] = []
     z_cache = np.zeros(n)
     var_cache = np.zeros(n)
-    # Once the center budget reaches the distinct training sites, every finer
-    # scale shares the same centers; their distance matrices are computed once.
-    uniq_train = np.unique(train_pts, axis=0)
-    fit_dists = eval_dists = None
     rejections = 0
     scale = 1
     while scale <= cfg.max_scales:
@@ -150,23 +146,15 @@ def fit_cf(
         ws = working_state(family, y, xb + cum_offset)
         resid = ws.eta_hat - xb - cum_offset
         n_centers = min(center_count(diagonal, bandwidth, cfg.center_density), len(tr))
-        capped = n_centers >= len(uniq_train)
-        if capped and fit_dists is None:
-            fit_dists = pairwise_distances(uniq_train, train_pts)
-            eval_dists = pairwise_distances(d.sites, uniq_train)
         record = None
         try:
-            if capped:
-                centers = CenterSet(uniq_train.copy(), bandwidth)
-                layer = fit_layer(resid[tr], ws.weights[tr], train_pts, centers, cfg, distances=fit_dists)
-            else:
-                centers = place_centers(train_pts, n_centers, bandwidth, layer_seed(cfg.rng_seed, scale))
-                layer = fit_layer(resid[tr], ws.weights[tr], train_pts, centers, cfg)
+            centers = place_centers(train_pts, n_centers, bandwidth, layer_seed(cfg.rng_seed, scale))
+            layer = fit_layer(resid[tr], ws.weights[tr], train_pts, centers, cfg)
         except LayerUnfittableError:
             record = ScaleRecord(scale, bandwidth, n_centers, math.nan, math.nan, False)
             rejections += 1
         if record is None:
-            ev = evaluate_layer(layer, d.sites, distances=eval_dists if capped else None)
+            ev = evaluate_layer(layer, d.sites)
             beta_new = wls_beta(design, ws.eta_hat - cum_offset - ev.mean, ws.weights, subset=tr)
             cand_loss, cand_train = valid_dev(beta_new, ev.mean)
             accepted = bool(np.isfinite(cand_loss) and cand_loss < best_loss)

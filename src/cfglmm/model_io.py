@@ -3,7 +3,9 @@
 Dataset CSV header: ``x,y,response[,offset][,cov_1..cov_K]``. Site CSVs for
 prediction use the same layout with ``response`` optional. Numeric output uses
 12 significant digits; model JSON keeps full float precision so that a
-save/load round trip reproduces predictions bit-exactly.
+save/load round trip reproduces predictions bit-exactly. Model files are strict
+JSON: a non-finite loss in the trace (an unfittable scale) is written as
+``null`` and read back as NaN.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import re
 
 import numpy as np
 
-from .data import Dataset, FitConfig, HvSplit, ValidationError, make_split
+from .data import Dataset, FitConfig, HvSplit, ValidationError, check_finite_inputs, make_split
 from .experts import ScaleLayer
 from .learner import CfModel, ScaleRecord
 from .families import get_family
@@ -77,13 +79,21 @@ def save_model(model: CfModel, path) -> None:
             for layer in model.layers
         ],
         "loss_trace": [
-            [r.scale, r.bandwidth, r.n_centers, r.train_loss, r.valid_loss, r.accepted]
+            [r.scale, r.bandwidth, r.n_centers, _loss_doc(r.train_loss), _loss_doc(r.valid_loss), r.accepted]
             for r in model.loss_trace
         ],
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
+        json.dump(doc, fh, indent=1, allow_nan=False)
         fh.write("\n")
+
+
+def _loss_doc(loss: float) -> float | None:
+    return float(loss) if math.isfinite(loss) else None
+
+
+def _loss_from_doc(value) -> float:
+    return math.nan if value is None else float(value)
 
 
 def _require(doc: dict, key: str, kind) -> object:
@@ -111,22 +121,24 @@ def load_model(path) -> CfModel:
         raise ModelFormatError(f"bad config block: {exc}") from None
     layers = []
     for entry in _require(doc, "layers", list):
-        experts = np.asarray(entry["experts"], dtype=float)
+        if not isinstance(entry, dict):
+            raise ModelFormatError("model layer is not a JSON object")
+        experts = np.asarray(_require(entry, "experts", list), dtype=float)
         if experts.ndim != 2 or experts.shape[1] != 5:
             raise ModelFormatError("layer experts must be rows of [x, y, mu, sigma2, active]")
         layers.append(
             ScaleLayer(
-                bandwidth=float(entry["bandwidth"]),
+                bandwidth=float(_require(entry, "bandwidth", (int, float))),
                 centers=experts[:, 0:2].copy(),
                 mu=experts[:, 2].copy(),
                 sigma2=experts[:, 3].copy(),
                 active=experts[:, 4] != 0.0,
-                tau2=float(entry["tau2"]),
+                tau2=float(_require(entry, "tau2", (int, float))),
                 weight_power=int(entry.get("weight_power", 1)),
             )
         )
     trace = tuple(
-        ScaleRecord(int(s), float(h), int(c), float(tl), float(vl), bool(a))
+        ScaleRecord(int(s), float(h), int(c), _loss_from_doc(tl), _loss_from_doc(vl), bool(a))
         for s, h, c, tl, vl, a in _require(doc, "loss_trace", list)
     )
     n_sites = int(_require(doc, "n_sites", int))
@@ -231,16 +243,11 @@ def read_sites_csv(path, n_covariates: int) -> tuple[np.ndarray, np.ndarray, np.
             f"{path}: missing covariate column: model expects cov_1..cov_{n_covariates}"
         )
     sites = table[:, 0:2]
-    if not np.isfinite(sites).all():
-        raise ValidationError("non-finite coordinate")
     col = 2 + int(has_response)
     offset = table[:, col] if has_offset else None
     col += int(has_offset)
     covariates = table[:, col : col + n_covariates]
-    if not np.isfinite(covariates).all():
-        raise ValidationError("non-finite covariate")
-    if offset is not None and not np.isfinite(offset).all():
-        raise ValidationError("non-finite offset")
+    check_finite_inputs(sites, covariates, offset)
     return sites, covariates, offset
 
 

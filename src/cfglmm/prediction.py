@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import as_sites
+from .data import ValidationError, as_sites, check_finite_inputs
 from .experts import evaluate_layer
 from .families import Family, add_intercept
 from .learner import CfModel
@@ -69,6 +69,8 @@ def predict(model: CfModel, sites, covariates, offset=None) -> Predictions:
 
     Layer variances are summed site-wise (layers are treated as independent);
     the uncertainty covers the latent process only, not the coefficients.
+    Raises :class:`ValidationError` for an offset whose length differs from
+    the number of sites and for non-finite sites, covariates or offset.
     """
     pts = as_sites(sites)
     x = np.asarray(covariates, dtype=float)
@@ -83,6 +85,9 @@ def predict(model: CfModel, sites, covariates, offset=None) -> Predictions:
     if len(x) != len(pts):
         raise ValueError("covariates and sites must have equal length")
     off = np.zeros(len(pts)) if offset is None else np.asarray(offset, dtype=float).ravel()
+    if len(off) != len(pts):
+        raise ValidationError(f"length mismatch: {len(off)} offset values vs {len(pts)} sites")
+    check_finite_inputs(pts, x, off)
 
     z_total = np.zeros(len(pts))
     var_z = np.zeros(len(pts))

@@ -155,6 +155,20 @@ class TestPredictCommand:
                      str(tmp_path / "p.csv")])
         assert code == 2
 
+    def test_layer_without_experts_exit_3(self, fitted_files, tmp_path, capsys):
+        sim_prefix, model_path, _ = fitted_files
+        doc = json.loads(Path(model_path).read_text())
+        assert doc["layers"]
+        del doc["layers"][0]["experts"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["predict", "--model", str(bad), "--sites", f"{sim_prefix}_test.csv", "--out",
+                     str(tmp_path / "p.csv")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "experts" in err
+        assert "Traceback" not in err
+
 
 class TestDecomposeCommand:
     def test_bands_sum_to_total(self, fitted_files, tmp_path):

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from oracles import ref_assign_nearest, ref_kmeans_pp, ref_pairwise_distances
 
 from cfglmm import bbox_diagonal, center_count, kernel_weight, place_centers
-from cfglmm.geometry import pairwise_distances
+from cfglmm.geometry import _assign_nearest, _kmeans_pp, _sq_dist_to, pairwise_distances
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
@@ -150,3 +151,63 @@ class TestPairwiseDistances:
         b = rng.random((5, 2))
         want = np.hypot(a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1])
         np.testing.assert_allclose(pairwise_distances(a, b), want, rtol=1e-14)
+
+
+# Sizes around the 256-center chunk of _assign_nearest: k = 1 (mod 256) leaves
+# a 1-wide chunk, which BLAS runs as gemv and rounds differently from dgemm.
+BITWISE_SIZES = (1, 2, 3, 255, 256, 257, 513, 3750)
+
+
+def _points(n, seed):
+    """Uniform points with repeated rows."""
+    rng = np.random.default_rng(seed)
+    pts = rng.random((n, 2))
+    pts[1::5] = pts[0]  # coincident with the first point
+    pts[2::7] = pts[1::7][: len(pts[2::7])]  # duplicates of other rows
+    return pts
+
+
+class TestBitwiseReference:
+    """The fast geometry kernels equal their numpy references bit for bit."""
+
+    @pytest.mark.parametrize(
+        "n,k", [(n, k) for n in BITWISE_SIZES for k in BITWISE_SIZES if min(n, k) <= 513]
+    )
+    def test_pairwise_distances(self, n, k):
+        a = _points(n, n)
+        b = np.random.default_rng(k).random((k, 2)) * 3.0 - 1.0
+        b[: min(n, k) // 2] = a[: min(n, k) // 2]  # coincident pairs give exact zeros
+        got = pairwise_distances(a, b)
+        assert np.array_equal(got, ref_pairwise_distances(a, b))
+        assert (got == 0.0).sum() >= min(n, k) // 2
+
+    @pytest.mark.parametrize("n", BITWISE_SIZES)
+    @pytest.mark.parametrize("k", BITWISE_SIZES)
+    def test_assign_nearest(self, n, k):
+        points = _points(n, 3 * n + 1)
+        centers = np.random.default_rng(k).random((k, 2))
+        centers[: min(n, k) // 3] = points[: min(n, k) // 3]  # centers on points
+        centers[1::9] = centers[0]  # duplicate centers: argmin ties
+        got_assign, got_d2 = _assign_nearest(points, centers)
+        want_assign, want_d2 = ref_assign_nearest(points, centers)
+        assert np.array_equal(got_assign, want_assign)
+        assert np.array_equal(got_d2, want_d2)
+
+    @pytest.mark.parametrize("n", BITWISE_SIZES)
+    def test_kmeans_pp_squared_distances(self, n):
+        points = _points(n, n + 5)
+        x, y = np.ascontiguousarray(points.T)
+        got, tmp = np.empty((2, n))
+        for c in points[:: max(1, n // 17)]:
+            _sq_dist_to(x, y, c, got, tmp)
+            assert np.array_equal(got, ((points - c) ** 2).sum(1))
+
+    @pytest.mark.parametrize("n", BITWISE_SIZES)
+    @pytest.mark.parametrize("k", BITWISE_SIZES)
+    def test_kmeans_pp(self, n, k):
+        points = _points(n, n + 7)  # repeated rows included
+        k = min(k, len(np.unique(points, axis=0)))
+        weights = np.random.default_rng(n).integers(1, 4, n).astype(float)
+        got = _kmeans_pp(points, weights, k, np.random.default_rng(k + n))
+        want = ref_kmeans_pp(points, weights, k, np.random.default_rng(k + n))
+        assert np.array_equal(got, want)

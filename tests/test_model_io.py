@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -76,6 +77,38 @@ class TestModelRoundTrip:
         del doc["beta"]
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match="beta"):
+            load_model(path)
+
+    def test_unfittable_scale_round_trips_as_strict_json(self, tmp_path):
+        sim = gen_poisson(SimScenario(beta0=0.5, n_train=200, n_test=10), seed=8)
+        model = fit_cf(sim.train, FitConfig(rng_seed=8, min_effective_weight=50.0))
+        unfittable = [i for i, r in enumerate(model.loss_trace) if math.isnan(r.valid_loss)]
+        assert unfittable and model.layers
+        path = tmp_path / "m.json"
+        save_model(model, path)
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        doc = json.loads(path.read_text(), parse_constant=reject)
+        assert doc["loss_trace"][unfittable[0]][3:5] == [None, None]
+        loaded = load_model(path)
+        for a, b in zip(loaded.loss_trace, model.loss_trace, strict=True):
+            assert repr(a) == repr(b)  # NaN-aware, bit-exact for finite losses
+        sites = sim.test.sites
+        np.testing.assert_array_equal(
+            predict(loaded, sites, sim.test.covariates).mu, predict(model, sites, sim.test.covariates).mu
+        )
+
+    @pytest.mark.parametrize("key", ["experts", "bandwidth", "tau2"])
+    def test_layer_missing_field_rejected(self, fitted, tmp_path, key):
+        model, _ = fitted
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        del doc["layers"][0][key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=key):
             load_model(path)
 
 

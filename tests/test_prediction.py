@@ -15,6 +15,7 @@ from cfglmm import (
     fit_glm,
     predict,
 )
+from cfglmm.data import ValidationError
 from cfglmm.experts import ScaleLayer
 from cfglmm.learner import CfModel
 from cfglmm.simulate import SimScenario, gen_poisson
@@ -99,6 +100,24 @@ class TestPredict:
         base = predict(model, sites, x)
         shifted = predict(model, sites, x, offset=np.full(20, 0.7))
         np.testing.assert_allclose(shifted.mu_lin, base.mu_lin + 0.7, rtol=1e-12)
+
+    def test_offset_length_mismatch_raises(self, poisson_model):
+        model, sim = poisson_model
+        with pytest.raises(ValidationError, match="length mismatch: 1 offset values vs 3 sites"):
+            predict(model, sim.test.sites[:3], sim.test.covariates[:3], offset=[0.5])
+
+    @pytest.mark.parametrize(
+        "field,message", [("sites", "non-finite coordinate"), ("covariates", "non-finite covariate"),
+                          ("offset", "non-finite offset")]
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises(self, poisson_model, field, message, bad):
+        model, sim = poisson_model
+        args = {"sites": sim.test.sites[:3].copy(), "covariates": sim.test.covariates[:3].copy(),
+                "offset": np.zeros(3)}
+        args[field][1] = bad
+        with pytest.raises(ValidationError, match=message):
+            predict(model, **args)
 
     def test_deterministic(self, poisson_model):
         model, sim = poisson_model
