@@ -158,11 +158,11 @@ def make_split(n: int, cfg: FitConfig) -> HvSplit:
     return HvSplit(np.sort(perm[:n_train]), np.sort(perm[n_train:]))
 
 
-def check_finite_inputs(sites, covariates, offset=None) -> None:
+def check_finite_inputs(sites, covariates=None, offset=None) -> None:
     """Reject non-finite sites, covariates or offset (datasets and prediction inputs)."""
     if not np.isfinite(sites).all():
         raise ValidationError("non-finite coordinate")
-    if not np.isfinite(covariates).all():
+    if covariates is not None and not np.isfinite(covariates).all():
         raise ValidationError("non-finite covariate")
     if offset is not None and not np.isfinite(offset).all():
         raise ValidationError("non-finite offset")

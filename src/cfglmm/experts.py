@@ -20,12 +20,13 @@ mean ``sum(q mu) / sum(q)``.
 
 from __future__ import annotations
 
+import queue
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import FitConfig, as_sites
-from .geometry import CenterSet, pairwise_distances
+from .geometry import POOL_WORKERS, CenterSet, _chunks, chunk_map, pairwise_distances
 
 SIGMA2_FLOOR = 1e-10
 
@@ -72,12 +73,6 @@ class LayerEvaluation:
     variance: np.ndarray
 
 
-def _chunks(n: int, width: int):
-    width = max(1, width)
-    for start in range(0, n, width):
-        yield slice(start, min(start + width, n))
-
-
 def fit_layer(targets, site_weights, sites, centers: CenterSet, cfg: FitConfig) -> ScaleLayer:
     """Fit every local expert of one scale against a weighted working target."""
     t = np.asarray(targets, dtype=float).ravel()
@@ -96,20 +91,36 @@ def fit_layer(targets, site_weights, sites, centers: CenterSet, cfg: FitConfig) 
     sum_prec = np.zeros(n_centers)
     sum_sq_kernel = np.zeros(n_centers)
     t_sq = t * t
-    for sl in _chunks(n_centers, _CHUNK_DOUBLES // max(len(pts), 1)):
-        k2 = pairwise_distances(cen[sl], pts)
-        k2 *= -2.0 / h
-        np.exp(k2, out=k2)  # kernel squared in one pass: exp(-d/h)^2 = exp(-2d/h)
-        sum_sq_kernel[sl] = k2.sum(axis=1)
-        k2 *= sw[None, :]
-        sp = k2.sum(axis=1)
-        sum_prec[sl] = sp
-        with np.errstate(invalid="ignore", divide="ignore"):
-            m = (k2 @ t) / sp
-            # weighted second moment minus squared mean; cancellation error is
-            # far below sigma2_floor at working-target scales
-            raw_var[sl] = np.maximum((k2 @ t_sq) / sp - m * m, 0.0)
-        raw_mean[sl] = m
+    width = max(1, _CHUNK_DOUBLES // max(len(pts), 1))
+    slices = _chunks(n_centers, width)
+    # One kernel buffer per chunk in flight, allocated on this thread as one
+    # block: chunks allocated by pool threads, or 32 MB buffers allocated one
+    # by one, stay in glibc's malloc arenas once freed and raise peak RSS,
+    # while a block this large is unmapped when freed.
+    free = queue.SimpleQueue()
+    for buf in np.empty((min(len(slices), POOL_WORKERS), min(width, n_centers), len(pts))):
+        free.put(buf)
+
+    def fit_chunk(sl: slice) -> None:
+        buf = free.get()
+        try:
+            k2 = pairwise_distances(cen[sl], pts, out=buf[: sl.stop - sl.start])
+            k2 *= -2.0 / h
+            np.exp(k2, out=k2)  # kernel squared in one pass: exp(-d/h)^2 = exp(-2d/h)
+            sum_sq_kernel[sl] = k2.sum(axis=1)
+            k2 *= sw[None, :]
+            sp = k2.sum(axis=1)
+            sum_prec[sl] = sp
+            with np.errstate(invalid="ignore", divide="ignore"):
+                m = (k2 @ t) / sp
+                # weighted second moment minus squared mean; cancellation error is
+                # far below sigma2_floor at working-target scales
+                raw_var[sl] = np.maximum((k2 @ t_sq) / sp - m * m, 0.0)
+            raw_mean[sl] = m
+        finally:
+            free.put(buf)
+
+    chunk_map(fit_chunk, slices)
 
     active = sum_prec >= cfg.min_effective_weight
     if not active.any():

@@ -1,7 +1,13 @@
-"""Planar geometry: bounding box, exponential kernel, and k-means center placement."""
+"""Planar geometry: bounding box, exponential kernel, and k-means center placement.
+
+Also home of the worker pool that runs independent chunks of the fit's dense
+passes (see :func:`chunk_map`).
+"""
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,6 +17,42 @@ from .data import as_sites, round_half_away
 
 _KMEANS_MAX_ITER = 100
 _KMEANS_REL_TOL = 1e-6
+
+# One pool worker per CPU this process may run on (its affinity mask, so
+# ``taskset`` limits it). Threads start on first use, not at import.
+POOL_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _renew_pool() -> None:
+    # Also run in a forked child, which inherits the executor but none of its
+    # threads, so work submitted to it would never run.
+    global _POOL
+    _POOL = ThreadPoolExecutor(max_workers=POOL_WORKERS, thread_name_prefix="cfglmm-chunk")
+
+
+_renew_pool()
+if hasattr(os, "register_at_fork"):  # POSIX; elsewhere there is no fork
+    os.register_at_fork(after_in_child=_renew_pool)
+
+
+def chunk_map(fn, slices) -> list:
+    """``[fn(s) for s in slices]``, with the calls spread over the worker pool.
+
+    The chunks must be independent: results come back in chunk order whatever
+    order they finish in, so a caller that merges them in that order gets the
+    serial result bit for bit. A single chunk runs on the calling thread. Never
+    call this from inside ``fn``: a pool worker waiting on the pool can deadlock.
+    """
+    slices = list(slices)
+    if len(slices) == 1:
+        return [fn(slices[0])]
+    return list(_POOL.map(fn, slices))
+
+
+def _chunks(n: int, width: int) -> list[slice]:
+    """Consecutive slices of at most ``width`` (at least 1) covering ``range(n)``."""
+    width = max(1, width)
+    return [slice(start, min(start + width, n)) for start in range(0, n, width)]
 
 
 @dataclass(frozen=True)
@@ -58,14 +100,15 @@ def kernel_weight(distance, bandwidth: float):
     return float(w) if np.isscalar(distance) else w
 
 
-def pairwise_distances(a, b) -> np.ndarray:
+def pairwise_distances(a, b, out: np.ndarray | None = None) -> np.ndarray:
     """Exact Euclidean distances between two point sets, shape (len(a), len(b)).
 
     Computed from coordinate differences, ``sqrt(dx*dx + dy*dy)`` (not the
     expanded-square identity), so that coincident points give exactly zero.
-    Callers chunk for large products.
+    Callers chunk for large products. ``out``, when given, is a C-contiguous
+    float64 array of the result's shape that receives the distances.
     """
-    return cdist(as_sites(a), as_sites(b))
+    return cdist(as_sites(a), as_sites(b), out=out)
 
 
 def _assign_nearest(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -74,24 +117,29 @@ def _assign_nearest(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray
 
     Each chunk is 256 centers against every point: the chunk shapes fix the
     BLAS kernels (a 1-wide chunk runs gemv), and with them the last bit of
-    ``best_d2``. The -2 factor is folded into the points, which is exact.
+    ``best_d2``. The -2 factor is folded into the points, which is exact. The
+    chunks run on the worker pool and are merged in chunk order, so ties still
+    go to the earliest chunk.
     """
     n = len(points)
     p2 = (points * points).sum(1)
     c2 = (centers * centers).sum(1)
     m2p = -2.0 * points
     rows = np.arange(n)
+
+    def nearest_in(sl: slice) -> tuple[np.ndarray, np.ndarray]:
+        d2 = m2p @ centers[sl].T
+        d2 += p2[:, None]
+        d2 += c2[None, sl]
+        local = d2.argmin(axis=1)
+        return local, d2[rows, local]
+
     best_d2 = np.full(n, np.inf)
     assign = np.zeros(n, dtype=np.intp)
-    chunk = 256
-    for start in range(0, len(centers), chunk):
-        d2 = m2p @ centers[start : start + chunk].T
-        d2 += p2[:, None]
-        d2 += c2[None, start : start + chunk]
-        local = d2.argmin(axis=1)
-        local_d2 = d2[rows, local]
+    blocks = _chunks(len(centers), 256)
+    for sl, (local, local_d2) in zip(blocks, chunk_map(nearest_in, blocks)):
         better = local_d2 < best_d2
-        assign[better] = local[better] + start
+        assign[better] = local[better] + sl.start
         best_d2[better] = local_d2[better]
     np.maximum(best_d2, 0.0, out=best_d2)
     return assign, best_d2

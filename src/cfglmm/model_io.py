@@ -92,8 +92,76 @@ def _loss_doc(loss: float) -> float | None:
     return float(loss) if math.isfinite(loss) else None
 
 
+def _number(value, what: str) -> float:
+    """A JSON number (``NaN`` and ``Infinity`` tokens of old files included)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ModelFormatError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _positive(value, what: str) -> float:
+    x = _number(value, what)
+    if not (math.isfinite(x) and x > 0.0):
+        raise ModelFormatError(f"{what} must be finite and positive, got {value!r}")
+    return x
+
+
+def _integer(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ModelFormatError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _loss_from_doc(value) -> float:
-    return math.nan if value is None else float(value)
+    return math.nan if value is None else _number(value, "loss_trace loss")
+
+
+def _trace_record(row) -> ScaleRecord:
+    if not isinstance(row, list) or len(row) != 6:
+        raise ModelFormatError(
+            "loss_trace rows must be [scale, bandwidth, centers, train_loss, valid_loss, accepted]"
+        )
+    s, h, c, tl, vl, a = row
+    if not isinstance(a, bool):
+        raise ModelFormatError(f"loss_trace accepted flag must be true or false, got {a!r}")
+    return ScaleRecord(
+        _integer(s, "loss_trace scale"),
+        _positive(h, "loss_trace bandwidth"),
+        _integer(c, "loss_trace centers"),
+        _loss_from_doc(tl),
+        _loss_from_doc(vl),
+        a,
+    )
+
+
+def _layer(entry) -> ScaleLayer:
+    if not isinstance(entry, dict):
+        raise ModelFormatError("model layer is not a JSON object")
+    shape_error = "layer experts must be rows of [x, y, mu, sigma2, active]"
+    try:
+        experts = np.asarray(_require(entry, "experts", list), dtype=float)
+    except (TypeError, ValueError):
+        raise ModelFormatError(shape_error) from None
+    if experts.ndim != 2 or experts.shape[1] != 5:
+        raise ModelFormatError(shape_error)
+    if not np.isfinite(experts).all():
+        raise ModelFormatError("layer experts must be finite")
+    if not (experts[:, 3] > 0.0).all():
+        raise ModelFormatError("expert sigma2 must be positive")
+    if not np.isin(experts[:, 4], (0.0, 1.0)).all():
+        raise ModelFormatError("expert active flag must be 0 or 1")
+    weight_power = entry.get("weight_power", 1)
+    if isinstance(weight_power, bool) or weight_power not in (1, 2):
+        raise ModelFormatError(f"layer weight_power must be 1 or 2, got {weight_power!r}")
+    return ScaleLayer(
+        bandwidth=_positive(_require(entry, "bandwidth", None), "layer bandwidth"),
+        centers=experts[:, 0:2].copy(),
+        mu=experts[:, 2].copy(),
+        sigma2=experts[:, 3].copy(),
+        active=experts[:, 4] != 0.0,
+        tau2=_positive(_require(entry, "tau2", None), "layer tau2"),
+        weight_power=weight_power,
+    )
 
 
 def _require(doc: dict, key: str, kind) -> object:
@@ -106,6 +174,7 @@ def _require(doc: dict, key: str, kind) -> object:
 
 
 def load_model(path) -> CfModel:
+    """Read a model file; a schema fault raises :class:`ModelFormatError`."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -119,35 +188,19 @@ def load_model(path) -> CfModel:
         config = FitConfig(**cfg_doc)
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"bad config block: {exc}") from None
-    layers = []
-    for entry in _require(doc, "layers", list):
-        if not isinstance(entry, dict):
-            raise ModelFormatError("model layer is not a JSON object")
-        experts = np.asarray(_require(entry, "experts", list), dtype=float)
-        if experts.ndim != 2 or experts.shape[1] != 5:
-            raise ModelFormatError("layer experts must be rows of [x, y, mu, sigma2, active]")
-        layers.append(
-            ScaleLayer(
-                bandwidth=float(_require(entry, "bandwidth", (int, float))),
-                centers=experts[:, 0:2].copy(),
-                mu=experts[:, 2].copy(),
-                sigma2=experts[:, 3].copy(),
-                active=experts[:, 4] != 0.0,
-                tau2=float(_require(entry, "tau2", (int, float))),
-                weight_power=int(entry.get("weight_power", 1)),
-            )
-        )
-    trace = tuple(
-        ScaleRecord(int(s), float(h), int(c), _loss_from_doc(tl), _loss_from_doc(vl), bool(a))
-        for s, h, c, tl, vl, a in _require(doc, "loss_trace", list)
-    )
+    layers = tuple(_layer(entry) for entry in _require(doc, "layers", list))
+    trace = tuple(_trace_record(row) for row in _require(doc, "loss_trace", list))
     n_sites = int(_require(doc, "n_sites", int))
     split: HvSplit | None = None
     if n_sites >= 4:
         split = make_split(n_sites, config)
+    n_covariates = _integer(_require(doc, "n_covariates", None), "n_covariates")
+    beta = np.array([_number(b, "beta") for b in _require(doc, "beta", list)])
+    if len(beta) != n_covariates + 1 or not np.isfinite(beta).all():
+        raise ModelFormatError(f"beta must hold {n_covariates + 1} finite coefficients")
     return CfModel(
-        beta=np.asarray(_require(doc, "beta", list), dtype=float),
-        layers=tuple(layers),
+        beta=beta,
+        layers=layers,
         family=family,
         split=split,
         loss_trace=trace,
@@ -155,7 +208,7 @@ def load_model(path) -> CfModel:
         initial_deviance=float(_require(doc, "initial_deviance", (int, float))),
         validation_deviance=float(_require(doc, "validation_deviance", (int, float))),
         n_sites=n_sites,
-        n_covariates=int(_require(doc, "n_covariates", int)),
+        n_covariates=n_covariates,
         train_fitted=None,
     )
 

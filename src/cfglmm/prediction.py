@@ -107,13 +107,17 @@ def band_index(bandwidth: float, band_edges) -> int:
 
 
 def decompose(model: CfModel, sites, band_edges) -> ScaleBandDecomposition:
-    """Split the latent process into bandwidth bands at the query sites."""
+    """Split the latent process into bandwidth bands at the query sites.
+
+    Raises :class:`ValidationError` for non-finite sites.
+    """
     edges = tuple(float(e) for e in band_edges)
     if any(e <= 0 for e in edges):
         raise ValueError("band edges must be positive")
     if any(a <= b for a, b in zip(edges, edges[1:])):
         raise ValueError("band edges must be strictly descending")
     pts = as_sites(sites)
+    check_finite_inputs(pts)
     n_bands = len(edges) + 1
     values = np.zeros((len(pts), n_bands))
     occupied = np.zeros(n_bands, dtype=bool)

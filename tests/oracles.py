@@ -5,10 +5,10 @@ import math
 import numpy as np
 
 from cfglmm import FitConfig, make_split, place_centers, wls_beta
-from cfglmm.data import Dataset
-from cfglmm.experts import LayerUnfittableError, evaluate_layer, fit_layer
+from cfglmm.data import Dataset, as_sites
+from cfglmm.experts import _CHUNK_DOUBLES, SIGMA2_FLOOR, LayerUnfittableError, ScaleLayer, evaluate_layer, fit_layer
 from cfglmm.families import add_intercept
-from cfglmm.geometry import bbox_diagonal, center_count
+from cfglmm.geometry import bbox_diagonal, center_count, pairwise_distances
 from cfglmm.learner import layer_seed
 
 
@@ -160,3 +160,69 @@ def ref_kmeans_pp(points: np.ndarray, weights: np.ndarray, k: int, rng: np.rando
         centers[j] = points[_ref_weighted_pick(weights * d2, rng)]
         np.minimum(d2, ((points - centers[j]) ** 2).sum(1), out=d2)
     return centers
+
+
+# ---------------------------------------------------------------------------
+# Serial fit_layer, kept verbatim from before its chunks moved onto the worker
+# pool (only the chunk width became a parameter, so tests can force several
+# chunks). The pooled version must equal it bit for bit
+# (tests/test_experts.py::TestFitLayerBitwise).
+
+
+def _ref_chunks(n: int, width: int):
+    width = max(1, width)
+    for start in range(0, n, width):
+        yield slice(start, min(start + width, n))
+
+
+def ref_fit_layer(targets, site_weights, sites, centers, cfg, chunk_doubles=_CHUNK_DOUBLES) -> ScaleLayer:
+    t = np.asarray(targets, dtype=float).ravel()
+    sw = np.asarray(site_weights, dtype=float).ravel()
+    pts = as_sites(sites)
+    if not len(t) == len(sw) == len(pts):
+        raise ValueError("targets, site_weights, and sites must have equal length")
+    if (sw < 0).any():
+        raise ValueError("site_weights must be nonnegative")
+    h = centers.bandwidth
+    cen = centers.centers
+    n_centers = len(cen)
+
+    raw_mean = np.zeros(n_centers)
+    raw_var = np.zeros(n_centers)
+    sum_prec = np.zeros(n_centers)
+    sum_sq_kernel = np.zeros(n_centers)
+    t_sq = t * t
+    for sl in _ref_chunks(n_centers, chunk_doubles // max(len(pts), 1)):
+        k2 = pairwise_distances(cen[sl], pts)
+        k2 *= -2.0 / h
+        np.exp(k2, out=k2)  # kernel squared in one pass: exp(-d/h)^2 = exp(-2d/h)
+        sum_sq_kernel[sl] = k2.sum(axis=1)
+        k2 *= sw[None, :]
+        sp = k2.sum(axis=1)
+        sum_prec[sl] = sp
+        with np.errstate(invalid="ignore", divide="ignore"):
+            m = (k2 @ t) / sp
+            # weighted second moment minus squared mean; cancellation error is
+            # far below sigma2_floor at working-target scales
+            raw_var[sl] = np.maximum((k2 @ t_sq) / sp - m * m, 0.0)
+        raw_mean[sl] = m
+
+    active = sum_prec >= cfg.min_effective_weight
+    if not active.any():
+        raise LayerUnfittableError("layer unfittable at this bandwidth")
+    raw_mean[~active] = 0.0
+    sigma2 = np.maximum(np.where(active, raw_var, SIGMA2_FLOOR), SIGMA2_FLOOR)
+    tau2 = max(float(np.var(raw_mean[active])), SIGMA2_FLOOR)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        shrink = tau2 / (tau2 + sigma2 / sum_sq_kernel)
+    mu = np.where(active & np.isfinite(shrink), raw_mean * shrink, 0.0)
+    return ScaleLayer(
+        bandwidth=h,
+        centers=cen.copy(),
+        mu=mu,
+        sigma2=sigma2,
+        active=active,
+        tau2=tau2,
+        weight_power=cfg.aggregation_weight_power,
+        raw_mean=raw_mean,
+    )

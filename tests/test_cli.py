@@ -169,6 +169,29 @@ class TestPredictCommand:
         assert "experts" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda doc: doc["loss_trace"][0].__setitem__(0, None),
+            lambda doc: doc["layers"][0]["experts"][0].__setitem__(2, None),
+            lambda doc: doc["layers"][0]["experts"][0].__setitem__(3, 0.0),
+            lambda doc: doc["layers"][0]["experts"][0].__setitem__(4, 2),
+        ],
+        ids=["null_trace_scale", "null_expert_mu", "zero_sigma2", "active_2"],
+    )
+    def test_schema_fault_exit_3(self, fitted_files, tmp_path, capsys, corrupt):
+        sim_prefix, model_path, _ = fitted_files
+        doc = json.loads(Path(model_path).read_text())
+        corrupt(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["predict", "--model", str(bad), "--sites", f"{sim_prefix}_test.csv", "--out",
+                     str(tmp_path / "p.csv")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
 
 class TestDecomposeCommand:
     def test_bands_sum_to_total(self, fitted_files, tmp_path):

@@ -1,12 +1,15 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import grid_poe_moments
+from oracles import grid_poe_moments, ref_fit_layer
 
 from cfglmm import CenterSet, FitConfig, LayerUnfittableError, evaluate_layer, fit_layer, layer_basis_expansion
+from cfglmm import experts, geometry
 from cfglmm.experts import SIGMA2_FLOOR, ScaleLayer
 
 
@@ -104,6 +107,67 @@ class TestFitLayer:
         b = fit_layer(targets, 4.0 * weights, sites, centers, FitConfig())
         np.testing.assert_allclose(a.raw_mean, b.raw_mean, rtol=1e-12)
         np.testing.assert_allclose(a.sigma2, b.sigma2, rtol=1e-12)
+
+
+def _fit_inputs(seed: int, n_pts: int, n_centers: int):
+    """Working-target inputs with some zero site weights and, given more than
+    one center, one far-off center that ends up inactive."""
+    rng = np.random.default_rng(seed)
+    sites = rng.random((n_pts, 2))
+    targets = rng.normal(size=n_pts)
+    weights = rng.uniform(0.0, 2.0, n_pts)
+    weights[rng.random(n_pts) < 0.2] = 0.0
+    cen = rng.random((n_centers, 2))
+    if n_centers > 1:
+        cen[-1] = (50.0, 50.0)
+    return targets, weights, sites, CenterSet(cen, bandwidth=0.05)
+
+
+def _assert_layers_equal(got: ScaleLayer, want: ScaleLayer):
+    for field in ("centers", "mu", "sigma2", "active", "raw_mean"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field), err_msg=field)
+    assert got.tau2 == want.tau2
+    assert got.bandwidth == want.bandwidth
+    assert len(got.mu) == 1 or not got.active.all()
+
+
+class TestFitLayerBitwise:
+    """The pooled ``fit_layer`` equals the serial reference bit for bit."""
+
+    @pytest.mark.parametrize("n_chunks", [1, 2, 3, 5])
+    @pytest.mark.parametrize("last", [1, 36], ids=["remainder1", "remainder_width-1"])
+    def test_short_last_chunk(self, n_chunks, last, monkeypatch):
+        n_pts, width = 300, 37
+        chunk_doubles = width * n_pts
+        monkeypatch.setattr(experts, "_CHUNK_DOUBLES", chunk_doubles)
+        args = _fit_inputs(n_chunks, n_pts, (n_chunks - 1) * width + last)
+        got = fit_layer(*args, FitConfig())
+        _assert_layers_equal(got, ref_fit_layer(*args, FitConfig(), chunk_doubles=chunk_doubles))
+
+    def test_default_chunk_width(self):
+        # 2500 sites: 1600 centers per chunk, so three chunks, the last of 1
+        args = _fit_inputs(7, 2500, 3201)
+        _assert_layers_equal(fit_layer(*args, FitConfig()), ref_fit_layer(*args, FitConfig()))
+
+    def test_more_workers_than_cores(self, monkeypatch):
+        """Eight workers, one buffer each, and a short switch interval: a
+        buffer shared by two chunks in flight, or a lost slice, breaks equality."""
+        n_pts, width = 2000, 16
+        chunk_doubles = width * n_pts
+        monkeypatch.setattr(experts, "_CHUNK_DOUBLES", chunk_doubles)
+        monkeypatch.setattr(experts, "POOL_WORKERS", 8)
+        pool = ThreadPoolExecutor(max_workers=8, thread_name_prefix="test-chunk")
+        monkeypatch.setattr(geometry, "_POOL", pool)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            args = _fit_inputs(11, n_pts, 40 * width + 1)
+            want = ref_fit_layer(*args, FitConfig(), chunk_doubles=chunk_doubles)
+            for _ in range(5):
+                _assert_layers_equal(fit_layer(*args, FitConfig()), want)
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown(wait=True)
 
 
 class TestEvaluateLayer:

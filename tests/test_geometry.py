@@ -1,5 +1,8 @@
 import itertools
 import math
+import multiprocessing
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import ref_assign_nearest, ref_kmeans_pp, ref_pairwise_distances
 
 from cfglmm import bbox_diagonal, center_count, kernel_weight, place_centers
-from cfglmm.geometry import _assign_nearest, _kmeans_pp, _sq_dist_to, pairwise_distances
+from cfglmm.geometry import _assign_nearest, _chunks, _kmeans_pp, _sq_dist_to, chunk_map, pairwise_distances
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
@@ -211,3 +214,50 @@ class TestBitwiseReference:
         got = _kmeans_pp(points, weights, k, np.random.default_rng(k + n))
         want = ref_kmeans_pp(points, weights, k, np.random.default_rng(k + n))
         assert np.array_equal(got, want)
+
+
+def _name_of_thread(_sl):
+    return threading.current_thread().name
+
+
+def _chunk_map_in_child():
+    # exit code 0 only if the pool still runs work after the fork
+    raise SystemExit(0 if chunk_map(_name_of_thread, _chunks(4, 1))[0].startswith("cfglmm-chunk") else 1)
+
+
+class TestChunkMap:
+    def test_results_in_chunk_order(self):
+        slices = _chunks(10, 3)
+        assert [s.stop - s.start for s in slices] == [3, 3, 3, 1]
+
+        def slow_first(sl):
+            time.sleep(0.02 * (len(slices) - sl.start // 3))
+            return sl.start
+
+        assert chunk_map(slow_first, slices) == [0, 3, 6, 9]
+
+    def test_runs_on_named_pool_threads(self):
+        names = chunk_map(_name_of_thread, _chunks(4, 1))
+        assert all(n.startswith("cfglmm-chunk") for n in names)
+        assert chunk_map(_name_of_thread, _chunks(4, 4)) == [threading.current_thread().name]
+
+    def test_error_of_a_chunk_reaches_the_caller(self):
+        def fail_at_two(sl):
+            if sl.start == 2:
+                raise KeyError(sl.start)
+            return sl.start
+
+        with pytest.raises(KeyError):
+            chunk_map(fail_at_two, _chunks(4, 1))
+
+    def test_pool_works_in_forked_child(self):
+        chunk_map(_name_of_thread, _chunks(4, 1))  # start the parent's workers
+        child = multiprocessing.get_context("fork").Process(target=_chunk_map_in_child)
+        child.start()
+        child.join(timeout=30)
+        alive = child.is_alive()
+        if alive:
+            child.kill()
+            child.join()
+        assert not alive, "chunk_map hung in a forked child"
+        assert child.exitcode == 0

@@ -111,6 +111,42 @@ class TestModelRoundTrip:
         with pytest.raises(ModelFormatError, match=key):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "path,value,match",
+        [
+            (("loss_trace", 0, 0), None, "scale"),
+            (("loss_trace", 0, 1), "wide", "bandwidth"),
+            (("loss_trace", 0, 3), [1.0], "loss"),
+            (("loss_trace", 0, 5), 1, "accepted"),
+            (("loss_trace", 0), [1, 0.5], "loss_trace rows"),
+            (("loss_trace", 0), None, "loss_trace rows"),
+            (("layers", 0, "experts", 0, 2), None, "finite"),
+            (("layers", 0, "experts", 0, 3), 0.0, "sigma2"),
+            (("layers", 0, "experts", 0, 3), -1.0, "sigma2"),
+            (("layers", 0, "experts", 0, 4), 2, "active"),
+            (("layers", 0, "experts", 0), [0.5, 0.5], "rows of"),
+            (("layers", 0, "experts", 0, 0), {"x": 1}, "rows of"),
+            (("layers", 0, "bandwidth"), -0.5, "bandwidth"),
+            (("layers", 0, "tau2"), None, "tau2"),
+            (("layers", 0, "weight_power"), 3, "weight_power"),
+            (("beta",), [0.1], "beta"),
+            (("beta", 0), None, "beta"),
+            (("n_covariates",), True, "n_covariates"),
+        ],
+    )
+    def test_schema_fault_rejected(self, fitted, tmp_path, path, value, match):
+        model, _ = fitted
+        file = tmp_path / "m.json"
+        save_model(model, file)
+        doc = json.loads(file.read_text())
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        file.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=match):
+            load_model(file)
+
 
 class TestDatasetCsv:
     def test_round_trip(self, fitted, tmp_path):

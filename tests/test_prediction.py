@@ -212,6 +212,14 @@ class TestDecompose:
         with pytest.raises(ValueError, match="descending"):
             decompose(model, [[0.0, 0.0]], (0.5, 1.9))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_site_raises(self, poisson_model, bad):
+        model, sim = poisson_model
+        sites = sim.test.sites[:3].copy()
+        sites[1, 0] = bad
+        with pytest.raises(ValidationError, match="non-finite coordinate"):
+            decompose(model, sites, (0.5, 0.2))
+
     def test_band_sds_are_site_sds(self, poisson_model, rng):
         model, _ = poisson_model
         sites = rng.random((100, 2))
