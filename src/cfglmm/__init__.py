@@ -17,7 +17,7 @@ from .evaluate import (
     scale_correlations,
     timing_curve,
 )
-from .experts import LayerUnfittableError, ScaleLayer, evaluate_layer, fit_layer, layer_basis_expansion
+from .experts import LayerUnfittableError, ScaleLayer, evaluate_layer, evaluate_stack, fit_layer, layer_basis_expansion
 from .families import (
     BERNOULLI,
     GAUSSIAN,
@@ -69,6 +69,7 @@ __all__ = [
     "LayerUnfittableError",
     "fit_layer",
     "evaluate_layer",
+    "evaluate_stack",
     "layer_basis_expansion",
     "Family",
     "GAUSSIAN",

@@ -21,6 +21,7 @@ mean ``sum(q mu) / sum(q)``.
 from __future__ import annotations
 
 import queue
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,6 +181,43 @@ def evaluate_layer(layer: ScaleLayer, sites) -> LayerEvaluation:
             with np.errstate(over="ignore"):
                 variance[sl][i] = min(np.exp(-top) / ssq, _VARIANCE_CAP)
     return LayerEvaluation(mean, variance)
+
+
+def evaluate_stack(layers, sites) -> Iterator[LayerEvaluation]:
+    """``evaluate_layer(layer, sites)`` for each layer, in layer order, whole layers on the pool.
+
+    Layers are independent, so running several at once gives the serial
+    results bit for bit, and each layer keeps its own row chunks. The layers
+    are dealt largest ``n_active`` first to the least-loaded of
+    ``POOL_WORKERS`` shares, one pool task per share, so the workers finish
+    together and the caller waits on one task per worker, not one per layer
+    (a wait per layer costs a thread wake-up per layer).
+
+    The pool is used only while ``POOL_WORKERS * len(sites) * max(n_active) <=
+    _CHUNK_DOUBLES``, so the kernels of the layers in flight fit in one serial
+    chunk: small query batches are evaluated in parallel before this returns.
+    Bulk calls get a generator that evaluates one layer per step, so they hold
+    one layer's evaluation at a time, as a plain loop would.
+    """
+    pts = as_sites(sites)
+    layers = list(layers)
+    sizes = [layer.n_active for layer in layers]
+    if POOL_WORKERS * len(pts) * max(sizes, default=0) > _CHUNK_DOUBLES:
+        return (evaluate_layer(layer, pts) for layer in layers)
+    shares = [[] for _ in range(POOL_WORKERS)]
+    loads = [0] * POOL_WORKERS
+    for i in sorted(range(len(layers)), key=lambda i: -sizes[i]):
+        w = loads.index(min(loads))
+        shares[w].append(i)
+        loads[w] += sizes[i]
+    out = [None] * len(layers)
+
+    def run(share: list[int]) -> None:
+        for i in share:
+            out[i] = evaluate_layer(layers[i], pts)
+
+    chunk_map(run, [share for share in shares if share])
+    return iter(out)
 
 
 def layer_basis_expansion(layer: ScaleLayer, sites) -> tuple[np.ndarray, np.ndarray]:

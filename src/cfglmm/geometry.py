@@ -1,7 +1,7 @@
 """Planar geometry: bounding box, exponential kernel, and k-means center placement.
 
 Also home of the worker pool that runs independent chunks of the fit's dense
-passes (see :func:`chunk_map`).
+passes and the layers of a small prediction batch (see :func:`chunk_map`).
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ValidationError, as_sites, check_finite_inputs
-from .experts import evaluate_layer
+from .experts import evaluate_stack
 from .families import Family, add_intercept
 from .learner import CfModel
 
@@ -50,11 +50,15 @@ def coefficient_of_variation(var_z, mu, family: Family):
 
     Log link has the exact lognormal form ``sqrt(exp(var) - 1)``; identity is
     ``sd / |mu|``; logit uses the delta method, ``sqrt(var) * (1 - mu)``.
+    Under the log link a variance above about 709.78 gives ``inf``, without a
+    warning: the lognormal CoV diverges. Far from every expert the layer
+    variance is capped at 1e300, so such sites read ``cov = inf``.
     """
     v = np.asarray(var_z, dtype=float)
     m = np.asarray(mu, dtype=float)
     if family.tag == "poisson":
-        out = np.sqrt(np.expm1(v))
+        with np.errstate(over="ignore"):
+            out = np.sqrt(np.expm1(v))
     elif family.tag == "bernoulli":
         out = np.sqrt(v) * (1.0 - m)
     else:
@@ -91,8 +95,7 @@ def predict(model: CfModel, sites, covariates, offset=None) -> Predictions:
 
     z_total = np.zeros(len(pts))
     var_z = np.zeros(len(pts))
-    for layer in model.layers:
-        ev = evaluate_layer(layer, pts)
+    for ev in evaluate_stack(model.layers, pts):
         z_total += ev.mean
         var_z += ev.variance
     mu_lin = add_intercept(x) @ model.beta + off + z_total
@@ -121,9 +124,9 @@ def decompose(model: CfModel, sites, band_edges) -> ScaleBandDecomposition:
     n_bands = len(edges) + 1
     values = np.zeros((len(pts), n_bands))
     occupied = np.zeros(n_bands, dtype=bool)
-    for layer in model.layers:
+    for layer, ev in zip(model.layers, evaluate_stack(model.layers, pts)):
         b = band_index(layer.bandwidth, edges)
-        values[:, b] += evaluate_layer(layer, pts).mean
+        values[:, b] += ev.mean
         occupied[b] = True
     for b in np.flatnonzero(~occupied):
         warnings.warn(f"band {b} contains no accepted layer; its component is zero", stacklevel=2)

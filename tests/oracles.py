@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 
-from cfglmm import FitConfig, make_split, place_centers, wls_beta
+from cfglmm import FitConfig, coefficient_of_variation, make_split, place_centers, wls_beta
 from cfglmm.data import Dataset, as_sites
 from cfglmm.experts import _CHUNK_DOUBLES, SIGMA2_FLOOR, LayerUnfittableError, ScaleLayer, evaluate_layer, fit_layer
 from cfglmm.families import add_intercept
 from cfglmm.geometry import bbox_diagonal, center_count, pairwise_distances
 from cfglmm.learner import layer_seed
+from cfglmm.prediction import Predictions, band_index
 
 
 def grid_poe_moments(mus, sigma2s, weights, n_grid=40001, span=14.0):
@@ -226,3 +227,36 @@ def ref_fit_layer(targets, site_weights, sites, centers, cfg, chunk_doubles=_CHU
         weight_power=cfg.aggregation_weight_power,
         raw_mean=raw_mean,
     )
+
+
+# ---------------------------------------------------------------------------
+# Serial layer loops of predict and decompose, kept verbatim from before the
+# layers moved onto the worker pool (input checks left out). The pooled
+# versions must equal them bit for bit (tests/test_prediction.py::TestEvaluateStack).
+
+
+def ref_predict(model, sites, covariates, offset=None) -> Predictions:
+    pts = as_sites(sites)
+    x = np.asarray(covariates, dtype=float)
+    off = np.zeros(len(pts)) if offset is None else np.asarray(offset, dtype=float).ravel()
+    z_total = np.zeros(len(pts))
+    var_z = np.zeros(len(pts))
+    for layer in model.layers:
+        ev = evaluate_layer(layer, pts)
+        z_total += ev.mean
+        var_z += ev.variance
+    mu_lin = add_intercept(x) @ model.beta + off + z_total
+    mu = model.family.clamp_mu(model.family.inv_link(mu_lin))
+    cov = coefficient_of_variation(var_z, mu, model.family)
+    return Predictions(mu_lin, mu, z_total, var_z, cov)
+
+
+def ref_band_values(model, sites, band_edges) -> np.ndarray:
+    """``decompose(model, sites, band_edges).band_values``."""
+    edges = tuple(float(e) for e in band_edges)
+    pts = as_sites(sites)
+    values = np.zeros((len(pts), len(edges) + 1))
+    for layer in model.layers:
+        b = band_index(layer.bandwidth, edges)
+        values[:, b] += evaluate_layer(layer, pts).mean
+    return values

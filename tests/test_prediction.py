@@ -1,8 +1,13 @@
 import math
+import sys
+import threading
+import time
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from oracles import gaussian_spatial_dataset
+from oracles import gaussian_spatial_dataset, ref_band_values, ref_predict
 
 from cfglmm import (
     FitConfig,
@@ -15,8 +20,10 @@ from cfglmm import (
     fit_glm,
     predict,
 )
+from cfglmm import experts, geometry
 from cfglmm.data import ValidationError
-from cfglmm.experts import ScaleLayer
+from cfglmm.experts import ScaleLayer, evaluate_stack
+from cfglmm.families import add_intercept
 from cfglmm.learner import CfModel
 from cfglmm.simulate import SimScenario, gen_poisson
 
@@ -126,7 +133,257 @@ class TestPredict:
         np.testing.assert_array_equal(a.mu, b.mu)
 
 
+FIELDS = ("mu_lin", "mu", "z_total", "var_z", "cov")
+
+
+def _stack_model(rng, sizes=(3, 10, 40, 120, 400, 25), n_cov=2, active_share=0.9):
+    """Poisson model whose layers differ in size, the last one not the smallest,
+    so largest-first submission differs from layer order."""
+    layers = []
+    h = 0.8
+    for k in sizes:
+        active = rng.random(k) < active_share
+        active[0] = True
+        layers.append(ScaleLayer(
+            bandwidth=h, centers=rng.random((k, 2)), mu=rng.normal(size=k),
+            sigma2=rng.uniform(0.05, 2.0, k), active=active, tau2=1.0,
+        ))
+        h *= 0.6
+    return _bare_model(POISSON, 0.3 * rng.normal(size=n_cov + 1), layers)
+
+
+def _query(rng, n, n_cov=2):
+    return rng.random((n, 2)), rng.normal(size=(n, n_cov)), rng.normal(size=n)
+
+
+def _assert_predictions_equal(got, want):
+    for f in FIELDS:
+        np.testing.assert_array_equal(getattr(got, f), getattr(want, f), err_msg=f)
+
+
+def _pool_budget_sites(model):
+    """Largest query batch that ``evaluate_stack`` sends to the pool."""
+    return experts._CHUNK_DOUBLES // (experts.POOL_WORKERS * max(l.n_active for l in model.layers))
+
+
+def _set_budget_to(monkeypatch, model, n_sites):
+    """Make ``n_sites`` the exact edge of the pool's memory rule."""
+    budget = experts.POOL_WORKERS * n_sites * max(l.n_active for l in model.layers)
+    monkeypatch.setattr(experts, "_CHUNK_DOUBLES", budget)
+
+
+class _Spy:
+    """Wraps ``evaluate_layer``: counts layers in flight and records, per call,
+    the layer size and the thread it ran on."""
+
+    def __init__(self, fn, delay=0.0, fail_on=None, error=None):
+        self.fn, self.delay, self.fail_on, self.error = fn, delay, fail_on, error
+        self.lock = threading.Lock()
+        self.in_flight = self.peak = 0
+        self.sizes, self.threads = [], []
+
+    def __call__(self, layer, sites):
+        with self.lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+            self.sizes.append(layer.n_active)
+            self.threads.append(threading.current_thread().name)
+        try:
+            time.sleep(self.delay)
+            if layer is self.fail_on:
+                raise self.error
+            return self.fn(layer, sites)
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    def install(**kw):
+        s = _Spy(experts.evaluate_layer, **kw)
+        monkeypatch.setattr(experts, "evaluate_layer", s)
+        return s
+
+    return install
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """``workers(n)`` replaces the pool by one of ``n`` workers, named like it."""
+    pools = []
+
+    def make(n):
+        pool = ThreadPoolExecutor(max_workers=n, thread_name_prefix="cfglmm-chunk")
+        pools.append(pool)
+        monkeypatch.setattr(experts, "POOL_WORKERS", n)
+        monkeypatch.setattr(geometry, "_POOL", pool)
+
+    yield make
+    for pool in pools:
+        pool.shutdown(wait=True)
+
+
+@pytest.fixture
+def eight_workers(workers):
+    """Eight pool workers on this machine's cores, switching threads every 1 µs."""
+    workers(8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestEvaluateStack:
+    """``evaluate_stack`` and the ``predict`` / ``decompose`` built on it equal
+    the serial layer loops bit for bit, on the pool and off it."""
+
+    def test_bitwise_under_eight_workers(self, rng, eight_workers):
+        model = _stack_model(rng)
+        n_max = _pool_budget_sites(model)
+        for n in (1, 256, n_max, n_max + 1):
+            sites, x, off = _query(rng, n)
+            sites[0] = (50.0, 50.0)  # far site: capped variance, infinite CoV
+            for _ in range(3):
+                _assert_predictions_equal(predict(model, sites, x, off), ref_predict(model, sites, x, off))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    got = decompose(model, sites, (0.5, 0.2, 0.05))
+                np.testing.assert_array_equal(got.band_values, ref_band_values(model, sites, (0.5, 0.2, 0.05)))
+            stack = evaluate_stack(model.layers, sites)
+            for layer, ev in zip(model.layers, stack, strict=True):
+                want = experts.evaluate_layer(layer, sites)
+                np.testing.assert_array_equal(ev.mean, want.mean)
+                np.testing.assert_array_equal(ev.variance, want.variance)
+
+    def test_bitwise_fitted_model(self, poisson_model, eight_workers):
+        model, sim = poisson_model
+        assert len(model.layers) >= 5 and len({l.n_active for l in model.layers}) >= 5
+        t = sim.test
+        for sl in (slice(0, 256), slice(None)):
+            _assert_predictions_equal(
+                predict(model, t.sites[sl], t.covariates[sl], t.offset[sl]),
+                ref_predict(model, t.sites[sl], t.covariates[sl], t.offset[sl]),
+            )
+            np.testing.assert_array_equal(
+                decompose(model, t.sites[sl], (0.5, 0.2)).band_values, ref_band_values(model, t.sites[sl], (0.5, 0.2))
+            )
+
+    def test_within_budget_layers_run_on_pool(self, rng, spy, workers, monkeypatch):
+        workers(2)
+        model = _stack_model(rng)
+        _set_budget_to(monkeypatch, model, 256)
+        sites, x, off = _query(rng, 256)
+        s = spy(delay=0.02)
+        predict(model, sites, x, off)
+        assert len(s.threads) == len(model.layers)
+        assert all(name.startswith("cfglmm-chunk") for name in s.threads), s.threads
+        assert len(set(s.threads)) == 2
+        assert s.peak <= 2
+
+    def test_over_budget_one_layer_at_a_time(self, rng, spy, workers, monkeypatch):
+        workers(2)
+        model = _stack_model(rng)
+        _set_budget_to(monkeypatch, model, 256)
+        sites, x, off = _query(rng, 257)
+        s = spy(delay=0.02)
+        predict(model, sites, x, off)
+        assert s.peak == 1
+        assert s.threads == [threading.current_thread().name] * len(model.layers)
+
+    def test_over_budget_holds_one_layer_at_a_time(self, rng, spy, workers, monkeypatch):
+        workers(2)
+        model = _stack_model(rng)
+        _set_budget_to(monkeypatch, model, 256)
+        sites = rng.random((257, 2))
+        s = spy()
+        stack = evaluate_stack(model.layers, sites)
+        assert s.sizes == []
+        for k, (layer, ev) in enumerate(zip(model.layers, stack, strict=True), start=1):
+            assert len(s.sizes) == k  # evaluated when reached, not before
+            np.testing.assert_array_equal(ev.mean, s.fn(layer, sites).mean)
+
+    def test_layers_overlap_on_several_workers(self, rng, spy, eight_workers):
+        model = _stack_model(rng)
+        s = spy(delay=0.05)
+        evaluate_stack(model.layers, rng.random((16, 2)))
+        assert s.peak >= 2
+
+    def test_one_worker_runs_largest_first_on_caller(self, rng, spy, workers):
+        workers(1)
+        model = _stack_model(rng)
+        s = spy()
+        evaluate_stack(model.layers, rng.random((16, 2)))
+        assert s.sizes == sorted((l.n_active for l in model.layers), reverse=True)
+        assert s.threads == [threading.current_thread().name] * len(model.layers)
+
+    def test_layers_dealt_largest_first_to_least_loaded(self, rng, spy, workers):
+        workers(2)
+        model = _stack_model(rng, sizes=(10, 40, 5, 50, 20, 30), active_share=1.0)
+        sites = rng.random((16, 2))
+        s = spy()
+        stack = evaluate_stack(model.layers, sites)
+        shares = {}
+        for size, name in zip(s.sizes, s.threads):
+            shares.setdefault(name, []).append(size)
+        # 50 and 40 open the shares; 30 joins 40; 20 joins 50; 10 goes to the
+        # first of the tied shares (70, 70); 5 to the lighter one
+        assert sorted(shares.values()) == [[40, 30, 5], [50, 20, 10]]
+        # ...and the results come back in layer order
+        for layer, ev in zip(model.layers, stack, strict=True):
+            np.testing.assert_array_equal(ev.mean, s.fn(layer, sites).mean)
+
+    @pytest.mark.parametrize("over_budget", [False, True], ids=["pool", "serial"])
+    def test_layer_error_reaches_caller(self, rng, spy, over_budget):
+        model = _stack_model(rng)
+        error = RuntimeError("layer failed")
+        spy(fail_on=model.layers[2], error=error)
+        sites, x, _ = _query(rng, _pool_budget_sites(model) + int(over_budget))
+        with pytest.raises(RuntimeError) as info:
+            predict(model, sites, x)
+        assert info.value is error
+        with pytest.raises(RuntimeError) as info:
+            decompose(model, sites, (0.5,))
+        assert info.value is error
+
+    def test_zero_layers(self, rng):
+        assert list(evaluate_stack((), rng.random((256, 2)))) == []
+        assert list(evaluate_stack([], np.empty((0, 2)))) == []
+        x = rng.normal(size=(200, 2))
+        y = rng.poisson(np.exp(0.3 + x @ [0.8, -0.3])).astype(float)
+        from cfglmm import Dataset
+
+        glm = fit_glm(Dataset(rng.random((200, 2)), y, x, "poisson"))
+        model = _bare_model(POISSON, glm.beta)
+        sites, off = rng.random((200, 2)), rng.normal(size=200)
+        pred = predict(model, sites, x, off)
+        eta = add_intercept(x) @ glm.beta + off
+        np.testing.assert_array_equal(pred.mu_lin, eta)
+        np.testing.assert_array_equal(pred.mu, POISSON.clamp_mu(POISSON.inv_link(eta)))
+        _assert_predictions_equal(pred, ref_predict(model, sites, x, off))
+
+
 class TestCoefficientOfVariation:
+    @pytest.mark.filterwarnings("error")
+    def test_log_link_diverges_to_inf_silently(self):
+        assert coefficient_of_variation(1e300, 2.0, POISSON) == math.inf
+        assert coefficient_of_variation(710.0, 2.0, POISSON) == math.inf
+        got = coefficient_of_variation(np.array([0.5, 709.0, 1e300]), np.ones(3), POISSON)
+        np.testing.assert_array_equal(got, [math.sqrt(math.expm1(0.5)), math.sqrt(math.expm1(709.0)), math.inf])
+
+    @pytest.mark.filterwarnings("error")
+    def test_far_site_cov_is_inf(self, poisson_model):
+        model, sim = poisson_model
+        assert model.layers
+        sites = np.vstack([sim.test.sites[:20], [[50.0, 50.0]]])
+        pred = predict(model, sites, np.zeros((21, model.n_covariates)))
+        assert pred.var_z[-1] >= 1e300 and pred.cov[-1] == math.inf
+        assert np.isfinite(pred.mu).all()
+        # finite sites: the plain lognormal form, bit for bit
+        np.testing.assert_array_equal(pred.cov[:-1], np.sqrt(np.expm1(pred.var_z[:-1])))
+
     def test_zero_variance_gives_zero_for_every_link(self):
         for family in (GAUSSIAN, POISSON, BERNOULLI):
             assert coefficient_of_variation(0.0, 0.4, family) == 0.0
