@@ -187,11 +187,12 @@ def evaluate_stack(layers, sites) -> Iterator[LayerEvaluation]:
     """``evaluate_layer(layer, sites)`` for each layer, in layer order, whole layers on the pool.
 
     Layers are independent, so running several at once gives the serial
-    results bit for bit, and each layer keeps its own row chunks. The layers
-    are dealt largest ``n_active`` first to the least-loaded of
-    ``POOL_WORKERS`` shares, one pool task per share, so the workers finish
-    together and the caller waits on one task per worker, not one per layer
-    (a wait per layer costs a thread wake-up per layer).
+    results bit for bit, and each layer keeps its own row chunks. One pool
+    task per worker takes the layers from a shared queue, largest ``n_active``
+    first, so a worker that gets less CPU (a busy host) takes fewer layers and
+    the workers still finish together; the caller waits on one task per
+    worker, not one per layer (a wait per layer costs a thread wake-up per
+    layer).
 
     The pool is used only while ``POOL_WORKERS * len(sites) * max(n_active) <=
     _CHUNK_DOUBLES``, so the kernels of the layers in flight fit in one serial
@@ -204,19 +205,20 @@ def evaluate_stack(layers, sites) -> Iterator[LayerEvaluation]:
     sizes = [layer.n_active for layer in layers]
     if POOL_WORKERS * len(pts) * max(sizes, default=0) > _CHUNK_DOUBLES:
         return (evaluate_layer(layer, pts) for layer in layers)
-    shares = [[] for _ in range(POOL_WORKERS)]
-    loads = [0] * POOL_WORKERS
+    todo = queue.SimpleQueue()
     for i in sorted(range(len(layers)), key=lambda i: -sizes[i]):
-        w = loads.index(min(loads))
-        shares[w].append(i)
-        loads[w] += sizes[i]
+        todo.put(i)
     out = [None] * len(layers)
 
-    def run(share: list[int]) -> None:
-        for i in share:
+    def run(_) -> None:
+        while True:
+            try:
+                i = todo.get_nowait()
+            except queue.Empty:
+                return
             out[i] = evaluate_layer(layers[i], pts)
 
-    chunk_map(run, [share for share in shares if share])
+    chunk_map(run, range(min(POOL_WORKERS, len(layers))))
     return iter(out)
 
 

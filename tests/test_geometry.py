@@ -1,6 +1,7 @@
 import itertools
 import math
 import multiprocessing
+import os
 import threading
 import time
 
@@ -11,7 +12,16 @@ from hypothesis import strategies as st
 from oracles import ref_assign_nearest, ref_kmeans_pp, ref_pairwise_distances
 
 from cfglmm import bbox_diagonal, center_count, kernel_weight, place_centers
-from cfglmm.geometry import _assign_nearest, _chunks, _kmeans_pp, _sq_dist_to, chunk_map, pairwise_distances
+from cfglmm import geometry
+from cfglmm.geometry import (
+    _assign_nearest,
+    _chunks,
+    _kmeans_pp,
+    _pin_worker,
+    _sq_dist_to,
+    chunk_map,
+    pairwise_distances,
+)
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
@@ -240,6 +250,34 @@ class TestChunkMap:
         names = chunk_map(_name_of_thread, _chunks(4, 1))
         assert all(n.startswith("cfglmm-chunk") for n in names)
         assert chunk_map(_name_of_thread, _chunks(4, 4)) == [threading.current_thread().name]
+
+    @pytest.mark.skipif(geometry.POOL_WORKERS < 2 or not hasattr(os, "sched_setaffinity"), reason="one CPU")
+    def test_each_worker_pinned_to_its_own_cpu(self):
+        barrier = threading.Barrier(geometry.POOL_WORKERS)
+
+        def affinity(_sl):
+            barrier.wait(timeout=30)  # every worker holds one chunk
+            return frozenset(os.sched_getaffinity(0))
+
+        got = chunk_map(affinity, _chunks(geometry.POOL_WORKERS, 1))
+        assert sorted(map(sorted, got)) == [[c] for c in sorted(os.sched_getaffinity(0))]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no thread affinity")
+    def test_pin_worker(self):
+        cpus = sorted(os.sched_getaffinity(0))
+        got = []
+
+        def pin_then_read(cpu_list, counter):
+            _pin_worker(cpu_list, counter)
+            got.append(os.sched_getaffinity(0))
+
+        counter = itertools.count(len(cpus) + 1)  # wraps around the list
+        for args in ((cpus, counter), ([10**6], itertools.count())):  # a CPU that does not exist: floats
+            t = threading.Thread(target=pin_then_read, args=args)
+            t.start()
+            t.join()
+        assert got == [{cpus[(len(cpus) + 1) % len(cpus)]}, set(cpus)]
+        assert os.sched_getaffinity(0) == set(cpus)  # the caller is never pinned
 
     def test_error_of_a_chunk_reaches_the_caller(self):
         def fail_at_two(sl):

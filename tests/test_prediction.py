@@ -176,8 +176,9 @@ class _Spy:
     """Wraps ``evaluate_layer``: counts layers in flight and records, per call,
     the layer size and the thread it ran on."""
 
-    def __init__(self, fn, delay=0.0, fail_on=None, error=None):
+    def __init__(self, fn, delay=0.0, fail_on=None, error=None, slow_on=None, slow_delay=0.0):
         self.fn, self.delay, self.fail_on, self.error = fn, delay, fail_on, error
+        self.slow_on, self.slow_delay = slow_on, slow_delay
         self.lock = threading.Lock()
         self.in_flight = self.peak = 0
         self.sizes, self.threads = [], []
@@ -189,7 +190,7 @@ class _Spy:
             self.sizes.append(layer.n_active)
             self.threads.append(threading.current_thread().name)
         try:
-            time.sleep(self.delay)
+            time.sleep(self.slow_delay if layer is self.slow_on else self.delay)
             if layer is self.fail_on:
                 raise self.error
             return self.fn(layer, sites)
@@ -319,19 +320,35 @@ class TestEvaluateStack:
         assert s.sizes == sorted((l.n_active for l in model.layers), reverse=True)
         assert s.threads == [threading.current_thread().name] * len(model.layers)
 
-    def test_layers_dealt_largest_first_to_least_loaded(self, rng, spy, workers):
+    def test_each_worker_takes_layers_largest_first(self, rng, spy, workers):
         workers(2)
         model = _stack_model(rng, sizes=(10, 40, 5, 50, 20, 30), active_share=1.0)
         sites = rng.random((16, 2))
-        s = spy()
+        s = spy(delay=0.01)
         stack = evaluate_stack(model.layers, sites)
-        shares = {}
+        taken = {}
         for size, name in zip(s.sizes, s.threads):
-            shares.setdefault(name, []).append(size)
-        # 50 and 40 open the shares; 30 joins 40; 20 joins 50; 10 goes to the
-        # first of the tied shares (70, 70); 5 to the lighter one
-        assert sorted(shares.values()) == [[40, 30, 5], [50, 20, 10]]
+            taken.setdefault(name, []).append(size)
+        assert len(taken) == 2
+        assert sorted(size for sizes in taken.values() for size in sizes) == [5, 10, 20, 30, 40, 50]
+        assert sorted(sizes[0] for sizes in taken.values()) == [40, 50]
+        assert all(sizes == sorted(sizes, reverse=True) for sizes in taken.values()), taken
         # ...and the results come back in layer order
+        for layer, ev in zip(model.layers, stack, strict=True):
+            np.testing.assert_array_equal(ev.mean, s.fn(layer, sites).mean)
+
+    def test_slow_worker_takes_fewer_layers(self, rng, spy, workers):
+        workers(2)
+        model = _stack_model(rng, sizes=(10, 40, 5, 50, 20, 30), active_share=1.0)
+        largest = model.layers[3]
+        sites = rng.random((16, 2))
+        s = spy(delay=0.01, slow_on=largest, slow_delay=0.5)
+        stack = evaluate_stack(model.layers, sites)
+        taken = {}
+        for size, name in zip(s.sizes, s.threads):
+            taken.setdefault(name, []).append(size)
+        # fixed shares would give the slow worker 50, 20 and 10
+        assert sorted(taken.values()) == [[40, 30, 20, 10, 5], [50]]
         for layer, ev in zip(model.layers, stack, strict=True):
             np.testing.assert_array_equal(ev.mean, s.fn(layer, sites).mean)
 
