@@ -132,11 +132,12 @@ def run_trial(
         eta = add_intercept(dataset.covariates) @ glm.beta + dataset.offset
         return family.clamp_mu(family.inv_link(eta))
 
-    pred_in = predict(model, train.sites, train.covariates, train.offset)
+    # the fit's cached layer sum at the training sites is predict()'s z_total there, bit for bit
+    eta_in = add_intercept(train.covariates) @ model.beta + train.offset + model.train_fitted.z
     result = dict(
         trial=trial,
         seed=seed,
-        rmse_in=rmse(sim.truth_train.mu, pred_in.mu),
+        rmse_in=rmse(sim.truth_train.mu, family.clamp_mu(family.inv_link(eta_in))),
         rmse_in_glm=rmse(sim.truth_train.mu, glm_mu(train)),
         beta_hat=tuple(model.beta),
         beta_hat_glm=tuple(glm.beta),

@@ -74,6 +74,35 @@ class LayerEvaluation:
     variance: np.ndarray
 
 
+def _map_kernel_chunks(fn, slices: list[slice], rows: int, cols: int) -> None:
+    """Run ``fn(sl, out)`` for every chunk, spread over :func:`geometry.chunk_map`.
+
+    ``out`` is a kernel buffer of ``sl.stop - sl.start`` rows and ``cols``
+    columns that no other chunk in flight holds. The buffers, one per chunk in
+    flight, are allocated on the calling thread as one block: chunks allocated
+    by pool threads, or 32 MB buffers allocated one by one, stay in glibc's
+    malloc arenas once freed and raise peak RSS, while a block this large is
+    unmapped when freed. A single chunk runs on the calling thread with
+    ``out=None`` and allocates its own kernel.
+    """
+    if len(slices) <= 1:
+        for sl in slices:
+            fn(sl, None)
+        return
+    free = queue.SimpleQueue()
+    for buf in np.empty((min(len(slices), POOL_WORKERS), rows, cols)):
+        free.put(buf)
+
+    def run(sl: slice) -> None:
+        buf = free.get()
+        try:
+            fn(sl, buf[: sl.stop - sl.start])
+        finally:
+            free.put(buf)
+
+    chunk_map(run, slices)
+
+
 def fit_layer(targets, site_weights, sites, centers: CenterSet, cfg: FitConfig) -> ScaleLayer:
     """Fit every local expert of one scale against a weighted working target."""
     t = np.asarray(targets, dtype=float).ravel()
@@ -93,35 +122,23 @@ def fit_layer(targets, site_weights, sites, centers: CenterSet, cfg: FitConfig) 
     sum_sq_kernel = np.zeros(n_centers)
     t_sq = t * t
     width = max(1, _CHUNK_DOUBLES // max(len(pts), 1))
-    slices = _chunks(n_centers, width)
-    # One kernel buffer per chunk in flight, allocated on this thread as one
-    # block: chunks allocated by pool threads, or 32 MB buffers allocated one
-    # by one, stay in glibc's malloc arenas once freed and raise peak RSS,
-    # while a block this large is unmapped when freed.
-    free = queue.SimpleQueue()
-    for buf in np.empty((min(len(slices), POOL_WORKERS), min(width, n_centers), len(pts))):
-        free.put(buf)
 
-    def fit_chunk(sl: slice) -> None:
-        buf = free.get()
-        try:
-            k2 = pairwise_distances(cen[sl], pts, out=buf[: sl.stop - sl.start])
-            k2 *= -2.0 / h
-            np.exp(k2, out=k2)  # kernel squared in one pass: exp(-d/h)^2 = exp(-2d/h)
-            sum_sq_kernel[sl] = k2.sum(axis=1)
-            k2 *= sw[None, :]
-            sp = k2.sum(axis=1)
-            sum_prec[sl] = sp
-            with np.errstate(invalid="ignore", divide="ignore"):
-                m = (k2 @ t) / sp
-                # weighted second moment minus squared mean; cancellation error is
-                # far below sigma2_floor at working-target scales
-                raw_var[sl] = np.maximum((k2 @ t_sq) / sp - m * m, 0.0)
-            raw_mean[sl] = m
-        finally:
-            free.put(buf)
+    def fit_chunk(sl: slice, out: np.ndarray | None) -> None:
+        k2 = pairwise_distances(cen[sl], pts, out=out)
+        k2 *= -2.0 / h
+        np.exp(k2, out=k2)  # kernel squared in one pass: exp(-d/h)^2 = exp(-2d/h)
+        sum_sq_kernel[sl] = k2.sum(axis=1)
+        k2 *= sw[None, :]
+        sp = k2.sum(axis=1)
+        sum_prec[sl] = sp
+        with np.errstate(invalid="ignore", divide="ignore"):
+            m = (k2 @ t) / sp
+            # weighted second moment minus squared mean; cancellation error is
+            # far below sigma2_floor at working-target scales
+            raw_var[sl] = np.maximum((k2 @ t_sq) / sp - m * m, 0.0)
+        raw_mean[sl] = m
 
-    chunk_map(fit_chunk, slices)
+    _map_kernel_chunks(fit_chunk, _chunks(n_centers, width), min(width, n_centers), len(pts))
 
     active = sum_prec >= cfg.min_effective_weight
     if not active.any():
@@ -145,7 +162,12 @@ def fit_layer(targets, site_weights, sites, centers: CenterSet, cfg: FitConfig) 
 
 
 def evaluate_layer(layer: ScaleLayer, sites) -> LayerEvaluation:
-    """Product-of-experts mean and variance of one layer at the query sites."""
+    """Product-of-experts mean and variance of one layer at the query sites.
+
+    The rows are cut into chunks of about ``_CHUNK_DOUBLES`` kernel entries,
+    which run on the pool of :func:`geometry.chunk_map` and write disjoint rows,
+    so the result does not depend on the number of CPUs.
+    """
     pts = as_sites(sites)
     act = layer.active
     if not act.any():
@@ -156,30 +178,32 @@ def evaluate_layer(layer: ScaleLayer, sites) -> LayerEvaluation:
     n = len(pts)
     mean = np.empty(n)
     variance = np.empty(n)
-    for sl in _chunks(n, _CHUNK_DOUBLES // max(len(cen), 1)):
-        k = pairwise_distances(pts[sl], cen)
-        k *= -layer.weight_power / layer.bandwidth
-        np.exp(k, out=k)
-        q = k
+    width = max(1, _CHUNK_DOUBLES // max(len(cen), 1))
+    log_scale = layer.weight_power / layer.bandwidth
+
+    def eval_chunk(sl: slice, out: np.ndarray | None) -> None:
+        q = pairwise_distances(pts[sl], cen, out=out)
+        q *= -log_scale
+        np.exp(q, out=q)
         q /= sigma2[None, :]
         sq = q.sum(axis=1)
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             mean[sl] = (q @ mu) / sq
             variance[sl] = 1.0 / sq
         # near-total kernel underflow: 1/sq overflows or loses all precision
-        dead = np.flatnonzero(sq < 1e-280)
-        for i in dead:
+        for i in np.flatnonzero(sq < 1e-280) + sl.start:
             # Kernel underflow at a far-away site: shift log precisions so the
             # dominant expert still contributes; variance is capped, not inf.
-            site = pts[sl][i]
-            di = np.hypot(site[0] - cen[:, 0], site[1] - cen[:, 1])
-            logq = -di * (layer.weight_power / layer.bandwidth) - np.log(sigma2)
+            di = np.hypot(pts[i, 0] - cen[:, 0], pts[i, 1] - cen[:, 1])
+            logq = -di * log_scale - np.log(sigma2)
             top = logq.max()
             qs = np.exp(logq - top)
             ssq = qs.sum()
-            mean[sl][i] = (qs @ mu) / ssq
+            mean[i] = (qs @ mu) / ssq
             with np.errstate(over="ignore"):
-                variance[sl][i] = min(np.exp(-top) / ssq, _VARIANCE_CAP)
+                variance[i] = min(np.exp(-top) / ssq, _VARIANCE_CAP)
+
+    _map_kernel_chunks(eval_chunk, _chunks(n, width), min(width, n), len(cen))
     return LayerEvaluation(mean, variance)
 
 

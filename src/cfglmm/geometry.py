@@ -1,23 +1,22 @@
-"""Planar geometry: bounding box, exponential kernel, and k-means center placement.
+"""Planar geometry: bounding box, exponential kernel, and lattice center placement.
 
-Also home of the worker pool that runs independent chunks of the fit's dense
+Also home of the worker pool that runs independent chunks of the dense kernel
 passes and the layers of a small prediction batch (see :func:`chunk_map`).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .data import as_sites, round_half_away
-
-_KMEANS_MAX_ITER = 100
-_KMEANS_REL_TOL = 1e-6
 
 # One pool worker per CPU this process may run on (its affinity mask, so
 # ``taskset`` limits it), each pinned to its own CPU of that mask. Threads
@@ -130,97 +129,31 @@ def pairwise_distances(a, b, out: np.ndarray | None = None) -> np.ndarray:
     return cdist(as_sites(a), as_sites(b), out=out)
 
 
-def _assign_nearest(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest center per point via the expanded-square identity, chunked over
-    centers so no n x c matrix is materialized. Assignment-grade accuracy.
-
-    Each chunk is 256 centers against every point: the chunk shapes fix the
-    BLAS kernels (a 1-wide chunk runs gemv), and with them the last bit of
-    ``best_d2``. The -2 factor is folded into the points, which is exact. The
-    chunks run on the worker pool and are merged in chunk order, so ties still
-    go to the earliest chunk.
-    """
-    n = len(points)
-    p2 = (points * points).sum(1)
-    c2 = (centers * centers).sum(1)
-    m2p = -2.0 * points
-    rows = np.arange(n)
-
-    def nearest_in(sl: slice) -> tuple[np.ndarray, np.ndarray]:
-        d2 = m2p @ centers[sl].T
-        d2 += p2[:, None]
-        d2 += c2[None, sl]
-        local = d2.argmin(axis=1)
-        return local, d2[rows, local]
-
-    best_d2 = np.full(n, np.inf)
-    assign = np.zeros(n, dtype=np.intp)
-    blocks = _chunks(len(centers), 256)
-    for sl, (local, local_d2) in zip(blocks, chunk_map(nearest_in, blocks)):
-        better = local_d2 < best_d2
-        assign[better] = local[better] + sl.start
-        best_d2[better] = local_d2[better]
-    np.maximum(best_d2, 0.0, out=best_d2)
-    return assign, best_d2
+def _cell_means(pts: np.ndarray, weights: np.ndarray, cell: np.ndarray) -> np.ndarray:
+    """Weighted mean of the points of each nonempty cell, in cell order."""
+    wsum = np.bincount(cell, weights=weights)
+    sx = np.bincount(cell, weights=weights * pts[:, 0])
+    sy = np.bincount(cell, weights=weights * pts[:, 1])
+    keep = wsum > 0
+    return np.column_stack([sx[keep], sy[keep]]) / wsum[keep, None]
 
 
-def _weighted_pick(weights: np.ndarray, rng: np.random.Generator) -> int:
-    cum = np.cumsum(weights)
-    return int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+def place_centers(sites, n_centers: int, bandwidth: float) -> CenterSet:
+    """Place about ``n_centers`` local centers on a lattice over the sites.
 
-
-def _sq_dist_to(x: np.ndarray, y: np.ndarray, c: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
-    """``out = dx*dx + dy*dy``, bitwise equal to ``((points - c) ** 2).sum(1)``."""
-    np.subtract(x, c[0], out=out)
-    out *= out
-    np.subtract(y, c[1], out=tmp)
-    tmp *= tmp
-    out += tmp
-
-
-def _kmeans_pp(points: np.ndarray, weights: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    x, y = np.ascontiguousarray(points.T)
-    d2, new, buf = np.empty((3, len(points)))
-    centers = np.empty((k, 2))
-    centers[0] = points[_weighted_pick(weights, rng)]
-    _sq_dist_to(x, y, centers[0], d2, buf)
-    for j in range(1, k):
-        np.multiply(weights, d2, out=buf)
-        centers[j] = points[_weighted_pick(buf, rng)]
-        _sq_dist_to(x, y, centers[j], new, buf)
-        np.minimum(d2, new, out=d2)
-    return centers
-
-
-def _lloyd(points: np.ndarray, weights: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    k = len(centers)
-    prev_sse = np.inf
-    for _ in range(_KMEANS_MAX_ITER):
-        assign, nearest = _assign_nearest(points, centers)
-        sse = float(weights @ nearest)
-        wsum = np.bincount(assign, weights=weights, minlength=k)
-        for j in np.flatnonzero(wsum == 0):
-            # Empty cluster: seize the point currently worst served.
-            idx = int(np.argmax(weights * nearest))
-            assign[idx] = j
-            nearest[idx] = 0.0
-            wsum = np.bincount(assign, weights=weights, minlength=k)
-        cx = np.bincount(assign, weights=weights * points[:, 0], minlength=k)
-        cy = np.bincount(assign, weights=weights * points[:, 1], minlength=k)
-        centers = np.column_stack([cx, cy]) / wsum[:, None]
-        if abs(prev_sse - sse) <= _KMEANS_REL_TOL * max(sse, 1e-300):
-            break
-        prev_sse = sse
-    return centers
-
-
-def place_centers(sites, n_centers: int, bandwidth: float, seed: int) -> CenterSet:
-    """Place local centers by seeded k-means on the given sites.
-
-    Duplicate coordinates are collapsed to weighted points, which makes the
-    result invariant to input ordering (unique rows are lexicographically
-    sorted). When ``n_centers`` reaches the number of distinct sites the
-    distinct sites themselves are returned.
+    Duplicate coordinates are collapsed to distinct sites weighted by their
+    counts; when ``n_centers`` reaches the number of distinct sites, the
+    distinct sites themselves are returned. Otherwise a grid of ``nx`` by
+    ``ny = ceil(n_centers / nx)`` cells covers the bounding box of the
+    distinct sites, with ``nx = round(sqrt(n_centers * span_x / span_y))``
+    (at least 1, at most ``n_centers``) so that the cells are about square;
+    an axis without span gets a single row or column. Each occupied cell
+    gives the weighted mean of its sites, so there are at most ``nx * ny <
+    n_centers + nx`` centers. One exact Lloyd step follows:
+    every site joins its nearest mean, the means are recomputed, and a mean
+    left without sites is dropped. No randomness is involved, and the
+    distinct sites are sorted first, so the result does not depend on the
+    input order. For n sites the cost is O(n log n).
     """
     pts = as_sites(sites)
     if len(pts) == 0:
@@ -230,8 +163,17 @@ def place_centers(sites, n_centers: int, bandwidth: float, seed: int) -> CenterS
     uniq, counts = np.unique(pts, axis=0, return_counts=True)
     if n_centers >= len(uniq):
         return CenterSet(uniq.copy(), bandwidth)
-    rng = np.random.default_rng(seed)
     weights = counts.astype(float)
-    centers = _kmeans_pp(uniq, weights, n_centers, rng)
-    centers = _lloyd(uniq, weights, centers)
-    return CenterSet(centers, bandwidth)
+    lo = uniq.min(axis=0)
+    span = uniq.max(axis=0) - lo
+    if span[1] == 0.0:
+        nx = n_centers
+    else:
+        nx = min(n_centers, max(1, round_half_away(math.sqrt(n_centers * span[0] / span[1]))))
+    shape = np.array([nx, -(-n_centers // nx)])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        idx = np.where(span > 0.0, (uniq - lo) / span * shape, 0.0).astype(np.intp)
+    np.minimum(idx, shape - 1, out=idx)  # sites on the top edge join the last cell
+    centers = _cell_means(uniq, weights, idx[:, 0] * shape[1] + idx[:, 1])
+    _, nearest = cKDTree(centers).query(uniq)
+    return CenterSet(_cell_means(uniq, weights, nearest), bandwidth)

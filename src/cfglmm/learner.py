@@ -13,7 +13,6 @@ sum site-wise into the predictive variance.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,8 +30,6 @@ from .families import (
     working_state,
 )
 from .geometry import bbox_diagonal, center_count, place_centers
-
-_KMEANS_STREAM = 1
 
 MIN_FIT_SITES = 20
 
@@ -74,12 +71,6 @@ class CfModel:
     train_fitted: TrainCache | None = None
 
 
-def layer_seed(base_seed: int, scale: int) -> int:
-    """Deterministic per-scale seed for center placement."""
-    ss = np.random.SeedSequence(base_seed, spawn_key=(_KMEANS_STREAM, scale))
-    return int(ss.generate_state(1)[0])
-
-
 def accepted_scale_count(model: CfModel) -> int:
     """Number of layers that survived validation."""
     return len(model.layers)
@@ -102,10 +93,11 @@ def fit_cf(
     4. shrink the bandwidth by ``cfg.bandwidth_decay`` and repeat.
 
     ``progress``, when given, receives one :class:`ScaleRecord` per attempted
-    scale. The fit is deterministic for a fixed ``cfg.rng_seed``. The next
-    scale's centers are placed on a helper thread while the current scale is
-    fitted, and the dense passes run on the pool of :func:`geometry.chunk_map`;
-    the results are the same bit for bit on any number of CPUs.
+    scale. The fit is deterministic for a fixed ``cfg.rng_seed``, which draws
+    the holdout split; center placement has no randomness. The dense passes of
+    ``fit_layer`` and ``evaluate_layer`` run on the pool of
+    :func:`geometry.chunk_map`; the results are the same bit for bit on any
+    number of CPUs.
     """
     validate_dataset(d)
     n = d.n_sites
@@ -145,53 +137,41 @@ def fit_cf(
     var_cache = np.zeros(n)
     rejections = 0
     scale = 1
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="cfglmm-place") as placer:
-        # Center placement depends only on the training sites, the bandwidth
-        # and the scale's seed, never on the fit so far, so the next scale's
-        # centers are placed while this scale is fitted.
-
-        def place(at_scale: int, h: float):
-            k = min(center_count(diagonal, h, cfg.center_density), len(tr))
-            return k, placer.submit(place_centers, train_pts, k, h, layer_seed(cfg.rng_seed, at_scale))
-
-        upcoming = place(scale, bandwidth)
-        while scale <= cfg.max_scales:
-            n_centers, placing = upcoming
-            if scale < cfg.max_scales:
-                upcoming = place(scale + 1, bandwidth * cfg.bandwidth_decay)
-            xb = design @ beta
-            ws = working_state(family, y, xb + cum_offset)
-            resid = ws.eta_hat - xb - cum_offset
-            record = None
-            try:
-                centers = placing.result()
-                layer = fit_layer(resid[tr], ws.weights[tr], train_pts, centers, cfg)
-            except LayerUnfittableError:
-                record = ScaleRecord(scale, bandwidth, n_centers, math.nan, math.nan, False)
+    while scale <= cfg.max_scales:
+        n_centers = min(center_count(diagonal, bandwidth, cfg.center_density), len(tr))
+        xb = design @ beta
+        ws = working_state(family, y, xb + cum_offset)
+        resid = ws.eta_hat - xb - cum_offset
+        record = None
+        try:
+            centers = place_centers(train_pts, n_centers, bandwidth)
+            layer = fit_layer(resid[tr], ws.weights[tr], train_pts, centers, cfg)
+        except LayerUnfittableError:
+            record = ScaleRecord(scale, bandwidth, n_centers, math.nan, math.nan, False)
+            rejections += 1
+        if record is None:
+            ev = evaluate_layer(layer, d.sites)
+            beta_new = wls_beta(design, ws.eta_hat - cum_offset - ev.mean, ws.weights, subset=tr)
+            cand_loss, cand_train = valid_dev(beta_new, ev.mean)
+            accepted = bool(np.isfinite(cand_loss) and cand_loss < best_loss)
+            record = ScaleRecord(scale, bandwidth, len(centers), cand_train, cand_loss, accepted)
+            if accepted:
+                layers.append(layer)
+                beta = beta_new
+                cum_offset = cum_offset + ev.mean
+                z_cache += ev.mean
+                var_cache += ev.variance
+                best_loss = cand_loss
+                rejections = 0
+            else:
                 rejections += 1
-            if record is None:
-                ev = evaluate_layer(layer, d.sites)
-                beta_new = wls_beta(design, ws.eta_hat - cum_offset - ev.mean, ws.weights, subset=tr)
-                cand_loss, cand_train = valid_dev(beta_new, ev.mean)
-                accepted = bool(np.isfinite(cand_loss) and cand_loss < best_loss)
-                record = ScaleRecord(scale, bandwidth, len(centers), cand_train, cand_loss, accepted)
-                if accepted:
-                    layers.append(layer)
-                    beta = beta_new
-                    cum_offset = cum_offset + ev.mean
-                    z_cache += ev.mean
-                    var_cache += ev.variance
-                    best_loss = cand_loss
-                    rejections = 0
-                else:
-                    rejections += 1
-            trace.append(record)
-            if progress is not None:
-                progress(record)
-            if rejections >= cfg.patience:
-                break
-            bandwidth *= cfg.bandwidth_decay
-            scale += 1
+        trace.append(record)
+        if progress is not None:
+            progress(record)
+        if rejections >= cfg.patience:
+            break
+        bandwidth *= cfg.bandwidth_decay
+        scale += 1
 
     return CfModel(
         beta=beta,

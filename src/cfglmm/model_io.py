@@ -60,7 +60,6 @@ def save_model(model: CfModel, path) -> None:
             "irls_tol": model.config.irls_tol,
             "aggregation_weight_power": model.config.aggregation_weight_power,
         },
-        "split_seed": model.config.rng_seed,
         "n_sites": model.n_sites,
         "n_covariates": model.n_covariates,
         "beta": [float(b) for b in model.beta],

@@ -9,7 +9,6 @@ from cfglmm.data import Dataset, as_sites
 from cfglmm.experts import _CHUNK_DOUBLES, SIGMA2_FLOOR, LayerUnfittableError, ScaleLayer, evaluate_layer, fit_layer
 from cfglmm.families import add_intercept
 from cfglmm.geometry import bbox_diagonal, center_count, pairwise_distances
-from cfglmm.learner import layer_seed
 from cfglmm.prediction import Predictions, band_index
 
 
@@ -68,7 +67,7 @@ def direct_gaussian_cfsm(d: Dataset, cfg: FitConfig):
         resid = y - design @ beta - cum_offset
         n_centers = min(center_count(diagonal, bandwidth, cfg.center_density), len(tr))
         try:
-            centers = place_centers(train_pts, n_centers, bandwidth, layer_seed(cfg.rng_seed, scale))
+            centers = place_centers(train_pts, n_centers, bandwidth)
             layer = fit_layer(resid[tr], np.ones(len(tr)), train_pts, centers, cfg)
         except LayerUnfittableError:
             trace.append((scale, bandwidth, n_centers, np.nan, np.nan, False))
@@ -112,9 +111,9 @@ def gaussian_spatial_dataset(n: int, seed: int, noise_sd: float = 0.5) -> tuple[
 
 
 # ---------------------------------------------------------------------------
-# Reference numpy versions of the geometry hot loops, kept verbatim from the
-# implementation they were replaced by. The fast versions must equal them bit
-# for bit (tests/test_geometry.py::TestBitwiseReference).
+# Reference numpy version of the pairwise distance kernel, kept verbatim from
+# the implementation it was replaced by. The fast version must equal it bit for
+# bit (tests/test_geometry.py::TestBitwiseReference).
 
 
 def ref_pairwise_distances(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
@@ -125,42 +124,6 @@ def ref_pairwise_distances(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     d += dy
     np.sqrt(d, out=d)
     return d
-
-
-def ref_assign_nearest(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = len(points)
-    p2 = (points * points).sum(1)
-    best_d2 = np.full(n, np.inf)
-    assign = np.zeros(n, dtype=np.intp)
-    chunk = 256
-    for start in range(0, len(centers), chunk):
-        cen = centers[start : start + chunk]
-        d2 = points @ cen.T
-        d2 *= -2.0
-        d2 += p2[:, None]
-        d2 += (cen * cen).sum(1)[None, :]
-        local = d2.argmin(axis=1)
-        local_d2 = d2[np.arange(n), local]
-        better = local_d2 < best_d2
-        assign[better] = local[better] + start
-        best_d2[better] = local_d2[better]
-    np.maximum(best_d2, 0.0, out=best_d2)
-    return assign, best_d2
-
-
-def _ref_weighted_pick(weights: np.ndarray, rng: np.random.Generator) -> int:
-    cum = np.cumsum(weights)
-    return int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-
-
-def ref_kmeans_pp(points: np.ndarray, weights: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    centers = np.empty((k, 2))
-    centers[0] = points[_ref_weighted_pick(weights, rng)]
-    d2 = ((points - centers[0]) ** 2).sum(1)
-    for j in range(1, k):
-        centers[j] = points[_ref_weighted_pick(weights * d2, rng)]
-        np.minimum(d2, ((points - centers[j]) ** 2).sum(1), out=d2)
-    return centers
 
 
 # ---------------------------------------------------------------------------

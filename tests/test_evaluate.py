@@ -163,6 +163,46 @@ class TestRunExperiment:
         assert all(-1.0 <= c <= 1.0 for c in result.scale_correlations)
 
 
+class TestInSampleFromCache:
+    """``run_trial`` reads the in-sample fit from ``train_fitted`` instead of a
+    second ``predict`` at the training sites; the two agree bit for bit."""
+
+    @pytest.mark.parametrize("family", ["poisson", "bernoulli", "gaussian"])
+    @pytest.mark.parametrize("chunk_doubles", [None, 20_000], ids=["default_chunks", "many_chunks"])
+    def test_predict_at_training_sites_is_the_cache(self, family, chunk_doubles, monkeypatch):
+        from cfglmm import experts
+
+        if chunk_doubles is not None:
+            monkeypatch.setattr(experts, "_CHUNK_DOUBLES", chunk_doubles)
+        if family == "gaussian":
+            from oracles import gaussian_spatial_dataset
+
+            d, _ = gaussian_spatial_dataset(400, seed=31)
+        else:
+            d = evaluate_mod._generate(SimScenario(family=family, beta0=0.5, n_train=600, n_test=0), 3).train
+        model = fit_cf(d, FitConfig(rng_seed=3))
+        assert len(model.layers) >= 1
+        pred = predict(model, d.sites, d.covariates, d.offset)
+        np.testing.assert_array_equal(pred.z_total, model.train_fitted.z)
+        np.testing.assert_array_equal(pred.var_z, model.train_fitted.var)
+
+    def test_rmse_in_equals_predict(self, monkeypatch):
+        scn = SimScenario(beta0=0.5, n_train=400, n_test=100)
+        fits = []
+        real = evaluate_mod.fit_cf
+
+        def keep(dataset, cfg):
+            fits.append((dataset, real(dataset, cfg)))
+            return fits[-1][1]
+
+        monkeypatch.setattr(evaluate_mod, "fit_cf", keep)
+        result = run_trial(scn, seed=21)
+        (train, model), = fits
+        sim = evaluate_mod._generate(scn, 21)
+        want = rmse(sim.truth_train.mu, predict(model, train.sites, train.covariates, train.offset).mu)
+        assert result.rmse_in == want
+
+
 class TestTimingCurve:
     def test_positive_and_monotone(self):
         scn = SimScenario(beta0=0.5, n_train=0, n_test=0)

@@ -238,6 +238,93 @@ class TestEvaluateLayer:
         assert ev.mean[0] == pytest.approx(3.0)
 
 
+def _serial_chunk_map(fn, slices):
+    return [fn(s) for s in slices]
+
+
+def _count_kernel_chunks(monkeypatch) -> list[int]:
+    """Record the number of row chunks of every ``evaluate_layer`` call."""
+    calls = []
+    real = experts._map_kernel_chunks
+
+    def spy(fn, slices, rows, cols):
+        if fn.__name__ == "eval_chunk":
+            calls.append(len(slices))
+        return real(fn, slices, rows, cols)
+
+    monkeypatch.setattr(experts, "_map_kernel_chunks", spy)
+    return calls
+
+
+def _eval_inputs(seed: int, n_sites: int, n_experts: int):
+    """A layer with one inactive expert, and query sites whose last row is a
+    far-away "dead" site where every kernel weight underflows."""
+    rng = np.random.default_rng(seed)
+    layer = _layer(rng.random((n_experts, 2)), rng.normal(size=n_experts), rng.uniform(0.1, 2.0, n_experts), 0.05)
+    layer.active[n_experts // 2] = False
+    sites = rng.random((n_sites, 2))
+    sites[-1] = (50.0, 50.0)
+    return layer, sites
+
+
+class TestEvaluateLayerBitwise:
+    """The pooled ``evaluate_layer`` equals the serial chunk loop bit for bit."""
+
+    @pytest.mark.parametrize("n_chunks,last", [(1, 37), (2, 37), (2, 1), (5, 1), (6, 20)])
+    def test_chunks_match_serial(self, n_chunks, last, monkeypatch):
+        n_experts, width = 300, 37
+        layer, sites = _eval_inputs(n_chunks, (n_chunks - 1) * width + last, n_experts)
+        monkeypatch.setattr(experts, "_CHUNK_DOUBLES", width * (n_experts - 1))  # one expert inactive
+        calls = _count_kernel_chunks(monkeypatch)
+        got = evaluate_layer(layer, sites)
+        assert calls == [n_chunks]
+        monkeypatch.setattr(experts, "chunk_map", _serial_chunk_map)
+        want = evaluate_layer(layer, sites)
+        np.testing.assert_array_equal(got.mean, want.mean)
+        np.testing.assert_array_equal(got.variance, want.variance)
+        assert np.isfinite(got.variance[-1]) and got.mean[-1] != 0.0  # the dead site
+
+    def test_more_workers_than_cores(self, monkeypatch):
+        """Eight workers, one buffer each, and a short switch interval: a
+        buffer shared by two chunks in flight, or a lost slice, breaks equality."""
+        n_experts, width = 400, 16
+        layer, sites = _eval_inputs(11, 40 * width + 3, n_experts)
+        monkeypatch.setattr(experts, "_CHUNK_DOUBLES", width * (n_experts - 1))
+        monkeypatch.setattr(experts, "chunk_map", _serial_chunk_map)
+        want = evaluate_layer(layer, sites)
+        monkeypatch.setattr(experts, "chunk_map", geometry.chunk_map)
+        monkeypatch.setattr(experts, "POOL_WORKERS", 8)
+        pool = ThreadPoolExecutor(max_workers=8, thread_name_prefix="test-chunk")
+        monkeypatch.setattr(geometry, "_POOL", pool)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                got = evaluate_layer(layer, sites)
+                np.testing.assert_array_equal(got.mean, want.mean)
+                np.testing.assert_array_equal(got.variance, want.variance)
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown(wait=True)
+
+    def test_stack_pool_path_gives_each_layer_one_chunk(self, monkeypatch):
+        """On ``evaluate_stack``'s pool path a layer never cuts its rows into
+        chunks, so a pool worker never waits on the pool."""
+        rng = np.random.default_rng(5)
+        layers = [_layer(rng.random((k, 2)), rng.normal(size=k), rng.uniform(0.1, 2.0, k), 0.3) for k in (40, 7, 25, 1)]
+        n_sites = experts._CHUNK_DOUBLES // (experts.POOL_WORKERS * 40)  # the largest batch on the pool path
+        chunks = _count_kernel_chunks(monkeypatch)
+        for n in (1, 256, n_sites):
+            chunks.clear()
+            sites = rng.random((n, 2))
+            stack = list(experts.evaluate_stack(layers, sites))
+            assert chunks == [1] * len(layers)
+            for layer, ev in zip(layers, stack, strict=True):
+                want = evaluate_layer(layer, sites)
+                np.testing.assert_array_equal(ev.mean, want.mean)
+                np.testing.assert_array_equal(ev.variance, want.variance)
+
+
 class TestBasisExpansion:
     def test_single_expert_product_is_mu(self):
         layer = _layer([[0.2, 0.2]], [4.0], [0.9], bandwidth=1.0)

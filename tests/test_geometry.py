@@ -9,19 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from oracles import ref_assign_nearest, ref_kmeans_pp, ref_pairwise_distances
+from oracles import ref_pairwise_distances
 
 from cfglmm import bbox_diagonal, center_count, kernel_weight, place_centers
 from cfglmm import geometry
-from cfglmm.geometry import (
-    _assign_nearest,
-    _chunks,
-    _kmeans_pp,
-    _pin_worker,
-    _sq_dist_to,
-    chunk_map,
-    pairwise_distances,
-)
+from cfglmm.geometry import _chunks, _pin_worker, chunk_map, pairwise_distances
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
@@ -106,7 +98,7 @@ def _brute_force_two_clusters(points):
 
 class TestPlaceCenters:
     def test_single_center_is_centroid(self):
-        cs = place_centers(UNIT_SQUARE, 1, bandwidth=1.0, seed=0)
+        cs = place_centers(UNIT_SQUARE, 1, bandwidth=1.0)
         np.testing.assert_allclose(cs.centers, [[0.5, 0.5]])
 
     def test_two_well_separated_clouds(self, rng):
@@ -117,41 +109,122 @@ class TestPlaceCenters:
             ]
         )
         expected = _brute_force_two_clusters(clouds)
-        cs = place_centers(clouds, 2, bandwidth=1.0, seed=5)
+        cs = place_centers(clouds, 2, bandwidth=1.0)
         got = sorted(tuple(c) for c in cs.centers)
         np.testing.assert_allclose(got, expected, atol=1e-9)
 
     def test_centers_equal_sites_when_c_matches(self):
-        cs = place_centers(UNIT_SQUARE, 4, bandwidth=1.0, seed=1)
+        cs = place_centers(UNIT_SQUARE, 4, bandwidth=1.0)
         got = sorted(tuple(c) for c in cs.centers)
         want = sorted(tuple(s) for s in UNIT_SQUARE)
         np.testing.assert_allclose(got, want)
 
     def test_c_beyond_distinct_sites(self):
         doubled = np.vstack([UNIT_SQUARE, UNIT_SQUARE])
-        cs = place_centers(doubled, 7, bandwidth=1.0, seed=1)
+        cs = place_centers(doubled, 7, bandwidth=1.0)
         assert len(cs) == 4
 
     def test_deterministic(self, rng):
         pts = rng.random((40, 2))
-        a = place_centers(pts, 6, bandwidth=0.5, seed=9)
-        b = place_centers(pts, 6, bandwidth=0.5, seed=9)
+        a = place_centers(pts, 6, bandwidth=0.5)
+        b = place_centers(pts, 6, bandwidth=0.5)
         np.testing.assert_array_equal(a.centers, b.centers)
 
     def test_permutation_invariance(self, rng):
         pts = rng.random((30, 2))
         shuffled = pts[rng.permutation(30)]
-        a = place_centers(pts, 5, bandwidth=0.5, seed=4)
-        b = place_centers(shuffled, 5, bandwidth=0.5, seed=4)
+        a = place_centers(pts, 5, bandwidth=0.5)
+        b = place_centers(shuffled, 5, bandwidth=0.5)
         np.testing.assert_allclose(
             sorted(tuple(c) for c in a.centers), sorted(tuple(c) for c in b.centers)
         )
 
     def test_centers_inside_bounding_box(self, rng):
         pts = rng.random((60, 2)) * [3.0, 2.0]
-        cs = place_centers(pts, 10, bandwidth=0.5, seed=2)
+        cs = place_centers(pts, 10, bandwidth=0.5)
         assert (cs.centers >= pts.min(axis=0) - 1e-12).all()
         assert (cs.centers <= pts.max(axis=0) + 1e-12).all()
+
+
+def _disk(center, radius, n, rng):
+    """``n`` points spread over a disk."""
+    r = radius * np.sqrt(rng.random(n))
+    a = 2.0 * np.pi * rng.random(n)
+    return np.asarray(center) + np.column_stack([r * np.cos(a), r * np.sin(a)])
+
+
+class TestLatticePlacement:
+    """The lattice placement on hand-made layouts."""
+
+    def test_clustered_sites_leave_gaps_empty(self, rng):
+        hubs = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.1, 0.9]])
+        pts = np.vstack([_disk(h, 0.05, 60, rng) for h in hubs])
+        for k in (4, 9, 16, 40, 100):
+            cs = place_centers(pts, k, bandwidth=0.1)
+            to_hub = np.hypot(*(cs.centers[:, None, :] - hubs[None, :, :]).transpose(2, 0, 1)).min(axis=1)
+            assert (to_hub <= 0.05).all(), k  # no center in the empty space between clusters
+            assert len(cs) >= min(k, len(hubs))
+
+    def test_ten_to_one_domain(self, rng):
+        pts = rng.random((4000, 2)) * [10.0, 1.0]
+        cs = place_centers(pts, 40, bandwidth=0.5)
+        assert len(cs) == 40
+        # a 20 x 2 grid of 0.5 x 0.5 cells: no site is far from a center,
+        # while a square grid of the same count (7 x 6 cells of 1.4 x 0.17)
+        # would leave sites 0.7 away
+        nearest = pairwise_distances(pts, cs.centers).min(axis=1)
+        assert nearest.max() < 0.45
+        assert np.ptp(cs.centers[:, 0]) > 9.0
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_collinear_sites(self, axis):
+        line = np.zeros((101, 2))
+        line[:, axis] = np.linspace(0.0, 1.0, 101)
+        line[:, 1 - axis] = 0.3
+        cs = place_centers(line, 5, bandwidth=0.2)
+        assert len(cs) == 5
+        np.testing.assert_allclose(cs.centers[:, 1 - axis], 0.3, rtol=1e-12)
+        np.testing.assert_allclose(np.sort(cs.centers[:, axis]), [0.1, 0.3, 0.5, 0.7, 0.9], atol=0.01)
+
+    def test_duplicate_rows_weigh_in(self):
+        heavy = np.vstack([UNIT_SQUARE, [[1.0, 1.0]] * 3])
+        # (1, 1) counts four times; without the copies the centroid is (0.5, 0.5)
+        np.testing.assert_allclose(place_centers(heavy, 1, bandwidth=1.0).centers, [[5.0 / 7.0, 5.0 / 7.0]])
+        # two cells, one above the other: the top one is pulled toward its heavy corner
+        cs = place_centers(heavy, 2, bandwidth=1.0)
+        np.testing.assert_allclose(cs.centers, [[0.5, 0.0], [0.8, 1.0]])
+
+    def test_deterministic_and_order_free(self, rng):
+        pts = np.vstack([rng.random((300, 2)), rng.random((20, 2))])
+        pts = np.vstack([pts, pts[:50]])  # repeated rows
+        for k in (1, 2, 7, 30, 150):
+            want = place_centers(pts, k, bandwidth=0.1).centers
+            for _ in range(3):
+                got = place_centers(pts[rng.permutation(len(pts))], k, bandwidth=0.1).centers
+                np.testing.assert_array_equal(got, want)
+
+    @given(
+        n=st.integers(min_value=2, max_value=300),
+        k=st.integers(min_value=1, max_value=300),
+        aspect=st.floats(min_value=0.01, max_value=100.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_center_count_bounded_by_the_grid(self, n, k, aspect, seed):
+        pts = np.random.default_rng(seed).random((n, 2)) * [aspect, 1.0]
+        n_distinct = len(np.unique(pts, axis=0))
+        span = np.ptp(pts, axis=0)
+        nx = min(k, max(1, math.floor(math.sqrt(k * span[0] / span[1]) + 0.5)))
+        cs = place_centers(pts, k, bandwidth=0.1)
+        assert 1 <= len(cs) <= min(n_distinct, nx * math.ceil(k / nx))
+        assert len(np.unique(cs.centers, axis=0)) == len(cs)
+
+    @pytest.mark.parametrize("k", [1, 4, 9, 36, 100])
+    def test_never_more_centers_than_asked_on_a_full_grid(self, k):
+        # a square box and a square count: the grid has exactly k cells
+        pts = np.random.default_rng(k).random((2000, 2))
+        pts[:2] = [[0.0, 0.0], [1.0, 1.0]]
+        cs = place_centers(pts, k, bandwidth=0.1)
+        assert len(cs) == k
 
 
 class TestPairwiseDistances:
@@ -166,8 +239,7 @@ class TestPairwiseDistances:
         np.testing.assert_allclose(pairwise_distances(a, b), want, rtol=1e-14)
 
 
-# Sizes around the 256-center chunk of _assign_nearest: k = 1 (mod 256) leaves
-# a 1-wide chunk, which BLAS runs as gemv and rounds differently from dgemm.
+# Small sizes, sizes around 256 and 513, and one large size.
 BITWISE_SIZES = (1, 2, 3, 255, 256, 257, 513, 3750)
 
 
@@ -193,37 +265,6 @@ class TestBitwiseReference:
         got = pairwise_distances(a, b)
         assert np.array_equal(got, ref_pairwise_distances(a, b))
         assert (got == 0.0).sum() >= min(n, k) // 2
-
-    @pytest.mark.parametrize("n", BITWISE_SIZES)
-    @pytest.mark.parametrize("k", BITWISE_SIZES)
-    def test_assign_nearest(self, n, k):
-        points = _points(n, 3 * n + 1)
-        centers = np.random.default_rng(k).random((k, 2))
-        centers[: min(n, k) // 3] = points[: min(n, k) // 3]  # centers on points
-        centers[1::9] = centers[0]  # duplicate centers: argmin ties
-        got_assign, got_d2 = _assign_nearest(points, centers)
-        want_assign, want_d2 = ref_assign_nearest(points, centers)
-        assert np.array_equal(got_assign, want_assign)
-        assert np.array_equal(got_d2, want_d2)
-
-    @pytest.mark.parametrize("n", BITWISE_SIZES)
-    def test_kmeans_pp_squared_distances(self, n):
-        points = _points(n, n + 5)
-        x, y = np.ascontiguousarray(points.T)
-        got, tmp = np.empty((2, n))
-        for c in points[:: max(1, n // 17)]:
-            _sq_dist_to(x, y, c, got, tmp)
-            assert np.array_equal(got, ((points - c) ** 2).sum(1))
-
-    @pytest.mark.parametrize("n", BITWISE_SIZES)
-    @pytest.mark.parametrize("k", BITWISE_SIZES)
-    def test_kmeans_pp(self, n, k):
-        points = _points(n, n + 7)  # repeated rows included
-        k = min(k, len(np.unique(points, axis=0)))
-        weights = np.random.default_rng(n).integers(1, 4, n).astype(float)
-        got = _kmeans_pp(points, weights, k, np.random.default_rng(k + n))
-        want = ref_kmeans_pp(points, weights, k, np.random.default_rng(k + n))
-        assert np.array_equal(got, want)
 
 
 def _name_of_thread(_sl):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from oracles import direct_gaussian_cfsm, gaussian_spatial_dataset
 
-from cfglmm import Dataset, FitConfig, ValidationError, accepted_scale_count, fit_cf, learner, place_centers
-from cfglmm.learner import layer_seed
+from cfglmm import Dataset, FitConfig, ValidationError, accepted_scale_count, fit_cf
 from cfglmm.simulate import SimScenario, gen_poisson
 
 
@@ -108,68 +107,21 @@ class TestFitCf:
         assert trailing <= model.config.patience
 
 
-def _placement_threads() -> list[str]:
-    return [t.name for t in threading.enumerate() if t.name.startswith("cfglmm-place")]
-
-
-def _spy_placement(monkeypatch) -> list[tuple]:
-    """Record every ``place_centers`` call of ``fit_cf`` with its thread name."""
-    calls = []
-
-    def spy(sites, n_centers, bandwidth, seed):
-        calls.append((n_centers, bandwidth, seed, threading.current_thread().name))
-        return place_centers(sites, n_centers, bandwidth, seed)
-
-    monkeypatch.setattr(learner, "place_centers", spy)
-    return calls
-
-
-class TestPlacementPrefetch:
-    """Centers of scale s + 1 are placed on a helper thread during scale s."""
-
-    def test_every_scale_placed_with_its_own_seed(self, poisson_fit, monkeypatch):
-        model, sim = poisson_fit
-        calls = _spy_placement(monkeypatch)
-        again = fit_cf(sim.train, FitConfig(rng_seed=42))
-        assert again.loss_trace == model.loss_trace
-        trace = model.loss_trace
-        assert len(trace) < model.config.max_scales  # stopped on patience
-        # one speculative placement past the last attempted scale, no more
-        assert len(calls) == len(trace) + 1
-        assert _placement_threads() == []
-        for r, (n_centers, bandwidth, seed, thread) in zip(trace, calls):
-            assert (n_centers, bandwidth, seed) == (r.n_centers, r.bandwidth, layer_seed(42, r.scale))
-            assert thread.startswith("cfglmm-place")
-        train_pts = sim.train.sites[model.split.train_idx]
-        accepted = [r for r in trace if r.accepted]
-        for r, layer in zip(accepted, model.layers, strict=True):
-            want = place_centers(train_pts, r.n_centers, r.bandwidth, layer_seed(42, r.scale))
-            np.testing.assert_array_equal(layer.centers, want.centers)
-
-    def test_nothing_placed_past_max_scales(self, poisson_fit, monkeypatch):
+class TestThreads:
+    def test_fit_starts_no_thread_but_the_pool(self, poisson_fit, monkeypatch):
         _, sim = poisson_fit
-        calls = _spy_placement(monkeypatch)
-        model = fit_cf(sim.train, FitConfig(rng_seed=42, max_scales=4))
-        assert len(model.loss_trace) == 4
-        assert [c[2] for c in calls] == [layer_seed(42, s) for s in range(1, 5)]
-        assert _placement_threads() == []
+        started = []
+        start = threading.Thread.start
 
-    def test_placement_error_reaches_caller(self, poisson_fit, monkeypatch):
-        _, sim = poisson_fit
-        error = RuntimeError("placement failed")
+        def spy(thread):
+            started.append(thread.name)
+            return start(thread)
 
-        def fail_at_scale_3(sites, n_centers, bandwidth, seed):
-            if seed == layer_seed(42, 3):
-                raise error
-            return place_centers(sites, n_centers, bandwidth, seed)
-
-        monkeypatch.setattr(learner, "place_centers", fail_at_scale_3)
-        seen = []
-        with pytest.raises(RuntimeError) as info:
-            fit_cf(sim.train, FitConfig(rng_seed=42), progress=seen.append)
-        assert info.value is error
-        assert [r.scale for r in seen] == [1, 2]
-        assert _placement_threads() == []
+        monkeypatch.setattr(threading.Thread, "start", spy)
+        fit_cf(sim.train, FitConfig(rng_seed=42))
+        assert all(name.startswith("cfglmm-chunk") for name in started)
+        others = [t.name for t in threading.enumerate() if t is not threading.main_thread()]
+        assert all(name.startswith("cfglmm-chunk") for name in others)
 
 
 class TestGaussianReduction:

@@ -67,6 +67,21 @@ class TestModelRoundTrip:
         loaded = load_model(path)
         np.testing.assert_array_equal(loaded.split.train_idx, model.split.train_idx)
 
+    def test_old_file_with_split_seed_loads(self, fitted, tmp_path):
+        # files written before ``split_seed`` was dropped carry it beside the
+        # config's ``rng_seed``; it was never read
+        model, _ = fitted
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        assert "split_seed" not in doc
+        doc["split_seed"] = model.config.rng_seed
+        path.write_text(json.dumps(doc))
+        loaded = load_model(path)
+        assert loaded.config == model.config
+        assert loaded.loss_trace == model.loss_trace
+        np.testing.assert_array_equal(loaded.split.train_idx, model.split.train_idx)
+
     def test_version_check(self, fitted, tmp_path):
         model, _ = fitted
         path = tmp_path / "m.json"
