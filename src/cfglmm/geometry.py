@@ -138,6 +138,28 @@ def _cell_means(pts: np.ndarray, weights: np.ndarray, cell: np.ndarray) -> np.nd
     return np.column_stack([sx[keep], sy[keep]]) / wsum[keep, None]
 
 
+def _lattice_means(points: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
+    """Weighted means of the points in the occupied cells of a lattice of
+    about ``k`` cells over their bounding box, in cell order (see
+    :func:`place_centers`)."""
+    lo = points.min(axis=0)
+    span = points.max(axis=0) - lo
+    if span[1] == 0.0:
+        nx = k
+    else:
+        nx = min(k, max(1, round_half_away(math.sqrt(k * span[0] / span[1]))))
+    shape = np.array([nx, -(-k // nx)])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        idx = np.where(span > 0.0, (points - lo) / span * shape, 0.0).astype(np.intp)
+    np.minimum(idx, shape - 1, out=idx)  # points on the top edge join the last cell
+    return _cell_means(points, weights, idx[:, 0] * shape[1] + idx[:, 1])
+
+
+def _assign_nearest(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Index of the nearest center to each point, by exact distance (k-d tree)."""
+    return cKDTree(centers).query(points)[1]
+
+
 def place_centers(sites, n_centers: int, bandwidth: float) -> CenterSet:
     """Place about ``n_centers`` local centers on a lattice over the sites.
 
@@ -164,16 +186,5 @@ def place_centers(sites, n_centers: int, bandwidth: float) -> CenterSet:
     if n_centers >= len(uniq):
         return CenterSet(uniq.copy(), bandwidth)
     weights = counts.astype(float)
-    lo = uniq.min(axis=0)
-    span = uniq.max(axis=0) - lo
-    if span[1] == 0.0:
-        nx = n_centers
-    else:
-        nx = min(n_centers, max(1, round_half_away(math.sqrt(n_centers * span[0] / span[1]))))
-    shape = np.array([nx, -(-n_centers // nx)])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        idx = np.where(span > 0.0, (uniq - lo) / span * shape, 0.0).astype(np.intp)
-    np.minimum(idx, shape - 1, out=idx)  # sites on the top edge join the last cell
-    centers = _cell_means(uniq, weights, idx[:, 0] * shape[1] + idx[:, 1])
-    _, nearest = cKDTree(centers).query(uniq)
-    return CenterSet(_cell_means(uniq, weights, nearest), bandwidth)
+    seeds = _lattice_means(uniq, weights, n_centers)
+    return CenterSet(_cell_means(uniq, weights, _assign_nearest(uniq, seeds)), bandwidth)

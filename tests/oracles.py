@@ -111,9 +111,10 @@ def gaussian_spatial_dataset(n: int, seed: int, noise_sd: float = 0.5) -> tuple[
 
 
 # ---------------------------------------------------------------------------
-# Reference numpy version of the pairwise distance kernel, kept verbatim from
-# the implementation it was replaced by. The fast version must equal it bit for
-# bit (tests/test_geometry.py::TestBitwiseReference).
+# Reference versions of the geometry kernels: the pairwise distance kernel,
+# kept verbatim from the implementation it was replaced by, and a loop over the
+# points for the lattice seeding. The fast versions must equal them bit for bit
+# (tests/test_geometry.py::TestBitwiseReference).
 
 
 def ref_pairwise_distances(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
@@ -124,6 +125,30 @@ def ref_pairwise_distances(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     d += dy
     np.sqrt(d, out=d)
     return d
+
+
+def ref_lattice_means(points: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
+    """The lattice seeding of ``place_centers``, one point at a time.
+
+    A grid of ``nx`` by ``ceil(k / nx)`` cells over the bounding box, ``nx =
+    round(sqrt(k * span_x / span_y))`` clamped to [1, k] (``k`` when the y span
+    is zero); each occupied cell gives the weighted mean of its points, in
+    cell order. Sums run in input order, as a sequential accumulation does.
+    """
+    lo_x, lo_y = points.min(axis=0).tolist()
+    span_x = points[:, 0].max() - lo_x
+    span_y = points[:, 1].max() - lo_y
+    nx = k if span_y == 0.0 else min(k, max(1, math.floor(math.sqrt(k * span_x / span_y) + 0.5)))
+    ny = -(-k // nx)
+    sums = {}
+    for (x, y), w in zip(points.tolist(), weights.tolist()):
+        i = min(int((x - lo_x) / span_x * nx), nx - 1) if span_x > 0.0 else 0
+        j = min(int((y - lo_y) / span_y * ny), ny - 1) if span_y > 0.0 else 0
+        acc = sums.setdefault(i * ny + j, [0.0, 0.0, 0.0])
+        acc[0] += w
+        acc[1] += w * x
+        acc[2] += w * y
+    return np.array([[sx / sw, sy / sw] for _, (sw, sx, sy) in sorted(sums.items())]).reshape(-1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from oracles import ref_pairwise_distances
+from oracles import ref_lattice_means, ref_pairwise_distances
 
 from cfglmm import bbox_diagonal, center_count, kernel_weight, place_centers
 from cfglmm import geometry
-from cfglmm.geometry import _chunks, _pin_worker, chunk_map, pairwise_distances
+from cfglmm.geometry import _assign_nearest, _chunks, _lattice_means, _pin_worker, chunk_map, pairwise_distances
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
@@ -265,6 +265,35 @@ class TestBitwiseReference:
         got = pairwise_distances(a, b)
         assert np.array_equal(got, ref_pairwise_distances(a, b))
         assert (got == 0.0).sum() >= min(n, k) // 2
+
+    @pytest.mark.parametrize("n", BITWISE_SIZES)
+    @pytest.mark.parametrize("k", BITWISE_SIZES)
+    def test_assign_nearest(self, n, k):
+        """The Lloyd step's assignment: each point joins a center at exactly its
+        smallest distance, ties included."""
+        points = _points(n, 3 * n + 1)
+        centers = np.random.default_rng(k).random((k, 2))
+        centers[: min(n, k) // 3] = points[: min(n, k) // 3]  # centers on points
+        centers[1::9] = centers[0]  # duplicate centers: exact ties
+        got = _assign_nearest(points, centers)
+        assert got.shape == (n,)
+        assert ((got >= 0) & (got < k)).all()
+        for sl in _chunks(n, 256):
+            d = ref_pairwise_distances(points[sl], centers)
+            assert np.array_equal(d[np.arange(len(d)), got[sl]], d.min(axis=1))
+
+    @pytest.mark.parametrize("n", BITWISE_SIZES)
+    @pytest.mark.parametrize("k", BITWISE_SIZES)
+    def test_kmeans_pp(self, n, k):
+        """The seeding that place_centers refines with one Lloyd step (named
+        for the k-means++ seeding it replaced): the vectorized lattice cell
+        means equal the point-by-point reference."""
+        points = _points(n, n + 7)  # repeated rows included
+        k = min(k, len(np.unique(points, axis=0)))
+        weights = np.random.default_rng(n).integers(1, 4, n).astype(float)
+        got = _lattice_means(points, weights, k)
+        want = ref_lattice_means(points, weights, k)
+        assert np.array_equal(got, want)
 
 
 def _name_of_thread(_sl):
