@@ -78,7 +78,9 @@ class FitConfig:
 
     Defaults follow the reference setup: 75/25 holdout split, bandwidth decay
     0.9 per scale, patience of 5 consecutive non-improving scales, and center
-    density 1.5 (centers per squared bandwidth-normalized diagonal).
+    density 1.5 (centers per squared bandwidth-normalized diagonal; a target
+    that the lattice placement meets only approximately, see
+    :func:`geometry.center_count`).
     ``initial_bandwidth=None`` starts at the training bounding-box diagonal.
     ``aggregation_weight_power`` controls the kernel power used when experts
     are combined (1 is the literal aggregation rule; 2 matches the power used

@@ -82,13 +82,8 @@ def _map_kernel_chunks(fn, slices: list[slice], rows: int, cols: int) -> None:
     flight, are allocated on the calling thread as one block: chunks allocated
     by pool threads, or 32 MB buffers allocated one by one, stay in glibc's
     malloc arenas once freed and raise peak RSS, while a block this large is
-    unmapped when freed. A single chunk runs on the calling thread with
-    ``out=None`` and allocates its own kernel.
+    unmapped when freed.
     """
-    if len(slices) <= 1:
-        for sl in slices:
-            fn(sl, None)
-        return
     free = queue.SimpleQueue()
     for buf in np.empty((min(len(slices), POOL_WORKERS), rows, cols)):
         free.put(buf)
@@ -123,7 +118,7 @@ def fit_layer(targets, site_weights, sites, centers: CenterSet, cfg: FitConfig) 
     t_sq = t * t
     width = max(1, _CHUNK_DOUBLES // max(len(pts), 1))
 
-    def fit_chunk(sl: slice, out: np.ndarray | None) -> None:
+    def fit_chunk(sl: slice, out: np.ndarray) -> None:
         k2 = pairwise_distances(cen[sl], pts, out=out)
         k2 *= -2.0 / h
         np.exp(k2, out=k2)  # kernel squared in one pass: exp(-d/h)^2 = exp(-2d/h)
@@ -181,7 +176,7 @@ def evaluate_layer(layer: ScaleLayer, sites) -> LayerEvaluation:
     width = max(1, _CHUNK_DOUBLES // max(len(cen), 1))
     log_scale = layer.weight_power / layer.bandwidth
 
-    def eval_chunk(sl: slice, out: np.ndarray | None) -> None:
+    def eval_chunk(sl: slice, out: np.ndarray) -> None:
         q = pairwise_distances(pts[sl], cen, out=out)
         q *= -log_scale
         np.exp(q, out=q)

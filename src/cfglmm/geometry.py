@@ -99,7 +99,12 @@ def bbox_diagonal(sites) -> float:
 
 
 def center_count(diagonal: float, bandwidth: float, density: float) -> int:
-    """Number of local centers for one scale: ``round(density * (D/h)^2)``, at least 1."""
+    """Number of local centers asked for one scale: ``round(density * (D/h)^2)``, at least 1.
+
+    A target, not an exact count: :func:`place_centers` may return fewer
+    (lattice cells without sites) or up to ``nx - 1`` more (its lattice of
+    ``nx`` columns has ``nx * ceil(count / nx)`` cells).
+    """
     if bandwidth <= 0.0:
         raise ValueError("bandwidth must be positive")
     if diagonal < 0.0:

@@ -36,7 +36,12 @@ MIN_FIT_SITES = 20
 
 @dataclass(frozen=True)
 class ScaleRecord:
-    """One attempted scale: geometry, losses, and the accept/reject outcome."""
+    """One attempted scale: geometry, losses, and the accept/reject outcome.
+
+    ``n_centers`` is the number of centers placed, which can differ from
+    :func:`geometry.center_count` (see there); for an unfittable layer it is
+    the count asked.
+    """
 
     scale: int
     bandwidth: float

@@ -216,6 +216,7 @@ class TestLatticePlacement:
         nx = min(k, max(1, math.floor(math.sqrt(k * span[0] / span[1]) + 0.5)))
         cs = place_centers(pts, k, bandwidth=0.1)
         assert 1 <= len(cs) <= min(n_distinct, nx * math.ceil(k / nx))
+        assert len(cs) <= k + nx - 1  # the bound center_count documents
         assert len(np.unique(cs.centers, axis=0)) == len(cs)
 
     @pytest.mark.parametrize("k", [1, 4, 9, 36, 100])
