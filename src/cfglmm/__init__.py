@@ -40,16 +40,7 @@ from .prediction import (
     decompose,
     predict,
 )
-from .simulate import (
-    FieldSpec,
-    KernelField,
-    SimScenario,
-    gen_binomial,
-    gen_covariates,
-    gen_poisson,
-    knn_bandwidth,
-    smoothed_field,
-)
+from .simulate import SimScenario, gen_binomial, gen_poisson, generate
 
 __version__ = "0.1.0"
 
@@ -90,12 +81,8 @@ __all__ = [
     "predict",
     "coefficient_of_variation",
     "decompose",
-    "FieldSpec",
-    "KernelField",
     "SimScenario",
-    "smoothed_field",
-    "knn_bandwidth",
-    "gen_covariates",
+    "generate",
     "gen_poisson",
     "gen_binomial",
     "rmse",

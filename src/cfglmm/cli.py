@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import FAMILY_TAGS, FitConfig, ValidationError
-from .evaluate import run_experiment, timing_curve
+from .evaluate import QUANTILE_LABELS, run_experiment, timing_curve
 from .experts import LayerUnfittableError
 from .families import CollinearityError
 from .learner import fit_cf
@@ -31,7 +31,7 @@ from .model_io import (
     write_trace_csv,
 )
 from .prediction import decompose, predict
-from .simulate import SimScenario, gen_binomial, gen_poisson
+from .simulate import SimScenario, generate
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -172,7 +172,7 @@ def _cmd_simulate(args) -> int:
         n_test=args.test,
         multiscale=multiscale,
     )
-    sim = gen_poisson(scenario, args.seed) if args.family == "poisson" else gen_binomial(scenario, args.seed)
+    sim = generate(scenario, args.seed)
     write_dataset_csv(f"{args.out}_train.csv", sim.train)
     if sim.test is not None:
         write_dataset_csv(f"{args.out}_test.csv", sim.test)
@@ -233,7 +233,7 @@ def _write_report(out_dir: Path, suite: str, all_rows, quantile_blocks) -> None:
     )
     write_rows_csv(
         out_dir / f"{suite}_summary.csv",
-        ["n", "metric", "min", "q25", "median", "q75", "max"],
+        ["n", "metric", *QUANTILE_LABELS],
         quantile_blocks,
     )
     long_rows = []

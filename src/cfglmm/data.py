@@ -100,25 +100,31 @@ class FitConfig:
     aggregation_weight_power: int = 1
 
     def __post_init__(self):
+        for name in ("patience", "rng_seed", "max_scales", "irls_max_iter", "aggregation_weight_power"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # model files hold plain JSON ints
+        # the float checks read ``not x > 0`` so that NaN fails them
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
         if not 0.0 < self.bandwidth_decay < 1.0:
             raise ValueError("bandwidth_decay must be in (0, 1)")
         if self.patience < 1:
             raise ValueError("patience must be a positive integer")
-        if self.center_density <= 0.0:
+        if not self.center_density > 0.0:
             raise ValueError("center_density must be positive")
-        if self.initial_bandwidth is not None and self.initial_bandwidth <= 0.0:
+        if self.initial_bandwidth is not None and not self.initial_bandwidth > 0.0:
             raise ValueError("initial_bandwidth must be positive")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be a nonnegative integer")
         if self.max_scales < 1:
             raise ValueError("max_scales must be a positive integer")
-        if self.min_effective_weight < 0.0:
+        if not self.min_effective_weight >= 0.0:
             raise ValueError("min_effective_weight must be nonnegative")
         if self.irls_max_iter < 1:
             raise ValueError("irls_max_iter must be a positive integer")
-        if self.irls_tol <= 0.0:
+        if not self.irls_tol > 0.0:
             raise ValueError("irls_tol must be positive")
         if self.aggregation_weight_power not in (1, 2):
             raise ValueError("aggregation_weight_power must be 1 or 2")

@@ -12,7 +12,7 @@ from .data import Dataset, FitConfig
 from .families import add_intercept, deviance, fit_glm, get_family
 from .learner import CfModel, accepted_scale_count, fit_cf
 from .prediction import decompose, predict
-from .simulate import SimData, SimScenario, gen_binomial, gen_poisson
+from .simulate import SimScenario, generate
 
 _S_TRIAL = 11
 _S_TIMING = 12
@@ -97,18 +97,6 @@ def trial_seed(base_seed: int, trial: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _generate(scenario: SimScenario, seed: int) -> SimData:
-    if scenario.family == "poisson":
-        return gen_poisson(scenario, seed)
-    return gen_binomial(scenario, seed)
-
-
-def default_fit_config(scenario: SimScenario, seed: int = 0) -> FitConfig:
-    """Fit configuration for a scenario: spec defaults, per-trial seed."""
-    del scenario  # all scenarios use the default coarse-to-fine sweep
-    return FitConfig(rng_seed=seed)
-
-
 def run_trial(
     scenario: SimScenario,
     seed: int,
@@ -117,8 +105,8 @@ def run_trial(
     trial: int = 0,
 ) -> TrialResult:
     """Generate, fit model and baseline, and score one trial."""
-    cfg = replace(config, rng_seed=seed) if config is not None else default_fit_config(scenario, seed)
-    sim = _generate(scenario, seed)
+    cfg = replace(config, rng_seed=seed) if config is not None else FitConfig(rng_seed=seed)
+    sim = generate(scenario, seed)
     train = sim.train
 
     start = time.perf_counter()
@@ -162,7 +150,7 @@ def run_trial(
 def _quantiles(values) -> tuple[float, ...]:
     v = np.asarray([x for x in values if np.isfinite(x)], dtype=float)
     if len(v) == 0:
-        return (np.nan,) * 5
+        return (np.nan,) * len(QUANTILE_LABELS)
     return tuple(float(q) for q in np.quantile(v, [0.0, 0.25, 0.5, 0.75, 1.0]))
 
 
@@ -210,8 +198,8 @@ def timing_curve(ns, scenario: SimScenario, seed: int = 0, repeats: int = 3) -> 
         times = []
         for r in range(repeats):
             s = int(np.random.SeedSequence(seed, spawn_key=(_S_TIMING, n, r)).generate_state(1)[0])
-            sim = _generate(sized, s)
-            cfg = default_fit_config(sized, s)
+            sim = generate(sized, s)
+            cfg = FitConfig(rng_seed=s)
             start = time.perf_counter()
             fit_cf(sim.train, cfg)
             times.append(time.perf_counter() - start)

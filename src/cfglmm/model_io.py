@@ -11,6 +11,7 @@ JSON: a non-finite loss in the trace (an unfittable scale) is written as
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import re
@@ -47,19 +48,7 @@ def save_model(model: CfModel, path) -> None:
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "family": model.family.tag,
-        "config": {
-            "train_fraction": model.config.train_fraction,
-            "bandwidth_decay": model.config.bandwidth_decay,
-            "patience": model.config.patience,
-            "center_density": model.config.center_density,
-            "initial_bandwidth": model.config.initial_bandwidth,
-            "rng_seed": model.config.rng_seed,
-            "max_scales": model.config.max_scales,
-            "min_effective_weight": model.config.min_effective_weight,
-            "irls_max_iter": model.config.irls_max_iter,
-            "irls_tol": model.config.irls_tol,
-            "aggregation_weight_power": model.config.aggregation_weight_power,
-        },
+        "config": dataclasses.asdict(model.config),
         "n_sites": model.n_sites,
         "n_covariates": model.n_covariates,
         "beta": [float(b) for b in model.beta],
@@ -189,7 +178,9 @@ def load_model(path) -> CfModel:
         raise ModelFormatError(f"bad config block: {exc}") from None
     layers = tuple(_layer(entry) for entry in _require(doc, "layers", list))
     trace = tuple(_trace_record(row) for row in _require(doc, "loss_trace", list))
-    n_sites = int(_require(doc, "n_sites", int))
+    n_sites = _integer(_require(doc, "n_sites", None), "n_sites")
+    if n_sites < 0:
+        raise ModelFormatError(f"n_sites must be nonnegative, got {n_sites}")
     split: HvSplit | None = None
     if n_sites >= 4:
         split = make_split(n_sites, config)

@@ -115,7 +115,7 @@ def decompose(model: CfModel, sites, band_edges) -> ScaleBandDecomposition:
     Raises :class:`ValidationError` for non-finite sites.
     """
     edges = tuple(float(e) for e in band_edges)
-    if any(e <= 0 for e in edges):
+    if any(not e > 0 for e in edges):  # NaN fails too
         raise ValueError("band edges must be positive")
     if any(a <= b for a, b in zip(edges, edges[1:])):
         raise ValueError("band edges must be strictly descending")

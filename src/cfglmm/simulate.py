@@ -1,10 +1,11 @@
 """Synthetic spatial data: smoothed-noise fields, covariates, count and binary responses.
 
-A field is built by drawing iid Gaussian noise at anchor sites and smoothing
-it with a row-normalized exponential kernel; it can then be evaluated at any
-location, so train and test samples share one latent surface. The default
-bandwidth is the average distance to the 10 nearest neighbors, which shrinks
-as site density grows and therefore yields finer-scale patterns at larger n.
+A field is built by drawing iid Gaussian noise at the training sites and
+smoothing it with a row-normalized exponential kernel; the smooth is evaluated
+at train and test sites alike, so both samples share one latent surface. The
+default bandwidth is the average distance to the 10 nearest neighbors, which
+shrinks as site density grows and therefore yields finer-scale patterns at
+larger n.
 """
 
 from __future__ import annotations
@@ -61,35 +62,6 @@ def _smooth(query: np.ndarray, anchors: np.ndarray, bandwidth: float, noise: np.
     return out if noise.ndim == 2 else out[:, 0]
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """Recipe for one smoothed-noise field."""
-
-    n: int
-    noise_sd: float = 1.0
-    seed: int = 0
-    bandwidth: float | None = None  # None: average 10-NN distance rule
-    knn_k: int = 10
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        if self.bandwidth is not None and self.bandwidth <= 0:
-            raise ValueError("fixed bandwidth must be positive")
-
-
-@dataclass(frozen=True)
-class KernelField:
-    """Noise anchored at fixed sites, evaluable anywhere via kernel smoothing."""
-
-    anchors: np.ndarray
-    noise: np.ndarray
-    bandwidth: float
-
-    def at(self, sites) -> np.ndarray:
-        return _smooth(as_sites(sites), self.anchors, self.bandwidth, self.noise)
-
-
 def knn_bandwidth(sites, k: int = 10) -> float:
     """Average (over sites) of the mean distance to the k nearest neighbors."""
     pts = as_sites(sites)
@@ -101,29 +73,6 @@ def knn_bandwidth(sites, k: int = 10) -> float:
     return float(dist[:, 1:].mean())
 
 
-def make_field(sites, spec: FieldSpec) -> KernelField:
-    pts = as_sites(sites)
-    noise = _rng(spec.seed).normal(0.0, spec.noise_sd, len(pts))
-    h = spec.bandwidth if spec.bandwidth is not None else knn_bandwidth(pts, spec.knn_k)
-    return KernelField(pts, noise, h)
-
-
-def smoothed_field(sites, spec: FieldSpec) -> np.ndarray:
-    """Smoothed-noise field values at its own anchor sites."""
-    return make_field(sites, spec).at(sites)
-
-
-def gen_covariates(sites, seed: int) -> np.ndarray:
-    """Two covariate columns, each half smoothed field and half iid noise."""
-    pts = as_sites(sites)
-    n = len(pts)
-    h = knn_bandwidth(pts)
-    u = np.column_stack([_rng(seed, _S_COV_FIELD, k).normal(0.0, 1.0, n) for k in range(2)])
-    z = _smooth(pts, pts, h, u)
-    e = np.column_stack([_rng(seed, _S_COV_NOISE_TRAIN, k).normal(0.0, 1.0, n) for k in range(2)])
-    return 0.5 * z + 0.5 * e
-
-
 MULTISCALE_DOMAIN_SIDE = 10.0
 
 
@@ -133,8 +82,8 @@ class SimScenario:
 
     Single-scale scenarios live on the unit square. Multiscale scenarios keep
     their literal component bandwidths (e.g. 3.0/0.8/0.3) and therefore need a
-    domain large enough to contain the coarsest one; they default to a 10 x 10
-    square, on which the bounding-box diagonal exceeds every component scale.
+    domain large enough to contain the coarsest one: a 10 x 10 square, on
+    which the bounding-box diagonal exceeds every component scale.
     """
 
     family: str = "poisson"
@@ -144,17 +93,10 @@ class SimScenario:
     n_test: int = 2000
     multiscale: tuple[float, ...] | None = None
     field_noise_sd: float = 2.0
-    domain_side: float | None = None
 
     def coefficients(self) -> np.ndarray:
         slope = self.beta if self.beta is not None else _DEFAULT_BETA[self.family]
         return np.array([self.beta0, *slope], dtype=float)
-
-    @property
-    def side(self) -> float:
-        if self.domain_side is not None:
-            return self.domain_side
-        return MULTISCALE_DOMAIN_SIDE if self.multiscale is not None else 1.0
 
 
 @dataclass(frozen=True)
@@ -174,18 +116,20 @@ class SimData:
     truth_test: SimTruth | None
 
 
-def _sample_response(family: str, mu: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    if family == "poisson":
-        return rng.poisson(mu).astype(float)
-    return rng.binomial(1, mu).astype(float)
+def generate(scenario: SimScenario, seed: int) -> SimData:
+    """Draw one seeded train/test realization of a Poisson or Bernoulli scenario.
 
-
-def _generate(scenario: SimScenario, seed: int) -> SimData:
+    Every random draw comes from its own ``SeedSequence`` substream of ``seed``,
+    so train and test never share a stream and the output is deterministic.
+    """
     if scenario.family not in _DEFAULT_BETA:
         raise ValueError(f"unsupported simulation family {scenario.family!r}")
+    if scenario.multiscale is not None and not all(0.0 < h < np.inf for h in scenario.multiscale):
+        raise ValueError("multiscale bandwidths must be finite and positive")
     coef = scenario.coefficients()
+    side = MULTISCALE_DOMAIN_SIDE if scenario.multiscale is not None else 1.0
     n = scenario.n_train
-    train_pts = _rng(seed, _S_TRAIN_SITES).random((n, 2)) * scenario.side
+    train_pts = _rng(seed, _S_TRAIN_SITES).random((n, 2)) * side
     knn_h = knn_bandwidth(train_pts)
 
     # Noise columns grouped by bandwidth so each group shares one kernel pass.
@@ -226,9 +170,10 @@ def _generate(scenario: SimScenario, seed: int) -> SimData:
         eta = coef[0] + x @ coef[1:] + z
         if scenario.family == "poisson":
             mu = np.minimum(np.exp(eta), MU_CAP)
+            y = _rng(seed, y_stream).poisson(mu)
         else:
             mu = 1.0 / (1.0 + np.exp(-eta))
-        y = _sample_response(scenario.family, mu, _rng(seed, y_stream))
+            y = _rng(seed, y_stream).binomial(1, mu)
         dataset = Dataset(pts, y, x, scenario.family)
         comps = parts if scenario.multiscale is not None else None
         return dataset, SimTruth(mu, z, comps)
@@ -236,20 +181,20 @@ def _generate(scenario: SimScenario, seed: int) -> SimData:
     train, truth_train = build(train_pts, train_smoothed, _S_COV_NOISE_TRAIN, _S_Y_TRAIN)
     test, truth_test = None, None
     if scenario.n_test > 0:
-        test_pts = _rng(seed, _S_TEST_SITES).random((scenario.n_test, 2)) * scenario.side
+        test_pts = _rng(seed, _S_TEST_SITES).random((scenario.n_test, 2)) * side
         test, truth_test = build(test_pts, smooth_all(test_pts), _S_COV_NOISE_TEST, _S_Y_TEST)
     return SimData(train, test, truth_train, truth_test)
 
 
 def gen_poisson(scenario: SimScenario, seed: int) -> SimData:
-    """Count data on the unit square with a latent smoothed-noise process."""
+    """:func:`generate` for a Poisson scenario; any other family is rejected."""
     if scenario.family != "poisson":
         raise ValueError("scenario family must be poisson")
-    return _generate(scenario, seed)
+    return generate(scenario, seed)
 
 
 def gen_binomial(scenario: SimScenario, seed: int) -> SimData:
-    """Binary analogue of :func:`gen_poisson` with a logistic link."""
+    """:func:`generate` for a Bernoulli scenario; any other family is rejected."""
     if scenario.family != "bernoulli":
         raise ValueError("scenario family must be bernoulli")
-    return _generate(scenario, seed)
+    return generate(scenario, seed)

@@ -64,6 +64,13 @@ class TestSimulateCommand:
         parts = [float(r["Z1"]) + float(r["Z2"]) + float(r["Z3"]) for r in rows]
         np.testing.assert_allclose(z, parts, rtol=1e-9)
 
+    @pytest.mark.parametrize("bands", ["0", "-1", "nan"])
+    def test_bad_multiscale_bandwidth_exit_3(self, tmp_path, capsys, bands):
+        code = main(["simulate", "--n", "50", "--test", "0", f"--multiscale={bands}",
+                     "--out", str(tmp_path / "bad")])
+        assert code == 3
+        assert "finite and positive" in capsys.readouterr().err
+
 
 class TestFitCommand:
     def test_model_file_written(self, fitted_files):
@@ -178,8 +185,12 @@ class TestPredictCommand:
             lambda doc: doc["layers"][0]["experts"][0].__setitem__(2, None),
             lambda doc: doc["layers"][0]["experts"][0].__setitem__(3, 0.0),
             lambda doc: doc["layers"][0]["experts"][0].__setitem__(4, 2),
+            lambda doc: doc["config"].__setitem__("rng_seed", 1.5),
+            lambda doc: doc["config"].__setitem__("patience", True),
+            lambda doc: doc.__setitem__("n_sites", -5),
         ],
-        ids=["null_trace_scale", "null_expert_mu", "zero_sigma2", "active_2"],
+        ids=["null_trace_scale", "null_expert_mu", "zero_sigma2", "active_2",
+             "float_rng_seed", "bool_patience", "negative_n_sites"],
     )
     def test_schema_fault_exit_3(self, fitted_files, tmp_path, capsys, corrupt):
         sim_prefix, model_path, _ = fitted_files
@@ -250,6 +261,14 @@ class TestDecomposeCommand:
                      f"{sim_prefix}_test.csv", "--bands", "0.2,0.5",
                      "--out", str(tmp_path / "x.csv")])
         assert code == 3
+
+    def test_nan_band_exit_3(self, fitted_files, tmp_path, capsys):
+        sim_prefix, model_path, _ = fitted_files
+        code = main(["decompose", "--model", model_path, "--sites",
+                     f"{sim_prefix}_test.csv", "--bands", "nan",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 3
+        assert "positive" in capsys.readouterr().err
 
 
 class TestBenchmarkCommand:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -124,8 +126,24 @@ class TestFitConfig:
             {"max_scales": 0},
             {"irls_tol": 0.0},
             {"aggregation_weight_power": 3},
+            {"rng_seed": 1.5},
+            {"patience": True},
+            {"max_scales": 2.5},
+            {"irls_max_iter": 10.0},
+            {"aggregation_weight_power": True},
+            {"center_density": math.nan},
+            {"min_effective_weight": math.nan},
+            {"irls_tol": math.nan},
+            {"initial_bandwidth": math.nan},
+            {"train_fraction": math.nan},
+            {"bandwidth_decay": math.nan},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             FitConfig(**kwargs)
+
+    def test_numpy_integers_stored_as_int(self):
+        cfg = FitConfig(rng_seed=np.int64(3), patience=np.int32(2))
+        assert type(cfg.rng_seed) is int and cfg.rng_seed == 3
+        assert type(cfg.patience) is int and cfg.patience == 2

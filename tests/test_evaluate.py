@@ -21,7 +21,7 @@ from cfglmm import (
 )
 from cfglmm.evaluate import run_trial, trial_seed
 from cfglmm.families import add_intercept
-from cfglmm.simulate import gen_poisson
+from cfglmm.simulate import gen_poisson, generate
 
 
 class TestRmse:
@@ -179,7 +179,7 @@ class TestInSampleFromCache:
 
             d, _ = gaussian_spatial_dataset(400, seed=31)
         else:
-            d = evaluate_mod._generate(SimScenario(family=family, beta0=0.5, n_train=600, n_test=0), 3).train
+            d = generate(SimScenario(family=family, beta0=0.5, n_train=600, n_test=0), 3).train
         model = fit_cf(d, FitConfig(rng_seed=3))
         assert len(model.layers) >= 1
         pred = predict(model, d.sites, d.covariates, d.offset)
@@ -198,7 +198,7 @@ class TestInSampleFromCache:
         monkeypatch.setattr(evaluate_mod, "fit_cf", keep)
         result = run_trial(scn, seed=21)
         (train, model), = fits
-        sim = evaluate_mod._generate(scn, 21)
+        sim = generate(scn, 21)
         want = rmse(sim.truth_train.mu, predict(model, train.sites, train.covariates, train.offset).mu)
         assert result.rmse_in == want
 

@@ -155,6 +155,13 @@ class TestModelRoundTrip:
             (("beta",), [0.1], "beta"),
             (("beta", 0), None, "beta"),
             (("n_covariates",), True, "n_covariates"),
+            (("n_sites",), True, "n_sites"),
+            (("n_sites",), -5, "n_sites"),
+            (("n_sites",), 40.0, "n_sites"),
+            (("config", "rng_seed"), 1.5, "rng_seed"),
+            (("config", "patience"), True, "patience"),
+            (("config", "max_scales"), 2.5, "max_scales"),
+            (("config", "irls_tol"), "small", "config"),
         ],
     )
     def test_schema_fault_rejected(self, fitted, tmp_path, path, value, match):

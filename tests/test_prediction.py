@@ -486,6 +486,12 @@ class TestDecompose:
         with pytest.raises(ValueError, match="descending"):
             decompose(model, [[0.0, 0.0]], (0.5, 1.9))
 
+    @pytest.mark.parametrize("edges", [(np.nan,), (1.9, np.nan), (0.0,)])
+    def test_non_positive_edges_error(self, poisson_model, edges):
+        model, _ = poisson_model
+        with pytest.raises(ValueError, match="positive"):
+            decompose(model, [[0.0, 0.0]], edges)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_site_raises(self, poisson_model, bad):
         model, sim = poisson_model

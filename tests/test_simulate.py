@@ -1,63 +1,54 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
-from cfglmm import (
-    FieldSpec,
-    KernelField,
-    SimScenario,
-    gen_binomial,
-    gen_covariates,
-    gen_poisson,
-    knn_bandwidth,
-    smoothed_field,
-    validate_dataset,
-)
+from cfglmm import SimScenario, gen_binomial, gen_poisson, generate, validate_dataset
+from cfglmm.simulate import _S_FIELD, _rng, knn_bandwidth
+
+
+def _latent(seed, **scenario):
+    return generate(SimScenario(**scenario), seed)
 
 
 class TestSmoothedField:
-    def test_zero_noise_gives_zero_field(self, rng):
-        sites = rng.random((50, 2))
-        z = smoothed_field(sites, FieldSpec(n=50, noise_sd=0.0, seed=1))
-        assert np.all(z == 0.0)
+    def test_zero_noise_gives_zero_field(self):
+        sim = _latent(1, n_train=50, n_test=20, field_noise_sd=0.0)
+        assert np.all(sim.truth_train.z == 0.0)
+        assert np.all(sim.truth_test.z == 0.0)
 
     def test_single_site_equals_own_noise(self):
-        field = smoothed_field([[0.4, 0.4]], FieldSpec(n=1, noise_sd=2.0, seed=3))
-        rng = np.random.default_rng(np.random.SeedSequence(3, spawn_key=()))
-        # self weight normalizes to one, so the field is the raw draw
-        assert field.shape == (1,)
-        assert np.isfinite(field[0])
-        again = smoothed_field([[0.9, 0.1]], FieldSpec(n=1, noise_sd=2.0, seed=3))
-        assert field[0] == again[0]
+        # one anchor: its self weight normalizes to one, so the field is the
+        # raw draw everywhere, test sites included
+        sim = _latent(3, n_train=1, n_test=1, field_noise_sd=2.0)
+        raw = _rng(3, _S_FIELD, 0).normal(0.0, 2.0, 1)
+        assert sim.truth_train.z.shape == (1,)
+        np.testing.assert_allclose(sim.truth_train.z, raw, rtol=1e-15)
+        np.testing.assert_allclose(sim.truth_test.z, raw, rtol=1e-15)
 
-    def test_smoothing_shrinks_variance(self, rng):
+    def test_smoothing_shrinks_variance(self):
         shrunk = 0
         for seed in range(20):
-            sites = np.random.default_rng(seed).random((500, 2))
-            spec = FieldSpec(n=500, noise_sd=1.0, seed=seed)
-            z = smoothed_field(sites, spec)
+            z = _latent(seed, n_train=500, n_test=0, field_noise_sd=1.0).truth_train.z
             if z.var() < 1.0:
                 shrunk += 1
         assert shrunk == 20
 
-    def test_deterministic_per_seed(self, rng):
-        sites = rng.random((40, 2))
-        a = smoothed_field(sites, FieldSpec(n=40, noise_sd=1.0, seed=9))
-        b = smoothed_field(sites, FieldSpec(n=40, noise_sd=1.0, seed=9))
-        np.testing.assert_array_equal(a, b)
+    def test_deterministic_per_seed(self):
+        a = _latent(9, n_train=40, n_test=10, field_noise_sd=1.0)
+        b = _latent(9, n_train=40, n_test=10, field_noise_sd=1.0)
+        np.testing.assert_array_equal(a.truth_train.z, b.truth_train.z)
+        np.testing.assert_array_equal(a.truth_test.z, b.truth_test.z)
 
-    def test_fixed_bandwidth_respected(self, rng):
-        sites = rng.random((30, 2))
-        z_wide = smoothed_field(sites, FieldSpec(n=30, seed=2, bandwidth=5.0))
-        z_narrow = smoothed_field(sites, FieldSpec(n=30, seed=2, bandwidth=0.01))
-        # wide smoothing flattens the field far more
-        assert z_wide.var() < z_narrow.var()
+    def test_fixed_bandwidth_respected(self):
+        # multiscale components use their literal bandwidth; both are
+        # standardized, so compare roughness: the squared step to the nearest site
+        def roughness(h):
+            sim = _latent(2, n_train=300, n_test=0, multiscale=(h,))
+            _, nearest = cKDTree(sim.train.sites).query(sim.train.sites, k=2)
+            z = sim.truth_train.z
+            return np.mean((z - z[nearest[:, 1]]) ** 2)
 
-    def test_kernel_field_shared_surface(self, rng):
-        anchors = rng.random((100, 2))
-        field = KernelField(anchors, rng.normal(size=100), bandwidth=0.2)
-        near = field.at([[0.5, 0.5]])
-        nearly = field.at([[0.5001, 0.5001]])
-        assert abs(near[0] - nearly[0]) < 1e-3
+        assert roughness(5.0) < roughness(0.01)
 
 
 class TestKnnBandwidth:
@@ -85,19 +76,16 @@ class TestKnnBandwidth:
 class TestGenCovariates:
     def test_column_means_near_zero(self):
         for seed in (0, 1, 2):
-            sites = np.random.default_rng(seed).random((1500, 2))
-            x = gen_covariates(sites, seed)
+            x = _latent(seed, n_train=1500, n_test=0).train.covariates
             assert np.abs(x.mean(axis=0)).max() < 4.0 / np.sqrt(1500)
 
     def test_column_variance_below_half(self):
         for seed in (0, 1, 2):
-            sites = np.random.default_rng(seed).random((1500, 2))
-            x = gen_covariates(sites, seed)
+            x = _latent(seed, n_train=1500, n_test=0).train.covariates
             assert (x.var(axis=0) < 0.5).all()
 
-    def test_columns_nearly_uncorrelated(self, rng):
-        sites = rng.random((2000, 2))
-        x = gen_covariates(sites, 7)
+    def test_columns_nearly_uncorrelated(self):
+        x = _latent(7, n_train=2000, n_test=0).train.covariates
         r = np.corrcoef(x[:, 0], x[:, 1])[0, 1]
         assert abs(r) < 0.1
 
@@ -135,6 +123,12 @@ class TestGenPoisson:
         with pytest.raises(ValueError, match="must be poisson"):
             gen_poisson(SimScenario(family="bernoulli"), seed=0)
 
+    def test_is_generate(self):
+        scn = SimScenario(beta0=0.5, n_train=200, n_test=50)
+        a, b = gen_poisson(scn, seed=8), generate(scn, seed=8)
+        np.testing.assert_array_equal(a.train.response, b.train.response)
+        np.testing.assert_array_equal(a.truth_test.mu, b.truth_test.mu)
+
     def test_test_surface_shared_with_train(self):
         # latent field at test sites comes from the train-anchored noise, so a
         # test site placed on top of a train site sees nearly the same z
@@ -160,6 +154,21 @@ class TestGenBinomial:
         )
         sim = gen_binomial(scn, seed=5)
         assert sim.train.response.mean() == pytest.approx(0.5, abs=0.02)
+
+    def test_wrong_family_rejected(self):
+        with pytest.raises(ValueError, match="must be bernoulli"):
+            gen_binomial(SimScenario(family="poisson"), seed=0)
+
+
+class TestGenerate:
+    def test_unsupported_family_rejected(self):
+        with pytest.raises(ValueError, match="unsupported simulation family"):
+            generate(SimScenario(family="gaussian"), seed=0)
+
+    @pytest.mark.parametrize("h", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_multiscale_bandwidth_rejected(self, h):
+        with pytest.raises(ValueError, match="finite and positive"):
+            generate(SimScenario(n_train=50, n_test=0, multiscale=(3.0, h)), seed=0)
 
 
 class TestMultiscale:
