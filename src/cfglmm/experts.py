@@ -21,6 +21,7 @@ mean ``sum(q mu) / sum(q)``.
 from __future__ import annotations
 
 import queue
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -33,11 +34,19 @@ SIGMA2_FLOOR = 1e-10
 
 _VARIANCE_CAP = 1e300
 
-# Chunk kernel matrices to roughly 32 MB so n * c products stay in cache-friendly
-# blocks without materializing the full matrix. The chunk boundaries also fix
-# how BLAS gemv groups the rows of each ``k2 @ t`` / ``q @ mu`` product, so
-# re-chunking changes results in the last bit.
+# Row blocks of about _BLOCK_DOUBLES kernel entries (2 MB, an L2 cache of the
+# bench machine) are cut inside chunks of about _CHUNK_DOUBLES, never allocated:
+# they fix how OpenBLAS's gemv treats the rows of each ``k2 @ t`` / ``q @ mu``.
+# gemv takes rows in groups of _ROW_ALIGN from the start of the matrix and the
+# tail rows with another kernel, so blocks that start a multiple of _ROW_ALIGN
+# rows into their chunk, the chunk's tail rows in its last block, give every
+# row the bits of one gemv per chunk (with one BLAS thread). Moving chunk
+# boundaries changes the bits.
 _CHUNK_DOUBLES = 4_000_000
+_BLOCK_DOUBLES = 262_144
+_ROW_ALIGN = 4
+
+_LOCAL = threading.local()  # ``buf``: each thread's kernel block buffer
 
 
 class LayerUnfittableError(RuntimeError):
@@ -74,28 +83,55 @@ class LayerEvaluation:
     variance: np.ndarray
 
 
-def _map_kernel_chunks(fn, slices: list[slice], rows: int, cols: int) -> None:
-    """Run ``fn(sl, out)`` for every chunk, spread over :func:`geometry.chunk_map`.
+def _row_blocks(rows: int, cols: int) -> list[slice]:
+    """Row blocks of a ``rows`` by ``cols`` kernel, in order (see ``_CHUNK_DOUBLES``).
 
-    ``out`` is a kernel buffer of ``sl.stop - sl.start`` rows and ``cols``
-    columns that no other chunk in flight holds. The buffers, one per chunk in
-    flight, are allocated on the calling thread as one block: chunks allocated
-    by pool threads, or 32 MB buffers allocated one by one, stay in glibc's
-    malloc arenas once freed and raise peak RSS, while a block this large is
-    unmapped when freed.
-    """
-    free = queue.SimpleQueue()
-    for buf in np.empty((min(len(slices), POOL_WORKERS), rows, cols)):
-        free.put(buf)
+    They depend on the shape alone, so a layer evaluated on a pool worker
+    (``evaluate_stack``) makes the same BLAS calls as one evaluated by its
+    caller, and gets the same bits under any BLAS thread count."""
+    step = max(_ROW_ALIGN, _BLOCK_DOUBLES // max(cols, 1) // _ROW_ALIGN * _ROW_ALIGN)
+    blocks = []
+    for chunk in _chunks(rows, _CHUNK_DOUBLES // max(cols, 1)):
+        starts = list(range(chunk.start, chunk.stop, step))
+        if len(starts) > 1 and chunk.stop - starts[-1] < _ROW_ALIGN:
+            starts.pop()  # a short tail joins the block before it
+        blocks += map(slice, starts, starts[1:] + [chunk.stop])
+    return blocks
+
+
+def _share(fn, items: list) -> list:
+    """``[fn(item) for item in items]``: one pool task per worker takes items,
+    in order, from a shared queue, so a worker that gets less CPU takes fewer,
+    and the caller waits on one task per worker, not one per item."""
+    todo = queue.SimpleQueue()
+    for i in range(len(items)):
+        todo.put(i)
+    out = [None] * len(items)
+
+    def run(_) -> None:
+        while True:
+            try:
+                i = todo.get_nowait()
+            except queue.Empty:
+                return
+            out[i] = fn(items[i])
+
+    chunk_map(run, range(min(POOL_WORKERS, len(items))))
+    return out
+
+
+def _map_kernel_blocks(fn, rows: int, cols: int) -> None:
+    """Run ``fn(sl, out)`` for every row block of a ``rows`` by ``cols`` kernel;
+    ``out`` is the block's view of the running thread's buffer, kept between calls."""
 
     def run(sl: slice) -> None:
-        buf = free.get()
-        try:
-            fn(sl, buf[: sl.stop - sl.start])
-        finally:
-            free.put(buf)
+        need = (sl.stop - sl.start) * cols
+        buf = getattr(_LOCAL, "buf", None)
+        if buf is None or len(buf) < need:
+            buf = _LOCAL.buf = np.empty(need)
+        fn(sl, buf[:need].reshape(sl.stop - sl.start, cols))
 
-    chunk_map(run, slices)
+    _share(run, _row_blocks(rows, cols))
 
 
 def fit_layer(targets, site_weights, sites, centers: CenterSet, cfg: FitConfig) -> ScaleLayer:
@@ -116,9 +152,8 @@ def fit_layer(targets, site_weights, sites, centers: CenterSet, cfg: FitConfig) 
     sum_prec = np.zeros(n_centers)
     sum_sq_kernel = np.zeros(n_centers)
     t_sq = t * t
-    width = max(1, _CHUNK_DOUBLES // max(len(pts), 1))
 
-    def fit_chunk(sl: slice, out: np.ndarray) -> None:
+    def fit_block(sl: slice, out: np.ndarray) -> None:
         k2 = pairwise_distances(cen[sl], pts, out=out)
         k2 *= -2.0 / h
         np.exp(k2, out=k2)  # kernel squared in one pass: exp(-d/h)^2 = exp(-2d/h)
@@ -133,7 +168,7 @@ def fit_layer(targets, site_weights, sites, centers: CenterSet, cfg: FitConfig) 
             raw_var[sl] = np.maximum((k2 @ t_sq) / sp - m * m, 0.0)
         raw_mean[sl] = m
 
-    _map_kernel_chunks(fit_chunk, _chunks(n_centers, width), min(width, n_centers), len(pts))
+    _map_kernel_blocks(fit_block, n_centers, len(pts))
 
     active = sum_prec >= cfg.min_effective_weight
     if not active.any():
@@ -159,9 +194,9 @@ def fit_layer(targets, site_weights, sites, centers: CenterSet, cfg: FitConfig) 
 def evaluate_layer(layer: ScaleLayer, sites) -> LayerEvaluation:
     """Product-of-experts mean and variance of one layer at the query sites.
 
-    The rows are cut into chunks of about ``_CHUNK_DOUBLES`` kernel entries,
-    which run on the pool of :func:`geometry.chunk_map` and write disjoint rows,
-    so the result does not depend on the number of CPUs.
+    The rows are cut into blocks of about ``_BLOCK_DOUBLES`` kernel entries
+    (see :func:`_row_blocks`), which run on the pool of :func:`geometry.chunk_map`
+    and write disjoint rows, so the result does not depend on the number of CPUs.
     """
     pts = as_sites(sites)
     act = layer.active
@@ -173,10 +208,9 @@ def evaluate_layer(layer: ScaleLayer, sites) -> LayerEvaluation:
     n = len(pts)
     mean = np.empty(n)
     variance = np.empty(n)
-    width = max(1, _CHUNK_DOUBLES // max(len(cen), 1))
     log_scale = layer.weight_power / layer.bandwidth
 
-    def eval_chunk(sl: slice, out: np.ndarray) -> None:
+    def eval_block(sl: slice, out: np.ndarray) -> None:
         q = pairwise_distances(pts[sl], cen, out=out)
         q *= -log_scale
         np.exp(q, out=q)
@@ -198,7 +232,7 @@ def evaluate_layer(layer: ScaleLayer, sites) -> LayerEvaluation:
             with np.errstate(over="ignore"):
                 variance[i] = min(np.exp(-top) / ssq, _VARIANCE_CAP)
 
-    _map_kernel_chunks(eval_chunk, _chunks(n, width), min(width, n), len(cen))
+    _map_kernel_blocks(eval_block, n, len(cen))
     return LayerEvaluation(mean, variance)
 
 
@@ -206,39 +240,22 @@ def evaluate_stack(layers, sites) -> Iterator[LayerEvaluation]:
     """``evaluate_layer(layer, sites)`` for each layer, in layer order, whole layers on the pool.
 
     Layers are independent, so running several at once gives the serial
-    results bit for bit, and each layer keeps its own row chunks. One pool
-    task per worker takes the layers from a shared queue, largest ``n_active``
-    first, so a worker that gets less CPU (a busy host) takes fewer layers and
-    the workers still finish together; the caller waits on one task per
-    worker, not one per layer (a wait per layer costs a thread wake-up per
-    layer).
-
-    The pool is used only while ``POOL_WORKERS * len(sites) * max(n_active) <=
-    _CHUNK_DOUBLES``, so the kernels of the layers in flight fit in one serial
-    chunk: small query batches are evaluated in parallel before this returns.
-    Bulk calls get a generator that evaluates one layer per step, so they hold
-    one layer's evaluation at a time, as a plain loop would.
+    results bit for bit. Small query batches, ``POOL_WORKERS * len(sites) *
+    max(n_active) <= _CHUNK_DOUBLES``, are evaluated whole layer by whole
+    layer on the pool before this returns: one task per worker takes the
+    layers from a shared queue, largest ``n_active`` first, and runs each
+    layer's row blocks itself. Bulk calls get a generator that
+    evaluates one layer per step, its row blocks spread over the pool, so they
+    hold one layer's evaluation at a time, as a plain loop would.
     """
     pts = as_sites(sites)
     layers = list(layers)
     sizes = [layer.n_active for layer in layers]
     if POOL_WORKERS * len(pts) * max(sizes, default=0) > _CHUNK_DOUBLES:
         return (evaluate_layer(layer, pts) for layer in layers)
-    todo = queue.SimpleQueue()
-    for i in sorted(range(len(layers)), key=lambda i: -sizes[i]):
-        todo.put(i)
-    out = [None] * len(layers)
-
-    def run(_) -> None:
-        while True:
-            try:
-                i = todo.get_nowait()
-            except queue.Empty:
-                return
-            out[i] = evaluate_layer(layers[i], pts)
-
-    chunk_map(run, range(min(POOL_WORKERS, len(layers))))
-    return iter(out)
+    order = sorted(range(len(layers)), key=lambda i: -sizes[i])
+    done = dict(zip(order, _share(lambda i: evaluate_layer(layers[i], pts), order)))
+    return iter([done[i] for i in range(len(layers))])
 
 
 def layer_basis_expansion(layer: ScaleLayer, sites) -> tuple[np.ndarray, np.ndarray]:

@@ -1,6 +1,6 @@
 """Planar geometry: bounding box, exponential kernel, and lattice center placement.
 
-Also home of the worker pool that runs independent chunks of the dense kernel
+Also home of the worker pool that runs independent row blocks of the dense kernel
 passes and the layers of a small prediction batch (see :func:`chunk_map`).
 """
 
@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -22,17 +23,21 @@ from .data import as_sites, round_half_away
 # ``taskset`` limits it), each pinned to its own CPU of that mask. Threads
 # start on first use, not at import.
 POOL_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_WORKER = threading.local()  # ``on_pool`` is set on the pool's own threads
 
 
 def _pin_worker(cpus: list[int], counter) -> None:
-    # Worker k runs only on the k-th CPU of the mask. Left to the scheduler,
-    # both workers of a 2-vCPU VM were seen sharing one vCPU for up to 0.6 s
-    # with the other idle, which made a small prediction batch as slow as the
-    # serial loop. Pinning is a placement hint: if it fails the worker floats.
-    try:
-        os.sched_setaffinity(0, {cpus[next(counter) % len(cpus)]})
-    except OSError:
-        pass
+    # The pool's initializer: marks a pool worker (see chunk_map) and runs
+    # worker k only on the k-th CPU of the mask. Left to the scheduler, both
+    # workers of a 2-vCPU VM were seen sharing one vCPU for up to 0.6 s with the
+    # other idle, which made a small prediction batch as slow as the serial
+    # loop. Pinning is a placement hint: if it fails the worker floats.
+    _WORKER.on_pool = True
+    if len(cpus) > 1:
+        try:
+            os.sched_setaffinity(0, {cpus[next(counter) % len(cpus)]})
+        except OSError:
+            pass
 
 
 def _renew_pool() -> None:
@@ -43,7 +48,7 @@ def _renew_pool() -> None:
     _POOL = ThreadPoolExecutor(
         max_workers=POOL_WORKERS,
         thread_name_prefix="cfglmm-chunk",
-        initializer=_pin_worker if len(cpus) > 1 else None,
+        initializer=_pin_worker,
         initargs=(cpus, itertools.count()),
     )
 
@@ -58,12 +63,13 @@ def chunk_map(fn, slices) -> list:
 
     The chunks must be independent: results come back in chunk order whatever
     order they finish in, so a caller that merges them in that order gets the
-    serial result bit for bit. A single chunk runs on the calling thread. Never
-    call this from inside ``fn``: a pool worker waiting on the pool can deadlock.
+    serial result bit for bit. A single chunk runs on the calling thread, and
+    so does every chunk of a call made on a pool worker: a worker that waited
+    on the pool could deadlock it.
     """
     slices = list(slices)
-    if len(slices) == 1:
-        return [fn(slices[0])]
+    if len(slices) == 1 or getattr(_WORKER, "on_pool", False):
+        return [fn(s) for s in slices]
     return list(_POOL.map(fn, slices))
 
 
@@ -187,9 +193,12 @@ def place_centers(sites, n_centers: int, bandwidth: float) -> CenterSet:
         raise ValueError("place_centers requires at least one site")
     if n_centers < 1:
         raise ValueError("n_centers must be at least 1")
-    uniq, counts = np.unique(pts, axis=0, return_counts=True)
+    return _place_distinct(*np.unique(pts, axis=0, return_counts=True), n_centers, bandwidth)
+
+
+def _place_distinct(uniq: np.ndarray, weights: np.ndarray, n_centers: int, bandwidth: float) -> CenterSet:
+    """:func:`place_centers` on the sorted distinct sites, weighted by their counts."""
     if n_centers >= len(uniq):
         return CenterSet(uniq.copy(), bandwidth)
-    weights = counts.astype(float)
     seeds = _lattice_means(uniq, weights, n_centers)
     return CenterSet(_cell_means(uniq, weights, _assign_nearest(uniq, seeds)), bandwidth)

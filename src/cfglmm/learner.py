@@ -29,7 +29,7 @@ from .families import (
     wls_beta,
     working_state,
 )
-from .geometry import bbox_diagonal, center_count, place_centers
+from .geometry import _place_distinct, bbox_diagonal, center_count
 
 MIN_FIT_SITES = 20
 
@@ -116,6 +116,7 @@ def fit_cf(
     design = add_intercept(d.covariates)
     y = d.response
     train_pts = d.sites[tr]
+    uniq, counts = np.unique(train_pts, axis=0, return_counts=True)  # placement input at every scale
     diagonal = bbox_diagonal(train_pts)
     bandwidth = cfg.initial_bandwidth if cfg.initial_bandwidth is not None else diagonal
     if bandwidth <= 0.0:
@@ -149,7 +150,7 @@ def fit_cf(
         resid = ws.eta_hat - xb - cum_offset
         record = None
         try:
-            centers = place_centers(train_pts, n_centers, bandwidth)
+            centers = _place_distinct(uniq, counts, n_centers, bandwidth)
             layer = fit_layer(resid[tr], ws.weights[tr], train_pts, centers, cfg)
         except LayerUnfittableError:
             record = ScaleRecord(scale, bandwidth, n_centers, math.nan, math.nan, False)

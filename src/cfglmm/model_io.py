@@ -95,8 +95,9 @@ def _positive(value, what: str) -> float:
 
 
 def _integer(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ModelFormatError(f"{what} must be an integer, got {value!r}")
+    """A count: a nonnegative JSON integer, never ``true`` or ``false``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ModelFormatError(f"{what} must be a nonnegative integer, got {value!r}")
     return value
 
 
@@ -179,8 +180,6 @@ def load_model(path) -> CfModel:
     layers = tuple(_layer(entry) for entry in _require(doc, "layers", list))
     trace = tuple(_trace_record(row) for row in _require(doc, "loss_trace", list))
     n_sites = _integer(_require(doc, "n_sites", None), "n_sites")
-    if n_sites < 0:
-        raise ModelFormatError(f"n_sites must be nonnegative, got {n_sites}")
     split: HvSplit | None = None
     if n_sites >= 4:
         split = make_split(n_sites, config)

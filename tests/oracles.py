@@ -6,7 +6,16 @@ import numpy as np
 
 from cfglmm import FitConfig, coefficient_of_variation, make_split, place_centers, wls_beta
 from cfglmm.data import Dataset, as_sites
-from cfglmm.experts import _CHUNK_DOUBLES, SIGMA2_FLOOR, LayerUnfittableError, ScaleLayer, evaluate_layer, fit_layer
+from cfglmm.experts import (
+    _CHUNK_DOUBLES,
+    _VARIANCE_CAP,
+    SIGMA2_FLOOR,
+    LayerEvaluation,
+    LayerUnfittableError,
+    ScaleLayer,
+    evaluate_layer,
+    fit_layer,
+)
 from cfglmm.families import add_intercept
 from cfglmm.geometry import bbox_diagonal, center_count, pairwise_distances
 from cfglmm.prediction import Predictions, band_index
@@ -152,10 +161,11 @@ def ref_lattice_means(points: np.ndarray, weights: np.ndarray, k: int) -> np.nda
 
 
 # ---------------------------------------------------------------------------
-# Serial fit_layer, kept verbatim from before its chunks moved onto the worker
-# pool (only the chunk width became a parameter, so tests can force several
-# chunks). The pooled version must equal it bit for bit
-# (tests/test_experts.py::TestFitLayerBitwise).
+# Serial fit_layer and evaluate_layer, one kernel buffer per chunk, kept
+# verbatim from before the chunks moved onto the worker pool and were cut into
+# row blocks (only the chunk width became a parameter, so tests can force
+# several chunks). The blocked, pooled versions must equal them bit for bit
+# (tests/test_experts.py::TestFitLayerBitwise, TestKernelBlocks).
 
 
 def _ref_chunks(n: int, width: int):
@@ -215,6 +225,46 @@ def ref_fit_layer(targets, site_weights, sites, centers, cfg, chunk_doubles=_CHU
         weight_power=cfg.aggregation_weight_power,
         raw_mean=raw_mean,
     )
+
+
+def ref_evaluate_layer(layer, sites, chunk_doubles=_CHUNK_DOUBLES) -> LayerEvaluation:
+    """``evaluate_layer`` as a serial loop with one kernel buffer and one gemv
+    per chunk of about ``chunk_doubles`` entries, kept verbatim from before the
+    rows were cut into cache-sized blocks (the chunk width is a parameter, as
+    in ``ref_fit_layer``)."""
+    pts = as_sites(sites)
+    act = layer.active
+    if not act.any():
+        raise ValueError("layer has no active expert")
+    cen = layer.centers[act]
+    mu = layer.mu[act]
+    sigma2 = layer.sigma2[act]
+    n = len(pts)
+    mean = np.empty(n)
+    variance = np.empty(n)
+    log_scale = layer.weight_power / layer.bandwidth
+    for sl in _ref_chunks(n, chunk_doubles // max(len(cen), 1)):
+        q = pairwise_distances(pts[sl], cen)
+        q *= -log_scale
+        np.exp(q, out=q)
+        q /= sigma2[None, :]
+        sq = q.sum(axis=1)
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            mean[sl] = (q @ mu) / sq
+            variance[sl] = 1.0 / sq
+        # near-total kernel underflow: 1/sq overflows or loses all precision
+        for i in np.flatnonzero(sq < 1e-280) + sl.start:
+            # Kernel underflow at a far-away site: shift log precisions so the
+            # dominant expert still contributes; variance is capped, not inf.
+            di = np.hypot(pts[i, 0] - cen[:, 0], pts[i, 1] - cen[:, 1])
+            logq = -di * log_scale - np.log(sigma2)
+            top = logq.max()
+            qs = np.exp(logq - top)
+            ssq = qs.sum()
+            mean[i] = (qs @ mu) / ssq
+            with np.errstate(over="ignore"):
+                variance[i] = min(np.exp(-top) / ssq, _VARIANCE_CAP)
+    return LayerEvaluation(mean, variance)
 
 
 # ---------------------------------------------------------------------------

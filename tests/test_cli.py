@@ -188,9 +188,12 @@ class TestPredictCommand:
             lambda doc: doc["config"].__setitem__("rng_seed", 1.5),
             lambda doc: doc["config"].__setitem__("patience", True),
             lambda doc: doc.__setitem__("n_sites", -5),
+            lambda doc: doc.update(n_covariates=-1, beta=[]),
+            lambda doc: doc.__setitem__("n_covariates", True),
         ],
         ids=["null_trace_scale", "null_expert_mu", "zero_sigma2", "active_2",
-             "float_rng_seed", "bool_patience", "negative_n_sites"],
+             "float_rng_seed", "bool_patience", "negative_n_sites", "negative_n_covariates",
+             "bool_n_covariates"],
     )
     def test_schema_fault_exit_3(self, fitted_files, tmp_path, capsys, corrupt):
         sim_prefix, model_path, _ = fitted_files

@@ -1,16 +1,25 @@
+import itertools
 import math
+import os
+import subprocess
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import grid_poe_moments, ref_fit_layer
+from oracles import grid_poe_moments, ref_evaluate_layer, ref_fit_layer
 
 from cfglmm import CenterSet, FitConfig, LayerUnfittableError, evaluate_layer, fit_layer, layer_basis_expansion
 from cfglmm import experts, geometry
 from cfglmm.experts import SIGMA2_FLOOR, ScaleLayer
+
+
+def _worker_pool(n: int) -> ThreadPoolExecutor:
+    """A pool of ``n`` workers made like the library's, left unpinned."""
+    return ThreadPoolExecutor(n, "cfglmm-chunk", initializer=geometry._pin_worker, initargs=([], itertools.count()))
 
 
 def _layer(centers, mu, sigma2, bandwidth, power=1):
@@ -242,17 +251,22 @@ def _serial_chunk_map(fn, slices):
     return [fn(s) for s in slices]
 
 
-def _count_kernel_chunks(monkeypatch) -> list[int]:
-    """Record the number of row chunks of every ``evaluate_layer`` call."""
+def _record_blocks(monkeypatch) -> list[tuple[str, int, slice, str, str]]:
+    """Record every kernel block run: (pass, columns, block, thread that
+    asked for the blocks, thread that ran the block)."""
     calls = []
-    real = experts._map_kernel_chunks
+    real = experts._map_kernel_blocks
 
-    def spy(fn, slices, rows, cols):
-        if fn.__name__ == "eval_chunk":
-            calls.append(len(slices))
-        return real(fn, slices, rows, cols)
+    def spy(fn, rows, cols):
+        caller = threading.current_thread().name
 
-    monkeypatch.setattr(experts, "_map_kernel_chunks", spy)
+        def block(sl, out):
+            calls.append((fn.__name__, cols, sl, caller, threading.current_thread().name))
+            fn(sl, out)
+
+        return real(block, rows, cols)
+
+    monkeypatch.setattr(experts, "_map_kernel_blocks", spy)
     return calls
 
 
@@ -267,6 +281,11 @@ def _eval_inputs(seed: int, n_sites: int, n_experts: int):
     return layer, sites
 
 
+def _assert_evaluations_equal(got, want):
+    np.testing.assert_array_equal(got.mean, want.mean)
+    np.testing.assert_array_equal(got.variance, want.variance)
+
+
 class TestEvaluateLayerBitwise:
     """The pooled ``evaluate_layer`` equals the serial chunk loop bit for bit."""
 
@@ -274,55 +293,156 @@ class TestEvaluateLayerBitwise:
     def test_chunks_match_serial(self, n_chunks, last, monkeypatch):
         n_experts, width = 300, 37
         layer, sites = _eval_inputs(n_chunks, (n_chunks - 1) * width + last, n_experts)
-        monkeypatch.setattr(experts, "_CHUNK_DOUBLES", width * (n_experts - 1))  # one expert inactive
-        calls = _count_kernel_chunks(monkeypatch)
+        chunk_doubles = width * (n_experts - 1)  # one expert inactive
+        monkeypatch.setattr(experts, "_CHUNK_DOUBLES", chunk_doubles)
+        monkeypatch.setattr(experts, "_BLOCK_DOUBLES", 8 * (n_experts - 1))  # 8-row blocks
+        calls = _record_blocks(monkeypatch)
         got = evaluate_layer(layer, sites)
-        assert calls == [n_chunks]
+        assert sorted((c[2] for c in calls), key=lambda b: b.start) == experts._row_blocks(len(sites), n_experts - 1)
+        assert len(calls) > n_chunks or len(sites) < 8
         monkeypatch.setattr(experts, "chunk_map", _serial_chunk_map)
-        want = evaluate_layer(layer, sites)
-        np.testing.assert_array_equal(got.mean, want.mean)
-        np.testing.assert_array_equal(got.variance, want.variance)
+        _assert_evaluations_equal(got, evaluate_layer(layer, sites))
+        _assert_evaluations_equal(got, ref_evaluate_layer(layer, sites, chunk_doubles=chunk_doubles))
         assert np.isfinite(got.variance[-1]) and got.mean[-1] != 0.0  # the dead site
 
     def test_more_workers_than_cores(self, monkeypatch):
         """Eight workers, one buffer each, and a short switch interval: a
-        buffer shared by two chunks in flight, or a lost slice, breaks equality."""
+        buffer shared by two blocks in flight, or a lost block, breaks equality."""
         n_experts, width = 400, 16
         layer, sites = _eval_inputs(11, 40 * width + 3, n_experts)
-        monkeypatch.setattr(experts, "_CHUNK_DOUBLES", width * (n_experts - 1))
-        monkeypatch.setattr(experts, "chunk_map", _serial_chunk_map)
-        want = evaluate_layer(layer, sites)
-        monkeypatch.setattr(experts, "chunk_map", geometry.chunk_map)
+        chunk_doubles = width * (n_experts - 1)
+        monkeypatch.setattr(experts, "_CHUNK_DOUBLES", chunk_doubles)
+        monkeypatch.setattr(experts, "_BLOCK_DOUBLES", 4 * (n_experts - 1))
+        want = ref_evaluate_layer(layer, sites, chunk_doubles=chunk_doubles)
         monkeypatch.setattr(experts, "POOL_WORKERS", 8)
-        pool = ThreadPoolExecutor(max_workers=8, thread_name_prefix="test-chunk")
+        pool = _worker_pool(8)
         monkeypatch.setattr(geometry, "_POOL", pool)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
-                got = evaluate_layer(layer, sites)
-                np.testing.assert_array_equal(got.mean, want.mean)
-                np.testing.assert_array_equal(got.variance, want.variance)
+                _assert_evaluations_equal(evaluate_layer(layer, sites), want)
         finally:
             sys.setswitchinterval(interval)
             pool.shutdown(wait=True)
 
     def test_stack_pool_path_gives_each_layer_one_chunk(self, monkeypatch):
-        """On ``evaluate_stack``'s pool path a layer never cuts its rows into
-        chunks, so a pool worker never waits on the pool."""
+        """On ``evaluate_stack``'s pool path every row block of a layer runs on
+        the thread that took the layer, so a pool worker never waits on the
+        pool, and the blocks are those of a direct call."""
         rng = np.random.default_rng(5)
         layers = [_layer(rng.random((k, 2)), rng.normal(size=k), rng.uniform(0.1, 2.0, k), 0.3) for k in (40, 7, 25, 1)]
         n_sites = experts._CHUNK_DOUBLES // (experts.POOL_WORKERS * 40)  # the largest batch on the pool path
-        chunks = _count_kernel_chunks(monkeypatch)
+        assert len(experts._row_blocks(n_sites, 40)) > 1  # a layer has several blocks to run
+        calls = _record_blocks(monkeypatch)
         for n in (1, 256, n_sites):
-            chunks.clear()
+            calls.clear()
             sites = rng.random((n, 2))
             stack = list(experts.evaluate_stack(layers, sites))
-            assert chunks == [1] * len(layers)
+            assert sorted((c[1], c[2].start) for c in calls) == sorted(
+                (k, b.start) for k in (1, 7, 25, 40) for b in experts._row_blocks(n, k)
+            )
+            assert all(caller == runner for _, _, _, caller, runner in calls), calls
+            if experts.POOL_WORKERS > 1:
+                assert all(caller.startswith("cfglmm-chunk") for _, _, _, caller, _ in calls)
             for layer, ev in zip(layers, stack, strict=True):
-                want = evaluate_layer(layer, sites)
-                np.testing.assert_array_equal(ev.mean, want.mean)
-                np.testing.assert_array_equal(ev.variance, want.variance)
+                _assert_evaluations_equal(ev, evaluate_layer(layer, sites))
+
+
+# (rows per chunk, chunk count, last chunk's rows) at 8-row blocks: chunks of
+# 36-39 rows end in 0-3 tail rows; a 41-row chunk ends in a 1-row block that
+# joins the one before it; 1-row chunks are single blocks.
+BLOCK_CASES = {
+    "tail0": (36, 3, 36),
+    "tail1": (37, 3, 33),
+    "tail2": (38, 2, 38),
+    "tail3": (39, 3, 7),
+    "merged_short_block": (41, 2, 41),
+    "short_last_chunk": (40, 3, 2),
+    "one_row_chunks": (1, 9, 1),
+}
+
+
+class TestKernelBlocks:
+    """Row blocks of ``_BLOCK_DOUBLES`` entries inside ``_CHUNK_DOUBLES``
+    chunks give the bits of one gemv per chunk."""
+
+    @pytest.mark.parametrize("rows,cols,chunk,block", [
+        (0, 10, 100, 40), (1, 10, 100, 40), (10, 10, 100, 40), (100, 10, 370, 80), (97, 10, 410, 80),
+        (50, 10, 5, 80), (50, 1000, 4_000_000, 1000), (12_345, 3750, 4_000_000, 65_536), (9, 0, 100, 40),
+    ])
+    def test_block_rule(self, rows, cols, chunk, block, monkeypatch):
+        monkeypatch.setattr(experts, "_CHUNK_DOUBLES", chunk)
+        monkeypatch.setattr(experts, "_BLOCK_DOUBLES", block)
+        width = max(1, chunk // max(cols, 1))
+        blocks = experts._row_blocks(rows, cols)
+        assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
+        assert (blocks[0].start, blocks[-1].stop) == (0, rows) if rows else blocks == []
+        for b in blocks:
+            into = b.start % width  # rows from the start of its chunk
+            assert into % 4 == 0
+            assert b.stop - b.start + into <= width  # never crosses a chunk boundary
+            chunk_stop = min(b.start - into + width, rows)
+            if b.stop < chunk_stop:  # not the chunk's last block: whole 4-row groups
+                assert (b.stop - b.start) % 4 == 0
+            else:  # the chunk's tail rows, in a block of at least 4 rows when the chunk has them
+                assert b.stop - b.start >= min(4, chunk_stop - (b.start - into))
+
+    @pytest.mark.parametrize("case", BLOCK_CASES.values(), ids=BLOCK_CASES.keys())
+    def test_fit_layer_matches_chunk_loop(self, case, monkeypatch):
+        width, n_chunks, last = case
+        n_pts = 300
+        chunk_doubles = width * n_pts
+        monkeypatch.setattr(experts, "_CHUNK_DOUBLES", chunk_doubles)
+        monkeypatch.setattr(experts, "_BLOCK_DOUBLES", 8 * n_pts)
+        args = _fit_inputs(width + n_chunks, n_pts, (n_chunks - 1) * width + last)
+        calls = _record_blocks(monkeypatch)
+        got = fit_layer(*args, FitConfig())
+        assert sorted((c[2] for c in calls), key=lambda b: b.start) == experts._row_blocks(len(args[3]), n_pts)
+        _assert_layers_equal(got, ref_fit_layer(*args, FitConfig(), chunk_doubles=chunk_doubles))
+
+    @pytest.mark.parametrize("case", BLOCK_CASES.values(), ids=BLOCK_CASES.keys())
+    def test_evaluate_layer_matches_chunk_loop(self, case, monkeypatch):
+        width, n_chunks, last = case
+        n_experts = 301  # 300 active
+        chunk_doubles = width * (n_experts - 1)
+        monkeypatch.setattr(experts, "_CHUNK_DOUBLES", chunk_doubles)
+        monkeypatch.setattr(experts, "_BLOCK_DOUBLES", 8 * (n_experts - 1))
+        layer, sites = _eval_inputs(width + n_chunks, (n_chunks - 1) * width + last, n_experts)
+        got = evaluate_layer(layer, sites)
+        _assert_evaluations_equal(got, ref_evaluate_layer(layer, sites, chunk_doubles=chunk_doubles))
+        assert np.isfinite(got.variance[-1]) and got.mean[-1] != 0.0  # the dead site
+
+    @pytest.mark.parametrize("n_sites,n_experts", [(2000, 3750), (50_001, 7), (3, 5000), (9001, 1066)])
+    def test_default_sizes_match_chunk_loop(self, n_sites, n_experts):
+        """At the default constants, in a child process with one BLAS thread:
+        with more, gemv splits each call's rows between its threads at half
+        the call's rows, so a block and a chunk are split differently."""
+        code = (
+            "from test_experts import _eval_inputs, _assert_evaluations_equal\n"
+            "from oracles import ref_evaluate_layer\n"
+            "from cfglmm import evaluate_layer\n"
+            f"layer, sites = _eval_inputs({n_sites}, {n_sites}, {n_experts})\n"
+            "_assert_evaluations_equal(evaluate_layer(layer, sites), ref_evaluate_layer(layer, sites))\n"
+        )
+        paths = [os.path.dirname(__file__), os.path.dirname(os.path.dirname(experts.__file__))]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(paths)}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=300)
+
+    def test_more_workers_than_cores(self, monkeypatch):
+        """Eight workers with a 1 µs switch interval, across every case above."""
+        monkeypatch.setattr(experts, "POOL_WORKERS", 8)
+        pool = _worker_pool(8)
+        monkeypatch.setattr(geometry, "_POOL", pool)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for case in BLOCK_CASES.values():
+                self.test_fit_layer_matches_chunk_loop(case, monkeypatch)
+                self.test_evaluate_layer_matches_chunk_loop(case, monkeypatch)
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown(wait=True)
 
 
 class TestBasisExpansion:

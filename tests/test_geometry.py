@@ -306,6 +306,18 @@ def _chunk_map_in_child():
     raise SystemExit(0 if chunk_map(_name_of_thread, _chunks(4, 1))[0].startswith("cfglmm-chunk") else 1)
 
 
+def _nested_chunk_map_in_child():
+    # exit code 0 only if each call made on a pool worker ran on that worker
+    def outer(_sl):
+        return threading.current_thread().name, chunk_map(_name_of_thread, _chunks(4, 1))
+
+    got = chunk_map(outer, _chunks(2 * geometry.POOL_WORKERS, 1))
+    ok = len(got) == 2 * geometry.POOL_WORKERS and all(
+        worker.startswith("cfglmm-chunk") and inner == [worker] * 4 for worker, inner in got
+    )
+    raise SystemExit(0 if ok else 1)
+
+
 class TestChunkMap:
     def test_results_in_chunk_order(self):
         slices = _chunks(10, 3)
@@ -349,6 +361,20 @@ class TestChunkMap:
             t.join()
         assert got == [{cpus[(len(cpus) + 1) % len(cpus)]}, set(cpus)]
         assert os.sched_getaffinity(0) == set(cpus)  # the caller is never pinned
+
+    def test_call_from_a_pool_worker_runs_inline(self):
+        """A pool worker that called the pool and waited on it could deadlock
+        it; its calls run on itself instead, and return. Run in a child
+        process, which is killed if it hangs."""
+        child = multiprocessing.get_context("fork").Process(target=_nested_chunk_map_in_child)
+        child.start()
+        child.join(timeout=30)
+        alive = child.is_alive()
+        if alive:
+            child.kill()
+            child.join()
+        assert not alive, "chunk_map hung when called from a pool worker"
+        assert child.exitcode == 0
 
     def test_error_of_a_chunk_reaches_the_caller(self):
         def fail_at_two(sl):

@@ -162,6 +162,8 @@ class TestModelRoundTrip:
             (("config", "patience"), True, "patience"),
             (("config", "max_scales"), 2.5, "max_scales"),
             (("config", "irls_tol"), "small", "config"),
+            (("n_covariates",), False, "n_covariates"),
+            (("n_covariates",), -1, "n_covariates"),
         ],
     )
     def test_schema_fault_rejected(self, fitted, tmp_path, path, value, match):
@@ -175,6 +177,18 @@ class TestModelRoundTrip:
         node[path[-1]] = value
         file.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match=match):
+            load_model(file)
+
+    def test_negative_n_covariates_rejected(self, fitted, tmp_path):
+        """``"n_covariates": -1`` with an empty ``beta`` would load a model
+        without an intercept."""
+        model, _ = fitted
+        file = tmp_path / "m.json"
+        save_model(model, file)
+        doc = json.loads(file.read_text())
+        doc["n_covariates"], doc["beta"] = -1, []
+        file.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="n_covariates"):
             load_model(file)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import threading
@@ -26,6 +27,11 @@ from cfglmm.experts import ScaleLayer, evaluate_stack
 from cfglmm.families import add_intercept
 from cfglmm.learner import CfModel
 from cfglmm.simulate import SimScenario, gen_poisson
+
+
+def _worker_pool(n: int) -> ThreadPoolExecutor:
+    """A pool of ``n`` workers made like the library's, left unpinned."""
+    return ThreadPoolExecutor(n, "cfglmm-chunk", initializer=geometry._pin_worker, initargs=([], itertools.count()))
 
 
 def _bare_model(family, beta, layers=(), n_cov=None):
@@ -211,11 +217,11 @@ def spy(monkeypatch):
 
 @pytest.fixture
 def workers(monkeypatch):
-    """``workers(n)`` replaces the pool by one of ``n`` workers, named like it."""
+    """``workers(n)`` replaces the pool by one of ``n`` workers, made like it."""
     pools = []
 
     def make(n):
-        pool = ThreadPoolExecutor(max_workers=n, thread_name_prefix="cfglmm-chunk")
+        pool = _worker_pool(n)
         pools.append(pool)
         monkeypatch.setattr(experts, "POOL_WORKERS", n)
         monkeypatch.setattr(geometry, "_POOL", pool)
