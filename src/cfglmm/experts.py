@@ -20,33 +20,23 @@ mean ``sum(q mu) / sum(q)``.
 
 from __future__ import annotations
 
-import queue
-import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import FitConfig, as_sites
-from .geometry import POOL_WORKERS, CenterSet, _chunks, chunk_map, pairwise_distances
+from .geometry import POOL_WORKERS, CenterSet, _map_kernel_blocks, _share, pairwise_distances
 
 SIGMA2_FLOOR = 1e-10
 
 _VARIANCE_CAP = 1e300
 
-# Row blocks of about _BLOCK_DOUBLES kernel entries (2 MB, an L2 cache of the
-# bench machine) are cut inside chunks of about _CHUNK_DOUBLES, never allocated:
-# they fix how OpenBLAS's gemv treats the rows of each ``k2 @ t`` / ``q @ mu``.
-# gemv takes rows in groups of _ROW_ALIGN from the start of the matrix and the
-# tail rows with another kernel, so blocks that start a multiple of _ROW_ALIGN
-# rows into their chunk, the chunk's tail rows in its last block, give every
-# row the bits of one gemv per chunk (with one BLAS thread). Moving chunk
-# boundaries changes the bits.
+# Chunks of about _CHUNK_DOUBLES kernel entries are never allocated: they fix
+# the BLAS calls of each ``k2 @ t`` / ``q @ mu``, which run in the row blocks
+# of ``geometry._row_blocks`` cut inside them. Moving chunk boundaries changes
+# the bits.
 _CHUNK_DOUBLES = 4_000_000
-_BLOCK_DOUBLES = 262_144
-_ROW_ALIGN = 4
-
-_LOCAL = threading.local()  # ``buf``: each thread's kernel block buffer
 
 
 class LayerUnfittableError(RuntimeError):
@@ -83,57 +73,6 @@ class LayerEvaluation:
     variance: np.ndarray
 
 
-def _row_blocks(rows: int, cols: int) -> list[slice]:
-    """Row blocks of a ``rows`` by ``cols`` kernel, in order (see ``_CHUNK_DOUBLES``).
-
-    They depend on the shape alone, so a layer evaluated on a pool worker
-    (``evaluate_stack``) makes the same BLAS calls as one evaluated by its
-    caller, and gets the same bits under any BLAS thread count."""
-    step = max(_ROW_ALIGN, _BLOCK_DOUBLES // max(cols, 1) // _ROW_ALIGN * _ROW_ALIGN)
-    blocks = []
-    for chunk in _chunks(rows, _CHUNK_DOUBLES // max(cols, 1)):
-        starts = list(range(chunk.start, chunk.stop, step))
-        if len(starts) > 1 and chunk.stop - starts[-1] < _ROW_ALIGN:
-            starts.pop()  # a short tail joins the block before it
-        blocks += map(slice, starts, starts[1:] + [chunk.stop])
-    return blocks
-
-
-def _share(fn, items: list) -> list:
-    """``[fn(item) for item in items]``: one pool task per worker takes items,
-    in order, from a shared queue, so a worker that gets less CPU takes fewer,
-    and the caller waits on one task per worker, not one per item."""
-    todo = queue.SimpleQueue()
-    for i in range(len(items)):
-        todo.put(i)
-    out = [None] * len(items)
-
-    def run(_) -> None:
-        while True:
-            try:
-                i = todo.get_nowait()
-            except queue.Empty:
-                return
-            out[i] = fn(items[i])
-
-    chunk_map(run, range(min(POOL_WORKERS, len(items))))
-    return out
-
-
-def _map_kernel_blocks(fn, rows: int, cols: int) -> None:
-    """Run ``fn(sl, out)`` for every row block of a ``rows`` by ``cols`` kernel;
-    ``out`` is the block's view of the running thread's buffer, kept between calls."""
-
-    def run(sl: slice) -> None:
-        need = (sl.stop - sl.start) * cols
-        buf = getattr(_LOCAL, "buf", None)
-        if buf is None or len(buf) < need:
-            buf = _LOCAL.buf = np.empty(need)
-        fn(sl, buf[:need].reshape(sl.stop - sl.start, cols))
-
-    _share(run, _row_blocks(rows, cols))
-
-
 def fit_layer(targets, site_weights, sites, centers: CenterSet, cfg: FitConfig) -> ScaleLayer:
     """Fit every local expert of one scale against a weighted working target."""
     t = np.asarray(targets, dtype=float).ravel()
@@ -168,7 +107,7 @@ def fit_layer(targets, site_weights, sites, centers: CenterSet, cfg: FitConfig) 
             raw_var[sl] = np.maximum((k2 @ t_sq) / sp - m * m, 0.0)
         raw_mean[sl] = m
 
-    _map_kernel_blocks(fit_block, n_centers, len(pts))
+    _map_kernel_blocks(fit_block, n_centers, len(pts), _CHUNK_DOUBLES)
 
     active = sum_prec >= cfg.min_effective_weight
     if not active.any():
@@ -194,8 +133,8 @@ def fit_layer(targets, site_weights, sites, centers: CenterSet, cfg: FitConfig) 
 def evaluate_layer(layer: ScaleLayer, sites) -> LayerEvaluation:
     """Product-of-experts mean and variance of one layer at the query sites.
 
-    The rows are cut into blocks of about ``_BLOCK_DOUBLES`` kernel entries
-    (see :func:`_row_blocks`), which run on the pool of :func:`geometry.chunk_map`
+    The rows are cut into blocks of about 256K kernel entries inside chunks of
+    ``_CHUNK_DOUBLES`` (see :func:`geometry._row_blocks`), which run on the pool
     and write disjoint rows, so the result does not depend on the number of CPUs.
     """
     pts = as_sites(sites)
@@ -232,7 +171,7 @@ def evaluate_layer(layer: ScaleLayer, sites) -> LayerEvaluation:
             with np.errstate(over="ignore"):
                 variance[i] = min(np.exp(-top) / ssq, _VARIANCE_CAP)
 
-    _map_kernel_blocks(eval_block, n, len(cen))
+    _map_kernel_blocks(eval_block, n, len(cen), _CHUNK_DOUBLES)
     return LayerEvaluation(mean, variance)
 
 

@@ -1,7 +1,9 @@
 """Planar geometry: bounding box, exponential kernel, and lattice center placement.
 
 Also home of the worker pool that runs independent row blocks of the dense kernel
-passes and the layers of a small prediction batch (see :func:`chunk_map`).
+passes (the local-expert fits, the layer evaluations and the simulator's smooth)
+and the layers of a small prediction batch (see :func:`chunk_map` and
+:func:`_map_kernel_blocks`).
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -23,7 +26,18 @@ from .data import as_sites, round_half_away
 # ``taskset`` limits it), each pinned to its own CPU of that mask. Threads
 # start on first use, not at import.
 POOL_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_WORKER = threading.local()  # ``on_pool`` is set on the pool's own threads
+_THREAD = threading.local()  # ``on_pool``: set on the pool's own threads; ``buf``: kernel block buffer
+
+# Row blocks of about _BLOCK_DOUBLES kernel entries (2 MB, an L2 cache of the
+# bench machine) are cut inside the caller's chunks of ``chunk_doubles``
+# entries, which fix the BLAS calls. gemv takes rows in groups of _ROW_ALIGN
+# from the start of the matrix and the tail rows with another kernel, so
+# blocks that start a multiple of _ROW_ALIGN rows into their chunk, the chunk's
+# tail rows in its last block, give every row the bits of one gemv per chunk
+# (with one BLAS thread). Moving chunk boundaries changes the bits. gemm has no
+# such rule, so a gemm stays whole per chunk (see ``simulate._smooth``).
+_BLOCK_DOUBLES = 262_144
+_ROW_ALIGN = 4
 
 
 def _pin_worker(cpus: list[int], counter) -> None:
@@ -32,7 +46,7 @@ def _pin_worker(cpus: list[int], counter) -> None:
     # workers of a 2-vCPU VM were seen sharing one vCPU for up to 0.6 s with the
     # other idle, which made a small prediction batch as slow as the serial
     # loop. Pinning is a placement hint: if it fails the worker floats.
-    _WORKER.on_pool = True
+    _THREAD.on_pool = True
     if len(cpus) > 1:
         try:
             os.sched_setaffinity(0, {cpus[next(counter) % len(cpus)]})
@@ -68,7 +82,7 @@ def chunk_map(fn, slices) -> list:
     on the pool could deadlock it.
     """
     slices = list(slices)
-    if len(slices) == 1 or getattr(_WORKER, "on_pool", False):
+    if len(slices) == 1 or getattr(_THREAD, "on_pool", False):
         return [fn(s) for s in slices]
     return list(_POOL.map(fn, slices))
 
@@ -77,6 +91,58 @@ def _chunks(n: int, width: int) -> list[slice]:
     """Consecutive slices of at most ``width`` (at least 1) covering ``range(n)``."""
     width = max(1, width)
     return [slice(start, min(start + width, n)) for start in range(0, n, width)]
+
+
+def _row_blocks(rows: int, cols: int, chunk_doubles: int) -> list[slice]:
+    """Row blocks of a ``rows`` by ``cols`` kernel, in order (see ``_BLOCK_DOUBLES``).
+
+    They depend on the shape and the chunk size alone, so a layer evaluated
+    on a pool worker (``evaluate_stack``) makes the same BLAS calls as one
+    evaluated by its caller, and gets the same bits under any BLAS thread count."""
+    step = max(_ROW_ALIGN, _BLOCK_DOUBLES // max(cols, 1) // _ROW_ALIGN * _ROW_ALIGN)
+    blocks = []
+    for chunk in _chunks(rows, chunk_doubles // max(cols, 1)):
+        starts = list(range(chunk.start, chunk.stop, step))
+        if len(starts) > 1 and chunk.stop - starts[-1] < _ROW_ALIGN:
+            starts.pop()  # a short tail joins the block before it
+        blocks += map(slice, starts, starts[1:] + [chunk.stop])
+    return blocks
+
+
+def _share(fn, items: list) -> list:
+    """``[fn(item) for item in items]``: one pool task per worker takes items,
+    in order, from a shared queue, so a worker that gets less CPU takes fewer,
+    and the caller waits on one task per worker, not one per item."""
+    todo = queue.SimpleQueue()
+    for i in range(len(items)):
+        todo.put(i)
+    out = [None] * len(items)
+
+    def run(_) -> None:
+        while True:
+            try:
+                i = todo.get_nowait()
+            except queue.Empty:
+                return
+            out[i] = fn(items[i])
+
+    chunk_map(run, range(min(POOL_WORKERS, len(items))))
+    return out
+
+
+def _map_kernel_blocks(fn, rows: int, cols: int, chunk_doubles: int) -> None:
+    """Run ``fn(sl, out)`` for every row block of a ``rows`` by ``cols`` kernel
+    cut into chunks of ``chunk_doubles`` entries; ``out`` is the block's view of
+    the running thread's buffer, kept between calls."""
+
+    def run(sl: slice) -> None:
+        need = (sl.stop - sl.start) * cols
+        buf = getattr(_THREAD, "buf", None)
+        if buf is None or len(buf) < need:
+            buf = _THREAD.buf = np.empty(need)
+        fn(sl, buf[:need].reshape(sl.stop - sl.start, cols))
+
+    _share(run, _row_blocks(rows, cols, chunk_doubles))
 
 
 @dataclass(frozen=True)

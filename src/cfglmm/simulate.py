@@ -6,6 +6,10 @@ at train and test sites alike, so both samples share one latent surface. The
 default bandwidth is the average distance to the 10 nearest neighbors, which
 shrinks as site density grows and therefore yields finer-scale patterns at
 larger n.
+
+The smooth is dense, O(n_query * n_train). Its kernel is built on the worker
+pool of :mod:`cfglmm.geometry` (see :func:`_smooth`); the fields do not depend
+on the number of CPUs.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .data import Dataset, as_sites
+from .geometry import _chunks, _map_kernel_blocks
 
 MU_CAP = 1e8  # Poisson sampling overflow guard
 
@@ -43,22 +48,48 @@ def _smooth(query: np.ndarray, anchors: np.ndarray, bandwidth: float, noise: np.
 
     ``noise`` may hold several columns; they share one kernel matrix. Distances
     use the expanded-square identity (exact for coincident points, ~1e-8
-    relative otherwise, irrelevant for a noise field) so the inner loop is a
-    pair of matrix products.
+    relative otherwise, irrelevant for a noise field), so each kernel row
+    starts from a matrix product.
+
+    The query rows go in chunks of about ``_CHUNK_DOUBLES`` kernel entries
+    through one kernel buffer, allocated once per call. For each chunk the
+    caller makes the two matrix products of a plain loop over the chunks,
+    with its shapes: ``q @ anchors.T`` into the buffer, and ``kernel @ noise``
+    once the buffer holds the kernel. Neither product is cut into blocks,
+    because OpenBLAS's bits depend on the row count: its small-matrix gemm
+    path starts below about 1e6 multiply-adds, and its SkylakeX (AVX-512) gemm
+    gives the last anchors of ``q @ anchors.T`` (an anchor count of 4 to 7
+    mod 8) bits that change with the row count. In between, the row-local
+    steps (squared norms, difference, ``maximum``, ``sqrt``, scale, ``exp``
+    and row sums) run in L2-sized row blocks on the pool
+    (:func:`geometry._map_kernel_blocks`), so the field is the one of the
+    plain loop bit for bit.
     """
     cols = noise if noise.ndim == 2 else noise[:, None]
-    out = np.empty((len(query), cols.shape[1]))
+    n, m = len(query), len(anchors)
+    out = np.empty((n, cols.shape[1]))
+    row_sums = np.empty(n)
     a2 = (anchors * anchors).sum(axis=1)
-    chunk = max(1, _CHUNK_DOUBLES // max(len(anchors), 1))
-    for start in range(0, len(query), chunk):
-        sl = slice(start, min(start + chunk, len(query)))
-        q = query[sl]
-        w = (q * q).sum(axis=1)[:, None] + a2[None, :] - 2.0 * (q @ anchors.T)
-        np.maximum(w, 0.0, out=w)
-        np.sqrt(w, out=w)
-        w *= -1.0 / bandwidth
-        np.exp(w, out=w)
-        out[sl] = (w @ cols) / w.sum(axis=1)[:, None]
+    scale = -1.0 / bandwidth
+    chunks = _chunks(n, _CHUNK_DOUBLES // max(m, 1))
+    kernel = np.empty((chunks[0].stop if chunks else 0, m))
+    for sl in chunks:
+        q, w, s = query[sl], kernel[: sl.stop - sl.start], row_sums[sl]
+        np.matmul(q, anchors.T, out=w)
+
+        def block(b: slice, tmp: np.ndarray) -> None:
+            qb, wb = q[b], w[b]
+            np.add((qb * qb).sum(axis=1)[:, None], a2[None, :], out=tmp)
+            wb *= 2.0
+            np.subtract(tmp, wb, out=wb)  # |q|^2 + |a|^2 - 2 q.a
+            np.maximum(wb, 0.0, out=wb)
+            np.sqrt(wb, out=wb)
+            wb *= scale
+            np.exp(wb, out=wb)
+            s[b] = wb.sum(axis=1)
+
+        _map_kernel_blocks(block, len(q), m, _CHUNK_DOUBLES)
+        out[sl] = (w @ cols) / s[:, None]
     return out if noise.ndim == 2 else out[:, 0]
 
 

@@ -19,6 +19,7 @@ from cfglmm.experts import (
 from cfglmm.families import add_intercept
 from cfglmm.geometry import bbox_diagonal, center_count, pairwise_distances
 from cfglmm.prediction import Predictions, band_index
+from cfglmm.simulate import _CHUNK_DOUBLES as _SMOOTH_CHUNK_DOUBLES
 
 
 def grid_poe_moments(mus, sigma2s, weights, n_grid=40001, span=14.0):
@@ -172,6 +173,27 @@ def _ref_chunks(n: int, width: int):
     width = max(1, width)
     for start in range(0, n, width):
         yield slice(start, min(start + width, n))
+
+
+def ref_smooth(query, anchors, bandwidth, noise, chunk_doubles=_SMOOTH_CHUNK_DOUBLES) -> np.ndarray:
+    """``simulate._smooth`` as a serial loop with one gemm per chunk of about
+    ``chunk_doubles`` kernel entries and a new kernel per chunk, kept verbatim
+    from before the kernel was built in row blocks on the pool (the chunk
+    width is a parameter, as in ``ref_fit_layer``)."""
+    cols = noise if noise.ndim == 2 else noise[:, None]
+    out = np.empty((len(query), cols.shape[1]))
+    a2 = (anchors * anchors).sum(axis=1)
+    chunk = max(1, chunk_doubles // max(len(anchors), 1))
+    for start in range(0, len(query), chunk):
+        sl = slice(start, min(start + chunk, len(query)))
+        q = query[sl]
+        w = (q * q).sum(axis=1)[:, None] + a2[None, :] - 2.0 * (q @ anchors.T)
+        np.maximum(w, 0.0, out=w)
+        np.sqrt(w, out=w)
+        w *= -1.0 / bandwidth
+        np.exp(w, out=w)
+        out[sl] = (w @ cols) / w.sum(axis=1)[:, None]
+    return out if noise.ndim == 2 else out[:, 0]
 
 
 def ref_fit_layer(targets, site_weights, sites, centers, cfg, chunk_doubles=_CHUNK_DOUBLES) -> ScaleLayer:

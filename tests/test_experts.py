@@ -164,7 +164,7 @@ class TestFitLayerBitwise:
         n_pts, width = 2000, 16
         chunk_doubles = width * n_pts
         monkeypatch.setattr(experts, "_CHUNK_DOUBLES", chunk_doubles)
-        monkeypatch.setattr(experts, "POOL_WORKERS", 8)
+        monkeypatch.setattr(geometry, "POOL_WORKERS", 8)
         pool = ThreadPoolExecutor(max_workers=8, thread_name_prefix="test-chunk")
         monkeypatch.setattr(geometry, "_POOL", pool)
         interval = sys.getswitchinterval()
@@ -247,6 +247,11 @@ class TestEvaluateLayer:
         assert ev.mean[0] == pytest.approx(3.0)
 
 
+def _row_blocks(rows: int, cols: int) -> list[slice]:
+    """The row blocks of a kernel of ``experts``, at its current chunk size."""
+    return geometry._row_blocks(rows, cols, experts._CHUNK_DOUBLES)
+
+
 def _serial_chunk_map(fn, slices):
     return [fn(s) for s in slices]
 
@@ -257,14 +262,14 @@ def _record_blocks(monkeypatch) -> list[tuple[str, int, slice, str, str]]:
     calls = []
     real = experts._map_kernel_blocks
 
-    def spy(fn, rows, cols):
+    def spy(fn, rows, cols, chunk_doubles):
         caller = threading.current_thread().name
 
         def block(sl, out):
             calls.append((fn.__name__, cols, sl, caller, threading.current_thread().name))
             fn(sl, out)
 
-        return real(block, rows, cols)
+        return real(block, rows, cols, chunk_doubles)
 
     monkeypatch.setattr(experts, "_map_kernel_blocks", spy)
     return calls
@@ -295,12 +300,12 @@ class TestEvaluateLayerBitwise:
         layer, sites = _eval_inputs(n_chunks, (n_chunks - 1) * width + last, n_experts)
         chunk_doubles = width * (n_experts - 1)  # one expert inactive
         monkeypatch.setattr(experts, "_CHUNK_DOUBLES", chunk_doubles)
-        monkeypatch.setattr(experts, "_BLOCK_DOUBLES", 8 * (n_experts - 1))  # 8-row blocks
+        monkeypatch.setattr(geometry, "_BLOCK_DOUBLES", 8 * (n_experts - 1))  # 8-row blocks
         calls = _record_blocks(monkeypatch)
         got = evaluate_layer(layer, sites)
-        assert sorted((c[2] for c in calls), key=lambda b: b.start) == experts._row_blocks(len(sites), n_experts - 1)
+        assert sorted((c[2] for c in calls), key=lambda b: b.start) == _row_blocks(len(sites), n_experts - 1)
         assert len(calls) > n_chunks or len(sites) < 8
-        monkeypatch.setattr(experts, "chunk_map", _serial_chunk_map)
+        monkeypatch.setattr(geometry, "chunk_map", _serial_chunk_map)
         _assert_evaluations_equal(got, evaluate_layer(layer, sites))
         _assert_evaluations_equal(got, ref_evaluate_layer(layer, sites, chunk_doubles=chunk_doubles))
         assert np.isfinite(got.variance[-1]) and got.mean[-1] != 0.0  # the dead site
@@ -312,9 +317,9 @@ class TestEvaluateLayerBitwise:
         layer, sites = _eval_inputs(11, 40 * width + 3, n_experts)
         chunk_doubles = width * (n_experts - 1)
         monkeypatch.setattr(experts, "_CHUNK_DOUBLES", chunk_doubles)
-        monkeypatch.setattr(experts, "_BLOCK_DOUBLES", 4 * (n_experts - 1))
+        monkeypatch.setattr(geometry, "_BLOCK_DOUBLES", 4 * (n_experts - 1))
         want = ref_evaluate_layer(layer, sites, chunk_doubles=chunk_doubles)
-        monkeypatch.setattr(experts, "POOL_WORKERS", 8)
+        monkeypatch.setattr(geometry, "POOL_WORKERS", 8)
         pool = _worker_pool(8)
         monkeypatch.setattr(geometry, "_POOL", pool)
         interval = sys.getswitchinterval()
@@ -333,14 +338,14 @@ class TestEvaluateLayerBitwise:
         rng = np.random.default_rng(5)
         layers = [_layer(rng.random((k, 2)), rng.normal(size=k), rng.uniform(0.1, 2.0, k), 0.3) for k in (40, 7, 25, 1)]
         n_sites = experts._CHUNK_DOUBLES // (experts.POOL_WORKERS * 40)  # the largest batch on the pool path
-        assert len(experts._row_blocks(n_sites, 40)) > 1  # a layer has several blocks to run
+        assert len(_row_blocks(n_sites, 40)) > 1  # a layer has several blocks to run
         calls = _record_blocks(monkeypatch)
         for n in (1, 256, n_sites):
             calls.clear()
             sites = rng.random((n, 2))
             stack = list(experts.evaluate_stack(layers, sites))
             assert sorted((c[1], c[2].start) for c in calls) == sorted(
-                (k, b.start) for k in (1, 7, 25, 40) for b in experts._row_blocks(n, k)
+                (k, b.start) for k in (1, 7, 25, 40) for b in _row_blocks(n, k)
             )
             assert all(caller == runner for _, _, _, caller, runner in calls), calls
             if experts.POOL_WORKERS > 1:
@@ -372,10 +377,9 @@ class TestKernelBlocks:
         (50, 10, 5, 80), (50, 1000, 4_000_000, 1000), (12_345, 3750, 4_000_000, 65_536), (9, 0, 100, 40),
     ])
     def test_block_rule(self, rows, cols, chunk, block, monkeypatch):
-        monkeypatch.setattr(experts, "_CHUNK_DOUBLES", chunk)
-        monkeypatch.setattr(experts, "_BLOCK_DOUBLES", block)
+        monkeypatch.setattr(geometry, "_BLOCK_DOUBLES", block)
         width = max(1, chunk // max(cols, 1))
-        blocks = experts._row_blocks(rows, cols)
+        blocks = geometry._row_blocks(rows, cols, chunk)
         assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
         assert (blocks[0].start, blocks[-1].stop) == (0, rows) if rows else blocks == []
         for b in blocks:
@@ -394,11 +398,11 @@ class TestKernelBlocks:
         n_pts = 300
         chunk_doubles = width * n_pts
         monkeypatch.setattr(experts, "_CHUNK_DOUBLES", chunk_doubles)
-        monkeypatch.setattr(experts, "_BLOCK_DOUBLES", 8 * n_pts)
+        monkeypatch.setattr(geometry, "_BLOCK_DOUBLES", 8 * n_pts)
         args = _fit_inputs(width + n_chunks, n_pts, (n_chunks - 1) * width + last)
         calls = _record_blocks(monkeypatch)
         got = fit_layer(*args, FitConfig())
-        assert sorted((c[2] for c in calls), key=lambda b: b.start) == experts._row_blocks(len(args[3]), n_pts)
+        assert sorted((c[2] for c in calls), key=lambda b: b.start) == _row_blocks(len(args[3]), n_pts)
         _assert_layers_equal(got, ref_fit_layer(*args, FitConfig(), chunk_doubles=chunk_doubles))
 
     @pytest.mark.parametrize("case", BLOCK_CASES.values(), ids=BLOCK_CASES.keys())
@@ -407,7 +411,7 @@ class TestKernelBlocks:
         n_experts = 301  # 300 active
         chunk_doubles = width * (n_experts - 1)
         monkeypatch.setattr(experts, "_CHUNK_DOUBLES", chunk_doubles)
-        monkeypatch.setattr(experts, "_BLOCK_DOUBLES", 8 * (n_experts - 1))
+        monkeypatch.setattr(geometry, "_BLOCK_DOUBLES", 8 * (n_experts - 1))
         layer, sites = _eval_inputs(width + n_chunks, (n_chunks - 1) * width + last, n_experts)
         got = evaluate_layer(layer, sites)
         _assert_evaluations_equal(got, ref_evaluate_layer(layer, sites, chunk_doubles=chunk_doubles))
@@ -431,7 +435,7 @@ class TestKernelBlocks:
 
     def test_more_workers_than_cores(self, monkeypatch):
         """Eight workers with a 1 µs switch interval, across every case above."""
-        monkeypatch.setattr(experts, "POOL_WORKERS", 8)
+        monkeypatch.setattr(geometry, "POOL_WORKERS", 8)
         pool = _worker_pool(8)
         monkeypatch.setattr(geometry, "_POOL", pool)
         interval = sys.getswitchinterval()

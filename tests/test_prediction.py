@@ -224,6 +224,7 @@ def workers(monkeypatch):
         pool = _worker_pool(n)
         pools.append(pool)
         monkeypatch.setattr(experts, "POOL_WORKERS", n)
+        monkeypatch.setattr(geometry, "POOL_WORKERS", n)
         monkeypatch.setattr(geometry, "_POOL", pool)
 
     yield make

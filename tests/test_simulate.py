@@ -1,8 +1,18 @@
+import filecmp
+import itertools
+import os
+import subprocess
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from oracles import ref_smooth
 from scipy.spatial import cKDTree
 
-from cfglmm import SimScenario, gen_binomial, gen_poisson, generate, validate_dataset
+from cfglmm import SimScenario, gen_binomial, gen_poisson, generate, geometry, simulate, validate_dataset
+from cfglmm.cli import main
 from cfglmm.simulate import _S_FIELD, _rng, knn_bandwidth
 
 
@@ -190,3 +200,129 @@ class TestMultiscale:
         assert sim.train.sites.max() > 5.0  # 10 x 10 square
         single = gen_poisson(SimScenario(beta0=0.5, n_train=300, n_test=0), seed=6)
         assert single.train.sites.max() <= 1.0
+
+
+def _smooth_inputs(seed: int, n_query: int, n_anchors: int, n_cols: int):
+    """Query sites whose last row is far from every anchor: at bandwidth 0.05
+    its kernel weights are all subnormal, but not all zero."""
+    rng = np.random.default_rng(seed)
+    anchors = rng.random((n_anchors, 2))
+    query = rng.random((n_query, 2))
+    query[-1] = (37.0, 0.5)
+    return query, anchors, rng.normal(size=(n_anchors, n_cols))
+
+
+# (rows per chunk, chunk count, last chunk's rows) at 8-row blocks: chunks of
+# 36-39 rows end in 0-3 tail rows; a 41-row chunk ends in a 1-row block that
+# joins the one before it; 1-row chunks are single blocks of one row.
+SMOOTH_CASES = {
+    "tail0": (36, 3, 36),
+    "tail1": (37, 3, 33),
+    "tail2": (38, 2, 38),
+    "tail3": (39, 3, 7),
+    "merged_short_block": (41, 2, 41),
+    "short_last_chunk": (40, 3, 2),
+    "one_row_chunks": (1, 9, 1),
+}
+
+
+class TestSmoothBlocks:
+    """``_smooth``, its kernel built in row blocks on the pool between the
+    chunk's two matrix products, equals the serial chunk loop bit for bit."""
+
+    @pytest.mark.parametrize("n_cols", [1, 3])
+    def test_one_row_query(self, n_cols):
+        query, anchors, noise = _smooth_inputs(n_cols, 1, 300, n_cols)
+        query[0] = (0.4, 0.6)
+        for u in (noise, noise[:, 0]):
+            assert np.array_equal(simulate._smooth(query, anchors, 0.1, u), ref_smooth(query, anchors, 0.1, u))
+
+    def test_far_query(self):
+        query, anchors, noise = _smooth_inputs(4, 50, 500, 3)
+        got = simulate._smooth(query, anchors, 0.05, noise)
+        assert np.array_equal(got, ref_smooth(query, anchors, 0.05, noise))
+        assert np.isfinite(got[-1]).all() and (got[-1] != 0.0).all()
+
+    @pytest.mark.parametrize("n_cols", [1, 3])
+    @pytest.mark.parametrize("case", SMOOTH_CASES.values(), ids=SMOOTH_CASES.keys())
+    def test_blocks_match_chunk_loop(self, case, n_cols, monkeypatch):
+        width, n_chunks, last = case
+        n_anchors = 300
+        chunk_doubles = width * n_anchors
+        monkeypatch.setattr(simulate, "_CHUNK_DOUBLES", chunk_doubles)
+        monkeypatch.setattr(geometry, "_BLOCK_DOUBLES", 8 * n_anchors)
+        query, anchors, noise = _smooth_inputs(width + n_chunks, (n_chunks - 1) * width + last, n_anchors, n_cols)
+        got = simulate._smooth(query, anchors, 0.05, noise)
+        assert np.array_equal(got, ref_smooth(query, anchors, 0.05, noise, chunk_doubles=chunk_doubles))
+        assert np.isfinite(got[-1]).all() and (got[-1] != 0.0).all()  # the far site
+
+    def test_more_workers_than_cores(self, monkeypatch):
+        """Eight workers made like the library's, with a 1 µs switch interval,
+        across every case above: a block written to another block's rows, or a
+        lost block, breaks equality."""
+        monkeypatch.setattr(geometry, "POOL_WORKERS", 8)
+        pool = ThreadPoolExecutor(8, "cfglmm-chunk", initializer=geometry._pin_worker, initargs=([], itertools.count()))
+        monkeypatch.setattr(geometry, "_POOL", pool)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            self.test_far_query()
+            for n_cols in (1, 3):
+                self.test_one_row_query(n_cols)
+            for n_cols in (1, 3):  # these patch the constants for the rest of the test
+                for case in SMOOTH_CASES.values():
+                    self.test_blocks_match_chunk_loop(case, n_cols, monkeypatch)
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown(wait=True)
+
+    @pytest.mark.parametrize("n_query,n_anchors", [(5000, 5000), (2000, 5005)])
+    def test_default_size_matches_chunk_loop(self, n_query, n_anchors):
+        """At the default constants (5000 anchors: chunks of 1600 rows, blocks
+        of 52), in a child process with one BLAS thread, as the kernels of
+        ``experts`` are checked. With 5005 anchors, OpenBLAS's SkylakeX gemm
+        gives the last five columns of ``query @ anchors.T`` bits that depend
+        on the row count, so a product cut into blocks fails here."""
+        code = (
+            "import numpy as np\n"
+            "from test_simulate import _smooth_inputs\n"
+            "from oracles import ref_smooth\n"
+            "from cfglmm.simulate import _smooth\n"
+            f"query, anchors, noise = _smooth_inputs(5, {n_query}, {n_anchors}, 3)\n"
+            "assert np.array_equal(_smooth(query, anchors, 0.05, noise), ref_smooth(query, anchors, 0.05, noise))\n"
+        )
+        paths = [os.path.dirname(__file__), os.path.dirname(os.path.dirname(simulate.__file__))]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(paths)}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=300)
+
+    def test_peak_memory_one_chunk(self):
+        """One kernel buffer per call: a second chunk-sized array alive at once,
+        a temporary or a buffer per chunk, pushes the traced peak past it."""
+        query, anchors, noise = _smooth_inputs(6, 5000, 5000, 3)
+        simulate._smooth(query, anchors, 0.05, noise)  # the pool's threads and buffers exist
+        tracemalloc.start()
+        try:
+            simulate._smooth(query, anchors, 0.05, noise)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < simulate._CHUNK_DOUBLES * 8 + 16 * 2**20, peak
+
+
+# training sizes of 4, 5 and 7 mod 8, where cutting the distance product into
+# blocks would change its bits (see test_default_size_matches_chunk_loop)
+SIMULATE_ARGS = {
+    "poisson": ["--family", "poisson", "--n", "3004", "--test", "1000", "--seed", "7"],
+    "bernoulli": ["--family", "bernoulli", "--beta0", "-1.5", "--n", "1205", "--test", "700", "--seed", "4"],
+    "multiscale": ["--n", "1007", "--test", "500", "--multiscale", "3.0,0.8,0.3", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("args", SIMULATE_ARGS.values(), ids=SIMULATE_ARGS.keys())
+def test_simulate_csvs_match_chunk_loop(args, tmp_path, monkeypatch):
+    """``cfglmm simulate`` writes the bytes of the serial chunk loop."""
+    assert main(["simulate", *args, "--out", str(tmp_path / "blocks")]) == 0
+    monkeypatch.setattr(simulate, "_smooth", ref_smooth)
+    assert main(["simulate", *args, "--out", str(tmp_path / "loop")]) == 0
+    for suffix in ("_train.csv", "_test.csv", "_truth.csv"):
+        assert filecmp.cmp(tmp_path / f"blocks{suffix}", tmp_path / f"loop{suffix}", shallow=False), suffix
