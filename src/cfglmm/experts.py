@@ -26,16 +26,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FitConfig, as_sites
-from .geometry import POOL_WORKERS, CenterSet, _map_kernel_blocks, _share, pairwise_distances
+from .geometry import CenterSet, _map_kernel_blocks, pairwise_distances
 
 SIGMA2_FLOOR = 1e-10
 
 _VARIANCE_CAP = 1e300
 
 # Chunks of about _CHUNK_DOUBLES kernel entries are never allocated: they fix
-# the BLAS calls of each ``k2 @ t`` / ``q @ mu``, which run in the row blocks
-# of ``geometry._row_blocks`` cut inside them. Moving chunk boundaries changes
-# the bits.
+# the BLAS calls of each ``k2 @ t`` / ``q @ mu``, run in the row blocks of
+# ``geometry._row_blocks`` cut inside them (moving them changes the bits). It
+# also bounds the results of one group of ``evaluate_stack``, in doubles.
 _CHUNK_DOUBLES = 4_000_000
 
 
@@ -107,7 +107,7 @@ def fit_layer(targets, site_weights, sites, centers: CenterSet, cfg: FitConfig) 
             raw_var[sl] = np.maximum((k2 @ t_sq) / sp - m * m, 0.0)
         raw_mean[sl] = m
 
-    _map_kernel_blocks(fit_block, n_centers, len(pts), _CHUNK_DOUBLES)
+    _map_kernel_blocks([(fit_block, n_centers, len(pts))], _CHUNK_DOUBLES)
 
     active = sum_prec >= cfg.min_effective_weight
     if not active.any():
@@ -134,14 +134,20 @@ def evaluate_layer(layer: ScaleLayer, sites) -> LayerEvaluation:
     """Product-of-experts mean and variance of one layer at the query sites.
 
     The rows are cut into blocks of about 256K kernel entries inside chunks of
-    ``_CHUNK_DOUBLES`` (see :func:`geometry._row_blocks`), which run on the pool
-    and write disjoint rows, so the result does not depend on the number of CPUs.
+    ``_CHUNK_DOUBLES`` (see :func:`geometry._row_blocks`), which the pool's
+    workers take from one queue and which write disjoint rows, so the result
+    does not depend on the number of CPUs.
     """
-    pts = as_sites(sites)
+    return _evaluate_group([layer], as_sites(sites))[0]
+
+
+def _layer_kernel(layer: ScaleLayer, pts: np.ndarray) -> tuple[tuple, LayerEvaluation]:
+    """``evaluate_layer``'s kernel, ``(block function, rows, columns)``, and
+    the evaluation its blocks fill in."""
     act = layer.active
     if not act.any():
         raise ValueError("layer has no active expert")
-    cen = layer.centers[act]
+    cen = np.compress(act, layer.centers, axis=0)  # rows: 4x faster than centers[act]
     mu = layer.mu[act]
     sigma2 = layer.sigma2[act]
     n = len(pts)
@@ -171,30 +177,32 @@ def evaluate_layer(layer: ScaleLayer, sites) -> LayerEvaluation:
             with np.errstate(over="ignore"):
                 variance[i] = min(np.exp(-top) / ssq, _VARIANCE_CAP)
 
-    _map_kernel_blocks(eval_block, n, len(cen), _CHUNK_DOUBLES)
-    return LayerEvaluation(mean, variance)
+    return (eval_block, n, len(cen)), LayerEvaluation(mean, variance)
 
 
 def evaluate_stack(layers, sites) -> Iterator[LayerEvaluation]:
-    """``evaluate_layer(layer, sites)`` for each layer, in layer order, whole layers on the pool.
+    """``evaluate_layer(layer, sites)`` for each layer, in layer order.
 
-    Layers are independent, so running several at once gives the serial
-    results bit for bit. Small query batches, ``POOL_WORKERS * len(sites) *
-    max(n_active) <= _CHUNK_DOUBLES``, are evaluated whole layer by whole
-    layer on the pool before this returns: one task per worker takes the
-    layers from a shared queue, largest ``n_active`` first, and runs each
-    layer's row blocks itself. Bulk calls get a generator that
-    evaluates one layer per step, its row blocks spread over the pool, so they
-    hold one layer's evaluation at a time, as a plain loop would.
+    The layers go in groups: the longest runs of consecutive layers whose
+    results, two doubles per site and layer, fit in ``_CHUNK_DOUBLES``
+    doubles, at least one layer each. A group is evaluated when the caller
+    reaches its first layer. Its layers' row blocks, each cut as in a direct
+    ``evaluate_layer`` call, share one queue of the pool, largest block first,
+    so neither a small layer nor the tail of a layer leaves a worker idle, and
+    every row gets the bits of a direct call.
     """
     pts = as_sites(sites)
     layers = list(layers)
-    sizes = [layer.n_active for layer in layers]
-    if POOL_WORKERS * len(pts) * max(sizes, default=0) > _CHUNK_DOUBLES:
-        return (evaluate_layer(layer, pts) for layer in layers)
-    order = sorted(range(len(layers)), key=lambda i: -sizes[i])
-    done = dict(zip(order, _share(lambda i: evaluate_layer(layers[i], pts), order)))
-    return iter([done[i] for i in range(len(layers))])
+    per_group = max(1, _CHUNK_DOUBLES // max(2 * len(pts), 1))
+    starts = range(0, len(layers), per_group)
+    return (ev for i in starts for ev in _evaluate_group(layers[i : i + per_group], pts))
+
+
+def _evaluate_group(layers: list[ScaleLayer], pts: np.ndarray) -> tuple[LayerEvaluation, ...]:
+    """The layers' evaluations, their row blocks in one queue of the pool."""
+    kernels, evs = zip(*(_layer_kernel(layer, pts) for layer in layers))
+    _map_kernel_blocks(kernels, _CHUNK_DOUBLES)
+    return evs
 
 
 def layer_basis_expansion(layer: ScaleLayer, sites) -> tuple[np.ndarray, np.ndarray]:

@@ -1,17 +1,17 @@
 """Planar geometry: bounding box, exponential kernel, and lattice center placement.
 
-Also home of the worker pool that runs independent row blocks of the dense kernel
-passes (the local-expert fits, the layer evaluations and the simulator's smooth)
-and the layers of a small prediction batch (see :func:`chunk_map` and
-:func:`_map_kernel_blocks`).
+Also home of the worker pool and its one queue of independent row blocks for
+the dense kernel passes: the local-expert fits, the simulator's smooth, and
+the layer evaluations, one layer or a whole layer stack per queue (see
+:func:`chunk_map` and :func:`_map_kernel_blocks`).
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import os
-import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -96,9 +96,10 @@ def _chunks(n: int, width: int) -> list[slice]:
 def _row_blocks(rows: int, cols: int, chunk_doubles: int) -> list[slice]:
     """Row blocks of a ``rows`` by ``cols`` kernel, in order (see ``_BLOCK_DOUBLES``).
 
-    They depend on the shape and the chunk size alone, so a layer evaluated
-    on a pool worker (``evaluate_stack``) makes the same BLAS calls as one
-    evaluated by its caller, and gets the same bits under any BLAS thread count."""
+    They depend on the shape and the chunk size alone, so a block makes the
+    same BLAS calls whichever thread runs it and whatever else is queued with
+    it (:func:`_map_kernel_blocks`), and gets the same bits under any BLAS
+    thread count."""
     step = max(_ROW_ALIGN, _BLOCK_DOUBLES // max(cols, 1) // _ROW_ALIGN * _ROW_ALIGN)
     blocks = []
     for chunk in _chunks(rows, chunk_doubles // max(cols, 1)):
@@ -109,40 +110,32 @@ def _row_blocks(rows: int, cols: int, chunk_doubles: int) -> list[slice]:
     return blocks
 
 
-def _share(fn, items: list) -> list:
-    """``[fn(item) for item in items]``: one pool task per worker takes items,
-    in order, from a shared queue, so a worker that gets less CPU takes fewer,
-    and the caller waits on one task per worker, not one per item."""
-    todo = queue.SimpleQueue()
-    for i in range(len(items)):
-        todo.put(i)
-    out = [None] * len(items)
+def _map_kernel_blocks(kernels, chunk_doubles: int) -> None:
+    """Run ``fn(sl, out)`` for every row block ``sl`` of every ``(fn, rows,
+    cols)`` kernel, each cut into chunks of ``chunk_doubles`` entries.
+
+    All blocks go into one queue, largest first (ties in kernel and row
+    order), and one pool task per worker takes them until it is empty, so a
+    worker that gets less CPU takes fewer blocks and the caller waits on one
+    task per worker, not one per block. ``out`` is the block's view of the
+    running thread's buffer, kept between calls; blocks must write disjoint
+    results."""
+    blocks = [(fn, sl, cols) for fn, rows, cols in kernels for sl in _row_blocks(rows, cols, chunk_doubles)]
+    todo = collections.deque(sorted(blocks, key=lambda b: (b[1].start - b[1].stop) * b[2]))
 
     def run(_) -> None:
         while True:
             try:
-                i = todo.get_nowait()
-            except queue.Empty:
+                fn, sl, cols = todo.popleft()  # thread-safe
+            except IndexError:
                 return
-            out[i] = fn(items[i])
+            need = (sl.stop - sl.start) * cols
+            buf = getattr(_THREAD, "buf", None)
+            if buf is None or len(buf) < need:
+                buf = _THREAD.buf = np.empty(need)
+            fn(sl, buf[:need].reshape(sl.stop - sl.start, cols))
 
-    chunk_map(run, range(min(POOL_WORKERS, len(items))))
-    return out
-
-
-def _map_kernel_blocks(fn, rows: int, cols: int, chunk_doubles: int) -> None:
-    """Run ``fn(sl, out)`` for every row block of a ``rows`` by ``cols`` kernel
-    cut into chunks of ``chunk_doubles`` entries; ``out`` is the block's view of
-    the running thread's buffer, kept between calls."""
-
-    def run(sl: slice) -> None:
-        need = (sl.stop - sl.start) * cols
-        buf = getattr(_THREAD, "buf", None)
-        if buf is None or len(buf) < need:
-            buf = _THREAD.buf = np.empty(need)
-        fn(sl, buf[:need].reshape(sl.stop - sl.start, cols))
-
-    _share(run, _row_blocks(rows, cols, chunk_doubles))
+    chunk_map(run, range(min(POOL_WORKERS, len(blocks))))
 
 
 @dataclass(frozen=True)

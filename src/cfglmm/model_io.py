@@ -60,8 +60,8 @@ def save_model(model: CfModel, path) -> None:
                 "tau2": layer.tau2,
                 "weight_power": layer.weight_power,
                 "experts": [
-                    [float(cx), float(cy), float(m), float(s2), bool(a)]
-                    for (cx, cy), m, s2, a in zip(layer.centers, layer.mu, layer.sigma2, layer.active)
+                    [*c, m, s2, a]
+                    for c, m, s2, a in zip(*(v.tolist() for v in (layer.centers, layer.mu, layer.sigma2, layer.active)))
                 ],
             }
             for layer in model.layers
@@ -72,8 +72,7 @@ def save_model(model: CfModel, path) -> None:
         ],
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, allow_nan=False)
-        fh.write("\n")
+        fh.write(json.dumps(doc, allow_nan=False) + "\n")  # one line: json's C encoder
 
 
 def _loss_doc(loss: float) -> float | None:

@@ -88,7 +88,7 @@ def _smooth(query: np.ndarray, anchors: np.ndarray, bandwidth: float, noise: np.
             np.exp(wb, out=wb)
             s[b] = wb.sum(axis=1)
 
-        _map_kernel_blocks(block, len(q), m, _CHUNK_DOUBLES)
+        _map_kernel_blocks([(block, len(q), m)], _CHUNK_DOUBLES)
         out[sl] = (w @ cols) / s[:, None]
     return out if noise.ndim == 2 else out[:, 0]
 

@@ -1,5 +1,6 @@
 """Independent reference implementations used by several test modules."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -320,3 +321,38 @@ def ref_band_values(model, sites, band_edges) -> np.ndarray:
         b = band_index(layer.bandwidth, edges)
         values[:, b] += evaluate_layer(layer, pts).mean
     return values
+
+
+def ref_model_doc(model) -> dict:
+    """The JSON document ``save_model`` writes for a model, built value by
+    value with ``float()`` and ``bool()`` as the indented writer did."""
+
+    def loss_doc(loss: float) -> float | None:
+        return float(loss) if math.isfinite(loss) else None
+
+    return {
+        "format_version": 1,
+        "family": model.family.tag,
+        "config": dataclasses.asdict(model.config),
+        "n_sites": model.n_sites,
+        "n_covariates": model.n_covariates,
+        "beta": [float(b) for b in model.beta],
+        "initial_deviance": model.initial_deviance,
+        "validation_deviance": model.validation_deviance,
+        "layers": [
+            {
+                "bandwidth": layer.bandwidth,
+                "tau2": layer.tau2,
+                "weight_power": layer.weight_power,
+                "experts": [
+                    [float(cx), float(cy), float(m), float(s2), bool(a)]
+                    for (cx, cy), m, s2, a in zip(layer.centers, layer.mu, layer.sigma2, layer.active)
+                ],
+            }
+            for layer in model.layers
+        ],
+        "loss_trace": [
+            [r.scale, r.bandwidth, r.n_centers, loss_doc(r.train_loss), loss_doc(r.valid_loss), r.accepted]
+            for r in model.loss_trace
+        ],
+    }

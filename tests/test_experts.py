@@ -256,20 +256,25 @@ def _serial_chunk_map(fn, slices):
     return [fn(s) for s in slices]
 
 
-def _record_blocks(monkeypatch) -> list[tuple[str, int, slice, str, str]]:
+def _record_blocks(monkeypatch) -> list[tuple[str, int, slice, str, str, bool]]:
     """Record every kernel block run: (pass, columns, block, thread that
-    asked for the blocks, thread that ran the block)."""
+    asked for the blocks, thread that ran the block, whether the block's
+    buffer is the running thread's own)."""
     calls = []
     real = experts._map_kernel_blocks
 
-    def spy(fn, rows, cols, chunk_doubles):
+    def spy(kernels, chunk_doubles):
         caller = threading.current_thread().name
 
-        def block(sl, out):
-            calls.append((fn.__name__, cols, sl, caller, threading.current_thread().name))
-            fn(sl, out)
+        def recorded(fn, cols):
+            def block(sl, out):
+                own = np.shares_memory(out, geometry._THREAD.buf)
+                calls.append((fn.__name__, cols, sl, caller, threading.current_thread().name, own))
+                fn(sl, out)
 
-        return real(block, rows, cols, chunk_doubles)
+            return block
+
+        return real([(recorded(fn, cols), rows, cols) for fn, rows, cols in kernels], chunk_doubles)
 
     monkeypatch.setattr(experts, "_map_kernel_blocks", spy)
     return calls
@@ -331,27 +336,52 @@ class TestEvaluateLayerBitwise:
             sys.setswitchinterval(interval)
             pool.shutdown(wait=True)
 
-    def test_stack_pool_path_gives_each_layer_one_chunk(self, monkeypatch):
-        """On ``evaluate_stack``'s pool path every row block of a layer runs on
-        the thread that took the layer, so a pool worker never waits on the
-        pool, and the blocks are those of a direct call."""
+    def test_stack_runs_the_blocks_of_direct_calls(self, monkeypatch):
+        """``evaluate_stack`` runs exactly the row blocks of a direct call of
+        each layer, all from one queue, each in the buffer of the thread that
+        took it, on the pool's workers when there are several."""
         rng = np.random.default_rng(5)
         layers = [_layer(rng.random((k, 2)), rng.normal(size=k), rng.uniform(0.1, 2.0, k), 0.3) for k in (40, 7, 25, 1)]
-        n_sites = experts._CHUNK_DOUBLES // (experts.POOL_WORKERS * 40)  # the largest batch on the pool path
+        n_sites = 4 * geometry._BLOCK_DOUBLES // 40
         assert len(_row_blocks(n_sites, 40)) > 1  # a layer has several blocks to run
         calls = _record_blocks(monkeypatch)
         for n in (1, 256, n_sites):
             calls.clear()
             sites = rng.random((n, 2))
             stack = list(experts.evaluate_stack(layers, sites))
-            assert sorted((c[1], c[2].start) for c in calls) == sorted(
-                (k, b.start) for k in (1, 7, 25, 40) for b in _row_blocks(n, k)
+            assert sorted((c[1], c[2].start, c[2].stop) for c in calls) == sorted(
+                (k, b.start, b.stop) for k in (1, 7, 25, 40) for b in _row_blocks(n, k)
             )
-            assert all(caller == runner for _, _, _, caller, runner in calls), calls
-            if experts.POOL_WORKERS > 1:
-                assert all(caller.startswith("cfglmm-chunk") for _, _, _, caller, _ in calls)
+            assert all(own for *_, own in calls), calls
+            if geometry.POOL_WORKERS > 1 and len(calls) > 1:
+                assert all(runner.startswith("cfglmm-chunk") for _, _, _, _, runner, _ in calls), calls
             for layer, ev in zip(layers, stack, strict=True):
                 _assert_evaluations_equal(ev, evaluate_layer(layer, sites))
+
+    def test_stack_under_two_blas_threads(self):
+        """In a child process with two BLAS threads: a layer's blocks may run
+        on either of two pool workers, and every row still has the bits of an
+        ``evaluate_layer`` call that runs all its blocks on the main thread."""
+        code = (
+            "import numpy as np\n"
+            "from test_experts import _layer, _assert_evaluations_equal, _worker_pool\n"
+            "from cfglmm import evaluate_layer, evaluate_stack, geometry\n"
+            "rng = np.random.default_rng(9)\n"
+            "sizes = (3, 40, 1500, 1, 700, 25)\n"
+            "layers = [_layer(rng.random((k, 2)), rng.normal(size=k), rng.uniform(0.1, 2.0, k), 0.3) for k in sizes]\n"
+            "geometry._POOL = _worker_pool(2)\n"
+            "for n in (256, 4096):\n"
+            "    sites = rng.random((n, 2))\n"
+            "    sites[0] = (50.0, 50.0)\n"
+            "    geometry.POOL_WORKERS = 1  # one task: the caller runs every block\n"
+            "    want = [evaluate_layer(layer, sites) for layer in layers]\n"
+            "    geometry.POOL_WORKERS = 2\n"
+            "    for ev, w in zip(evaluate_stack(layers, sites), want, strict=True):\n"
+            "        _assert_evaluations_equal(ev, w)\n"
+        )
+        paths = [os.path.dirname(__file__), os.path.dirname(os.path.dirname(experts.__file__))]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": os.pathsep.join(paths)}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=300)
 
 
 # (rows per chunk, chunk count, last chunk's rows) at 8-row blocks: chunks of

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import ref_model_doc
 
 from cfglmm import (
     BERNOULLI,
@@ -122,6 +123,31 @@ class TestModelRoundTrip:
         np.testing.assert_array_equal(
             predict(loaded, sites, sim.test.covariates).mu, predict(model, sites, sim.test.covariates).mu
         )
+        assert doc == ref_model_doc(model)
+
+    def test_document_unchanged(self, fitted, tmp_path):
+        """The file holds the document of the value-by-value builder, on one line."""
+        model, _ = fitted
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        text = path.read_text()
+        assert json.loads(text) == ref_model_doc(model)
+        assert text.endswith("}\n") and text.count("\n") == 1
+
+    def test_indented_file_loads_bit_exact(self, fitted, tmp_path, rng):
+        """A file in the earlier indented layout loads and predicts bit for bit."""
+        model, sim = fitted
+        path = tmp_path / "m.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(ref_model_doc(model), fh, indent=1, allow_nan=False)
+            fh.write("\n")
+        loaded = load_model(path)
+        sites = np.vstack([sim.test.sites, rng.random((50, 2))])
+        x = rng.normal(size=(len(sites), model.n_covariates))
+        got, want = predict(loaded, sites, x), predict(model, sites, x)
+        for f in ("mu_lin", "mu", "z_total", "var_z", "cov"):
+            np.testing.assert_array_equal(getattr(got, f), getattr(want, f), err_msg=f)
+        assert loaded.loss_trace == model.loss_trace and loaded.config == model.config
 
     @pytest.mark.parametrize("key", ["experts", "bandwidth", "tau2"])
     def test_layer_missing_field_rejected(self, fitted, tmp_path, key):

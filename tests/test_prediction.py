@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import sys
@@ -168,48 +169,80 @@ def _assert_predictions_equal(got, want):
 
 
 def _pool_budget_sites(model):
-    """Largest query batch that ``evaluate_stack`` sends to the pool."""
-    return experts._CHUNK_DOUBLES // (experts.POOL_WORKERS * max(l.n_active for l in model.layers))
+    """Largest query batch whose layers ``evaluate_stack`` evaluates in one group."""
+    return experts._CHUNK_DOUBLES // (2 * len(model.layers))
 
 
 def _set_budget_to(monkeypatch, model, n_sites):
-    """Make ``n_sites`` the exact edge of the pool's memory rule."""
-    budget = experts.POOL_WORKERS * n_sites * max(l.n_active for l in model.layers)
-    monkeypatch.setattr(experts, "_CHUNK_DOUBLES", budget)
+    """Make ``n_sites`` the exact group edge: ``_CHUNK_DOUBLES`` holds the
+    results of every layer at ``n_sites`` sites. It also cuts the layers into
+    several row blocks each."""
+    monkeypatch.setattr(experts, "_CHUNK_DOUBLES", 2 * n_sites * len(model.layers))
+
+
+def _blocks(model, n_sites):
+    """Every (layer size, block) of a direct ``evaluate_layer`` call per layer,
+    largest first, ties in layer and row order."""
+    chunk = experts._CHUNK_DOUBLES
+    items = [(l.n_active, b) for l in model.layers for b in geometry._row_blocks(n_sites, l.n_active, chunk)]
+    return sorted(items, key=lambda item: -item[0] * (item[1].stop - item[1].start))
 
 
 class _Spy:
-    """Wraps ``evaluate_layer``: counts layers in flight and records, per call,
-    the layer size and the thread it ran on."""
+    """Wraps ``evaluate_stack``'s kernel blocks. Records each group of layers
+    (their sizes) and, per block run, its layer's size, its rows, the thread
+    that ran it and whether it ran in that thread's own buffer; tracks the
+    layers with blocks in flight. A layer is known by its size, ``n_active``."""
 
-    def __init__(self, fn, delay=0.0, fail_on=None, error=None, slow_on=None, slow_delay=0.0):
-        self.fn, self.delay, self.fail_on, self.error = fn, delay, fail_on, error
+    def __init__(self, real, delay=0.0, fail_on=None, error=None, slow_on=None, slow_delay=0.0):
+        self.real, self.delay, self.fail_on, self.error = real, delay, fail_on, error
         self.slow_on, self.slow_delay = slow_on, slow_delay
         self.lock = threading.Lock()
-        self.in_flight = self.peak = 0
-        self.sizes, self.threads = [], []
+        self.in_flight = collections.Counter()
+        self.peak_layers = 0
+        self.groups, self.runs, self.own = [], [], []
 
-    def __call__(self, layer, sites):
-        with self.lock:
-            self.in_flight += 1
-            self.peak = max(self.peak, self.in_flight)
-            self.sizes.append(layer.n_active)
-            self.threads.append(threading.current_thread().name)
-        try:
-            time.sleep(self.slow_delay if layer is self.slow_on else self.delay)
-            if layer is self.fail_on:
-                raise self.error
-            return self.fn(layer, sites)
-        finally:
+    def clear(self):
+        self.peak_layers = 0
+        for records in (self.groups, self.runs, self.own):
+            records.clear()
+
+    def taken(self) -> dict[str, list[int]]:
+        """Per thread, the sizes (rows times columns) of its blocks in the order it ran them."""
+        out = {}
+        for cols, sl, name in self.runs:
+            out.setdefault(name, []).append(cols * (sl.stop - sl.start))
+        return out
+
+    def __call__(self, kernels, chunk_doubles):
+        self.groups.append([cols for _, _, cols in kernels])
+        return self.real([(self._wrap(fn, cols), rows, cols) for fn, rows, cols in kernels], chunk_doubles)
+
+    def _wrap(self, fn, cols):
+        def block(sl, out):
             with self.lock:
-                self.in_flight -= 1
+                self.runs.append((cols, sl, threading.current_thread().name))
+                self.own.append(np.shares_memory(out, geometry._THREAD.buf))
+                self.in_flight[cols] += 1
+                self.peak_layers = max(self.peak_layers, sum(1 for v in self.in_flight.values() if v))
+            try:
+                slow = self.slow_on is not None and cols == self.slow_on.n_active
+                time.sleep(self.slow_delay if slow else self.delay)
+                if self.fail_on is not None and cols == self.fail_on.n_active:
+                    raise self.error
+                fn(sl, out)
+            finally:
+                with self.lock:
+                    self.in_flight[cols] -= 1
+
+        return block
 
 
 @pytest.fixture
 def spy(monkeypatch):
     def install(**kw):
-        s = _Spy(experts.evaluate_layer, **kw)
-        monkeypatch.setattr(experts, "evaluate_layer", s)
+        s = _Spy(experts._map_kernel_blocks, **kw)
+        monkeypatch.setattr(experts, "_map_kernel_blocks", s)
         return s
 
     return install
@@ -223,7 +256,6 @@ def workers(monkeypatch):
     def make(n):
         pool = _worker_pool(n)
         pools.append(pool)
-        monkeypatch.setattr(experts, "POOL_WORKERS", n)
         monkeypatch.setattr(geometry, "POOL_WORKERS", n)
         monkeypatch.setattr(geometry, "_POOL", pool)
 
@@ -284,90 +316,112 @@ class TestEvaluateStack:
         model = _stack_model(rng)
         _set_budget_to(monkeypatch, model, 256)
         sites, x, off = _query(rng, 256)
-        s = spy(delay=0.02)
-        predict(model, sites, x, off)
-        assert len(s.threads) == len(model.layers)
-        assert all(name.startswith("cfglmm-chunk") for name in s.threads), s.threads
-        assert len(set(s.threads)) == 2
-        assert s.peak <= 2
+        want = ref_predict(model, sites, x, off)
+        s = spy(delay=0.002)
+        _assert_predictions_equal(predict(model, sites, x, off), want)
+        assert s.groups == [[l.n_active for l in model.layers]]  # one group, one queue
+        assert sorted((c, b.start, b.stop) for c, b, _ in s.runs) == sorted(
+            (c, b.start, b.stop) for c, b in _blocks(model, 256)
+        )
+        assert len(s.runs) > 2 * len(model.layers)  # layers of several blocks
+        assert all(name.startswith("cfglmm-chunk") for *_, name in s.runs), s.runs
+        assert len({name for *_, name in s.runs}) == 2
+        assert all(s.own)  # each block in the buffer of the thread that took it
 
     def test_over_budget_one_layer_at_a_time(self, rng, spy, workers, monkeypatch):
         workers(2)
         model = _stack_model(rng)
-        _set_budget_to(monkeypatch, model, 256)
+        monkeypatch.setattr(experts, "_CHUNK_DOUBLES", 2 * 257)  # one layer's results at 257 sites
         sites, x, off = _query(rng, 257)
-        s = spy(delay=0.02)
-        predict(model, sites, x, off)
-        assert s.peak == 1
-        assert s.threads == [threading.current_thread().name] * len(model.layers)
+        want = ref_predict(model, sites, x, off)
+        s = spy(delay=0.001)
+        _assert_predictions_equal(predict(model, sites, x, off), want)
+        assert s.groups == [[l.n_active] for l in model.layers]
+        assert s.peak_layers == 1
+        assert len({name for *_, name in s.runs}) == 2  # a layer's blocks on both workers
 
     def test_over_budget_holds_one_layer_at_a_time(self, rng, spy, workers, monkeypatch):
         workers(2)
         model = _stack_model(rng)
-        _set_budget_to(monkeypatch, model, 256)
+        sizes = [l.n_active for l in model.layers]
+        assert len(set(sizes)) == len(sizes)
         sites = rng.random((257, 2))
         s = spy()
-        stack = evaluate_stack(model.layers, sites)
-        assert s.sizes == []
-        for k, (layer, ev) in enumerate(zip(model.layers, stack, strict=True), start=1):
-            assert len(s.sizes) == k  # evaluated when reached, not before
-            np.testing.assert_array_equal(ev.mean, s.fn(layer, sites).mean)
+        for budget, per_group in ((2 * 257, 1), (2 * 257 * 2 + 1, 2), (2 * 256 * len(sizes), len(sizes) - 1)):
+            monkeypatch.setattr(experts, "_CHUNK_DOUBLES", budget)
+            want = [experts.evaluate_layer(layer, sites) for layer in model.layers]
+            s.clear()
+            stack = evaluate_stack(model.layers, sites)
+            assert s.groups == []
+            for k, (ev, w) in enumerate(zip(stack, want, strict=True)):
+                assert len(s.groups) == k // per_group + 1  # its group is evaluated when reached, not before
+                np.testing.assert_array_equal(ev.mean, w.mean)
+                np.testing.assert_array_equal(ev.variance, w.variance)
+            assert [c for g in s.groups for c in g] == sizes
+            assert all(len(g) == 1 or 2 * 257 * len(g) <= budget for g in s.groups)
+            assert max(map(len, s.groups)) == per_group
 
     def test_layers_overlap_on_several_workers(self, rng, spy, eight_workers):
         model = _stack_model(rng)
         s = spy(delay=0.05)
-        evaluate_stack(model.layers, rng.random((16, 2)))
-        assert s.peak >= 2
+        list(evaluate_stack(model.layers, rng.random((16, 2))))
+        assert s.peak_layers >= 2
 
-    def test_one_worker_runs_largest_first_on_caller(self, rng, spy, workers):
+    def test_one_worker_runs_largest_first_on_caller(self, rng, spy, workers, monkeypatch):
         workers(1)
         model = _stack_model(rng)
+        _set_budget_to(monkeypatch, model, 256)
         s = spy()
-        evaluate_stack(model.layers, rng.random((16, 2)))
-        assert s.sizes == sorted((l.n_active for l in model.layers), reverse=True)
-        assert s.threads == [threading.current_thread().name] * len(model.layers)
+        list(evaluate_stack(model.layers, rng.random((256, 2))))
+        assert [(c, b) for c, b, _ in s.runs] == _blocks(model, 256)
+        assert {name for *_, name in s.runs} == {threading.current_thread().name}
 
-    def test_each_worker_takes_layers_largest_first(self, rng, spy, workers):
+    def test_each_worker_takes_layers_largest_first(self, rng, spy, workers, monkeypatch):
         workers(2)
         model = _stack_model(rng, sizes=(10, 40, 5, 50, 20, 30), active_share=1.0)
-        sites = rng.random((16, 2))
-        s = spy(delay=0.01)
-        stack = evaluate_stack(model.layers, sites)
-        taken = {}
-        for size, name in zip(s.sizes, s.threads):
-            taken.setdefault(name, []).append(size)
+        _set_budget_to(monkeypatch, model, 256)
+        sites = rng.random((256, 2))
+        want = [experts.evaluate_layer(layer, sites) for layer in model.layers]
+        s = spy(delay=0.005)
+        stack = list(evaluate_stack(model.layers, sites))
+        taken = s.taken()
         assert len(taken) == 2
-        assert sorted(size for sizes in taken.values() for size in sizes) == [5, 10, 20, 30, 40, 50]
-        assert sorted(sizes[0] for sizes in taken.values()) == [40, 50]
+        assert sorted(size for sizes in taken.values() for size in sizes) == sorted(
+            c * (b.stop - b.start) for c, b in _blocks(model, 256)
+        )
         assert all(sizes == sorted(sizes, reverse=True) for sizes in taken.values()), taken
+        assert len(s.groups) == 1 and s.peak_layers >= 2  # blocks of different layers overlap
         # ...and the results come back in layer order
-        for layer, ev in zip(model.layers, stack, strict=True):
-            np.testing.assert_array_equal(ev.mean, s.fn(layer, sites).mean)
+        for ev, w in zip(stack, want, strict=True):
+            np.testing.assert_array_equal(ev.mean, w.mean)
 
     def test_slow_worker_takes_fewer_layers(self, rng, spy, workers):
         workers(2)
         model = _stack_model(rng, sizes=(10, 40, 5, 50, 20, 30), active_share=1.0)
         largest = model.layers[3]
-        sites = rng.random((16, 2))
+        sites = rng.random((16, 2))  # one block per layer
+        want = [experts.evaluate_layer(layer, sites) for layer in model.layers]
         s = spy(delay=0.01, slow_on=largest, slow_delay=0.5)
-        stack = evaluate_stack(model.layers, sites)
+        stack = list(evaluate_stack(model.layers, sites))
         taken = {}
-        for size, name in zip(s.sizes, s.threads):
-            taken.setdefault(name, []).append(size)
+        for cols, _, name in s.runs:
+            taken.setdefault(name, []).append(cols)
         # fixed shares would give the slow worker 50, 20 and 10
         assert sorted(taken.values()) == [[40, 30, 20, 10, 5], [50]]
-        for layer, ev in zip(model.layers, stack, strict=True):
-            np.testing.assert_array_equal(ev.mean, s.fn(layer, sites).mean)
+        for ev, w in zip(stack, want, strict=True):
+            np.testing.assert_array_equal(ev.mean, w.mean)
 
-    @pytest.mark.parametrize("over_budget", [False, True], ids=["pool", "serial"])
-    def test_layer_error_reaches_caller(self, rng, spy, over_budget):
+    @pytest.mark.parametrize("several_groups", [False, True], ids=["one_group", "several_groups"])
+    def test_layer_error_reaches_caller(self, rng, spy, several_groups, monkeypatch):
         model = _stack_model(rng)
+        _set_budget_to(monkeypatch, model, 256)
         error = RuntimeError("layer failed")
-        spy(fail_on=model.layers[2], error=error)
-        sites, x, _ = _query(rng, _pool_budget_sites(model) + int(over_budget))
+        s = spy(fail_on=model.layers[-1], error=error)  # in the last group
+        sites, x, _ = _query(rng, 256 + int(several_groups))
         with pytest.raises(RuntimeError) as info:
             predict(model, sites, x)
         assert info.value is error
+        assert len(s.groups) == 1 + int(several_groups)
         with pytest.raises(RuntimeError) as info:
             decompose(model, sites, (0.5,))
         assert info.value is error
