@@ -32,10 +32,7 @@ SIGMA2_FLOOR = 1e-10
 
 _VARIANCE_CAP = 1e300
 
-# Chunks of about _CHUNK_DOUBLES kernel entries are never allocated: they fix
-# the BLAS calls of each ``k2 @ t`` / ``q @ mu``, run in the row blocks of
-# ``geometry._row_blocks`` cut inside them (moving them changes the bits). It
-# also bounds the results of one group of ``evaluate_stack``, in doubles.
+# The results of one group of ``evaluate_stack``, in doubles (32 MB).
 _CHUNK_DOUBLES = 4_000_000
 
 
@@ -90,7 +87,7 @@ def fit_layer(targets, site_weights, sites, centers: CenterSet, cfg: FitConfig) 
     raw_var = np.zeros(n_centers)
     sum_prec = np.zeros(n_centers)
     sum_sq_kernel = np.zeros(n_centers)
-    t_sq = t * t
+    moments = np.column_stack([t, t * t])
 
     def fit_block(sl: slice, out: np.ndarray) -> None:
         k2 = pairwise_distances(cen[sl], pts, out=out)
@@ -101,13 +98,13 @@ def fit_layer(targets, site_weights, sites, centers: CenterSet, cfg: FitConfig) 
         sp = k2.sum(axis=1)
         sum_prec[sl] = sp
         with np.errstate(invalid="ignore", divide="ignore"):
-            m = (k2 @ t) / sp
+            m, m2 = (k2 @ moments).T / sp
             # weighted second moment minus squared mean; cancellation error is
             # far below sigma2_floor at working-target scales
-            raw_var[sl] = np.maximum((k2 @ t_sq) / sp - m * m, 0.0)
+            raw_var[sl] = np.maximum(m2 - m * m, 0.0)
         raw_mean[sl] = m
 
-    _map_kernel_blocks([(fit_block, n_centers, len(pts))], _CHUNK_DOUBLES)
+    _map_kernel_blocks([(fit_block, n_centers, len(pts))])
 
     active = sum_prec >= cfg.min_effective_weight
     if not active.any():
@@ -133,10 +130,10 @@ def fit_layer(targets, site_weights, sites, centers: CenterSet, cfg: FitConfig) 
 def evaluate_layer(layer: ScaleLayer, sites) -> LayerEvaluation:
     """Product-of-experts mean and variance of one layer at the query sites.
 
-    The rows are cut into blocks of about 256K kernel entries inside chunks of
-    ``_CHUNK_DOUBLES`` (see :func:`geometry._row_blocks`), which the pool's
-    workers take from one queue and which write disjoint rows, so the result
-    does not depend on the number of CPUs.
+    The rows are cut into blocks of about 256K kernel entries from the
+    kernel's shape alone (see :func:`geometry._map_kernel_blocks`), which the
+    pool's workers take from one queue and which write disjoint rows, so the
+    result does not depend on the number of CPUs.
     """
     return _evaluate_group([layer], as_sites(sites))[0]
 
@@ -201,7 +198,7 @@ def evaluate_stack(layers, sites) -> Iterator[LayerEvaluation]:
 def _evaluate_group(layers: list[ScaleLayer], pts: np.ndarray) -> tuple[LayerEvaluation, ...]:
     """The layers' evaluations, their row blocks in one queue of the pool."""
     kernels, evs = zip(*(_layer_kernel(layer, pts) for layer in layers))
-    _map_kernel_blocks(kernels, _CHUNK_DOUBLES)
+    _map_kernel_blocks(kernels)
     return evs
 
 

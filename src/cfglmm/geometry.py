@@ -3,7 +3,8 @@
 Also home of the worker pool and its one queue of independent row blocks for
 the dense kernel passes: the local-expert fits, the simulator's smooth, and
 the layer evaluations, one layer or a whole layer stack per queue (see
-:func:`chunk_map` and :func:`_map_kernel_blocks`).
+:func:`_map_kernel_blocks`). Every pass takes its distances from
+:func:`pairwise_distances`.
 """
 
 from __future__ import annotations
@@ -28,24 +29,19 @@ from .data import as_sites, round_half_away
 POOL_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _THREAD = threading.local()  # ``on_pool``: set on the pool's own threads; ``buf``: kernel block buffer
 
-# Row blocks of about _BLOCK_DOUBLES kernel entries (2 MB, an L2 cache of the
-# bench machine) are cut inside the caller's chunks of ``chunk_doubles``
-# entries, which fix the BLAS calls. gemv takes rows in groups of _ROW_ALIGN
-# from the start of the matrix and the tail rows with another kernel, so
-# blocks that start a multiple of _ROW_ALIGN rows into their chunk, the chunk's
-# tail rows in its last block, give every row the bits of one gemv per chunk
-# (with one BLAS thread). Moving chunk boundaries changes the bits. gemm has no
-# such rule, so a gemm stays whole per chunk (see ``simulate._smooth``).
+# A kernel is cut into row blocks of about _BLOCK_DOUBLES entries (2 MB, an
+# L2 cache of the bench machine), from its shape alone: a block makes the same
+# BLAS calls whichever thread runs it, so results do not depend on the number
+# of workers.
 _BLOCK_DOUBLES = 262_144
-_ROW_ALIGN = 4
 
 
 def _pin_worker(cpus: list[int], counter) -> None:
-    # The pool's initializer: marks a pool worker (see chunk_map) and runs
-    # worker k only on the k-th CPU of the mask. Left to the scheduler, both
-    # workers of a 2-vCPU VM were seen sharing one vCPU for up to 0.6 s with the
-    # other idle, which made a small prediction batch as slow as the serial
-    # loop. Pinning is a placement hint: if it fails the worker floats.
+    # The pool's initializer: marks a pool worker (see _map_kernel_blocks) and
+    # runs worker k only on the k-th CPU of the mask. Left to the scheduler,
+    # both workers of a 2-vCPU VM were seen sharing one vCPU for up to 0.6 s
+    # with the other idle, which made a small prediction batch as slow as the
+    # serial loop. Pinning is a placement hint: if it fails the worker floats.
     _THREAD.on_pool = True
     if len(cpus) > 1:
         try:
@@ -72,55 +68,26 @@ if hasattr(os, "register_at_fork"):  # POSIX; elsewhere there is no fork
     os.register_at_fork(after_in_child=_renew_pool)
 
 
-def chunk_map(fn, slices) -> list:
-    """``[fn(s) for s in slices]``, with the calls spread over the worker pool.
-
-    The chunks must be independent: results come back in chunk order whatever
-    order they finish in, so a caller that merges them in that order gets the
-    serial result bit for bit. A single chunk runs on the calling thread, and
-    so does every chunk of a call made on a pool worker: a worker that waited
-    on the pool could deadlock it.
-    """
-    slices = list(slices)
-    if len(slices) == 1 or getattr(_THREAD, "on_pool", False):
-        return [fn(s) for s in slices]
-    return list(_POOL.map(fn, slices))
-
-
 def _chunks(n: int, width: int) -> list[slice]:
     """Consecutive slices of at most ``width`` (at least 1) covering ``range(n)``."""
     width = max(1, width)
     return [slice(start, min(start + width, n)) for start in range(0, n, width)]
 
 
-def _row_blocks(rows: int, cols: int, chunk_doubles: int) -> list[slice]:
-    """Row blocks of a ``rows`` by ``cols`` kernel, in order (see ``_BLOCK_DOUBLES``).
-
-    They depend on the shape and the chunk size alone, so a block makes the
-    same BLAS calls whichever thread runs it and whatever else is queued with
-    it (:func:`_map_kernel_blocks`), and gets the same bits under any BLAS
-    thread count."""
-    step = max(_ROW_ALIGN, _BLOCK_DOUBLES // max(cols, 1) // _ROW_ALIGN * _ROW_ALIGN)
-    blocks = []
-    for chunk in _chunks(rows, chunk_doubles // max(cols, 1)):
-        starts = list(range(chunk.start, chunk.stop, step))
-        if len(starts) > 1 and chunk.stop - starts[-1] < _ROW_ALIGN:
-            starts.pop()  # a short tail joins the block before it
-        blocks += map(slice, starts, starts[1:] + [chunk.stop])
-    return blocks
-
-
-def _map_kernel_blocks(kernels, chunk_doubles: int) -> None:
+def _map_kernel_blocks(kernels) -> None:
     """Run ``fn(sl, out)`` for every row block ``sl`` of every ``(fn, rows,
-    cols)`` kernel, each cut into chunks of ``chunk_doubles`` entries.
+    cols)`` kernel: consecutive rows of about ``_BLOCK_DOUBLES`` entries.
 
     All blocks go into one queue, largest first (ties in kernel and row
     order), and one pool task per worker takes them until it is empty, so a
     worker that gets less CPU takes fewer blocks and the caller waits on one
     task per worker, not one per block. ``out`` is the block's view of the
     running thread's buffer, kept between calls; blocks must write disjoint
-    results."""
-    blocks = [(fn, sl, cols) for fn, rows, cols in kernels for sl in _row_blocks(rows, cols, chunk_doubles)]
+    results. With one task, and for every call made on a pool worker, the
+    blocks run on the calling thread: a worker that waited on the pool could
+    deadlock it.
+    """
+    blocks = [(fn, sl, cols) for fn, rows, cols in kernels for sl in _chunks(rows, _BLOCK_DOUBLES // max(cols, 1))]
     todo = collections.deque(sorted(blocks, key=lambda b: (b[1].start - b[1].stop) * b[2]))
 
     def run(_) -> None:
@@ -135,7 +102,11 @@ def _map_kernel_blocks(kernels, chunk_doubles: int) -> None:
                 buf = _THREAD.buf = np.empty(need)
             fn(sl, buf[:need].reshape(sl.stop - sl.start, cols))
 
-    chunk_map(run, range(min(POOL_WORKERS, len(blocks))))
+    tasks = min(POOL_WORKERS, len(blocks))
+    if tasks <= 1 or getattr(_THREAD, "on_pool", False):
+        run(None)
+    else:
+        list(_POOL.map(run, range(tasks)))
 
 
 @dataclass(frozen=True)
@@ -193,8 +164,9 @@ def pairwise_distances(a, b, out: np.ndarray | None = None) -> np.ndarray:
 
     Computed from coordinate differences, ``sqrt(dx*dx + dy*dy)`` (not the
     expanded-square identity), so that coincident points give exactly zero.
-    Callers chunk for large products. ``out``, when given, is a C-contiguous
-    float64 array of the result's shape that receives the distances.
+    Callers cut large products into row blocks. ``out``, when given, is a
+    C-contiguous float64 array of the result's shape that receives the
+    distances.
     """
     return cdist(as_sites(a), as_sites(b), out=out)
 

@@ -100,9 +100,9 @@ def fit_cf(
     ``progress``, when given, receives one :class:`ScaleRecord` per attempted
     scale. The fit is deterministic for a fixed ``cfg.rng_seed``, which draws
     the holdout split; center placement has no randomness. The dense passes of
-    ``fit_layer`` and ``evaluate_layer`` run on the pool of
-    :func:`geometry.chunk_map`; the results are the same bit for bit on any
-    number of CPUs.
+    ``fit_layer`` and ``evaluate_layer`` run in row blocks on the worker pool
+    (:func:`geometry._map_kernel_blocks`); the results are the same bit for bit
+    on any number of CPUs.
     """
     validate_dataset(d)
     n = d.n_sites

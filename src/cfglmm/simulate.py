@@ -7,9 +7,9 @@ default bandwidth is the average distance to the 10 nearest neighbors, which
 shrinks as site density grows and therefore yields finer-scale patterns at
 larger n.
 
-The smooth is dense, O(n_query * n_train). Its kernel is built on the worker
-pool of :mod:`cfglmm.geometry` (see :func:`_smooth`); the fields do not depend
-on the number of CPUs.
+The smooth is dense, O(n_query * n_train). It runs in row blocks on the
+worker pool of :mod:`cfglmm.geometry` (see :func:`_smooth`); the fields do not
+depend on the number of CPUs.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .data import Dataset, as_sites
-from .geometry import _chunks, _map_kernel_blocks
+from .geometry import _map_kernel_blocks, pairwise_distances
 
 MU_CAP = 1e8  # Poisson sampling overflow guard
 
@@ -36,8 +36,6 @@ _S_TEST_SITES = 5
 _S_COV_NOISE_TEST = 6
 _S_Y_TEST = 7
 
-_CHUNK_DOUBLES = 8_000_000
-
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
@@ -46,50 +44,24 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
 def _smooth(query: np.ndarray, anchors: np.ndarray, bandwidth: float, noise: np.ndarray) -> np.ndarray:
     """Row-normalized kernel smooth of anchor noise, evaluated at query sites.
 
-    ``noise`` may hold several columns; they share one kernel matrix. Distances
-    use the expanded-square identity (exact for coincident points, ~1e-8
-    relative otherwise, irrelevant for a noise field), so each kernel row
-    starts from a matrix product.
-
-    The query rows go in chunks of about ``_CHUNK_DOUBLES`` kernel entries
-    through one kernel buffer, allocated once per call. For each chunk the
-    caller makes the two matrix products of a plain loop over the chunks,
-    with its shapes: ``q @ anchors.T`` into the buffer, and ``kernel @ noise``
-    once the buffer holds the kernel. Neither product is cut into blocks,
-    because OpenBLAS's bits depend on the row count: its small-matrix gemm
-    path starts below about 1e6 multiply-adds, and its SkylakeX (AVX-512) gemm
-    gives the last anchors of ``q @ anchors.T`` (an anchor count of 4 to 7
-    mod 8) bits that change with the row count. In between, the row-local
-    steps (squared norms, difference, ``maximum``, ``sqrt``, scale, ``exp``
-    and row sums) run in L2-sized row blocks on the pool
-    (:func:`geometry._map_kernel_blocks`), so the field is the one of the
-    plain loop bit for bit.
+    ``noise`` may hold several columns; they share one kernel matrix. The
+    query rows go in row blocks on the pool (:func:`geometry._map_kernel_blocks`):
+    each block computes its exact distances into the running thread's buffer,
+    turns them into kernel weights ``exp(-d/h)``, and writes its rows of
+    ``kernel @ noise`` over the row sums. No kernel larger than a block is
+    allocated.
     """
     cols = noise if noise.ndim == 2 else noise[:, None]
-    n, m = len(query), len(anchors)
-    out = np.empty((n, cols.shape[1]))
-    row_sums = np.empty(n)
-    a2 = (anchors * anchors).sum(axis=1)
+    out = np.empty((len(query), cols.shape[1]))
     scale = -1.0 / bandwidth
-    chunks = _chunks(n, _CHUNK_DOUBLES // max(m, 1))
-    kernel = np.empty((chunks[0].stop if chunks else 0, m))
-    for sl in chunks:
-        q, w, s = query[sl], kernel[: sl.stop - sl.start], row_sums[sl]
-        np.matmul(q, anchors.T, out=w)
 
-        def block(b: slice, tmp: np.ndarray) -> None:
-            qb, wb = q[b], w[b]
-            np.add((qb * qb).sum(axis=1)[:, None], a2[None, :], out=tmp)
-            wb *= 2.0
-            np.subtract(tmp, wb, out=wb)  # |q|^2 + |a|^2 - 2 q.a
-            np.maximum(wb, 0.0, out=wb)
-            np.sqrt(wb, out=wb)
-            wb *= scale
-            np.exp(wb, out=wb)
-            s[b] = wb.sum(axis=1)
+    def block(sl: slice, k: np.ndarray) -> None:
+        pairwise_distances(query[sl], anchors, out=k)
+        k *= scale
+        np.exp(k, out=k)
+        out[sl] = (k @ cols) / k.sum(axis=1)[:, None]
 
-        _map_kernel_blocks([(block, len(q), m)], _CHUNK_DOUBLES)
-        out[sl] = (w @ cols) / s[:, None]
+    _map_kernel_blocks([(block, len(query), len(anchors))])
     return out if noise.ndim == 2 else out[:, 0]
 
 
@@ -157,7 +129,15 @@ def generate(scenario: SimScenario, seed: int) -> SimData:
         raise ValueError(f"unsupported simulation family {scenario.family!r}")
     if scenario.multiscale is not None and not all(0.0 < h < np.inf for h in scenario.multiscale):
         raise ValueError("multiscale bandwidths must be finite and positive")
+    if scenario.n_train < 1:
+        raise ValueError(f"n_train must be at least 1, got {scenario.n_train}")
+    if scenario.n_test < 0:
+        raise ValueError(f"n_test must be nonnegative, got {scenario.n_test}")
     coef = scenario.coefficients()
+    if not np.isfinite(coef).all():
+        raise ValueError("beta0 and beta must be finite")
+    if not 0.0 <= scenario.field_noise_sd < np.inf:
+        raise ValueError("field_noise_sd must be finite and nonnegative")
     side = MULTISCALE_DOMAIN_SIDE if scenario.multiscale is not None else 1.0
     n = scenario.n_train
     train_pts = _rng(seed, _S_TRAIN_SITES).random((n, 2)) * side

@@ -20,7 +20,8 @@ from cfglmm.experts import (
 from cfglmm.families import add_intercept
 from cfglmm.geometry import bbox_diagonal, center_count, pairwise_distances
 from cfglmm.prediction import Predictions, band_index
-from cfglmm.simulate import _CHUNK_DOUBLES as _SMOOTH_CHUNK_DOUBLES
+
+_SMOOTH_CHUNK_DOUBLES = 8_000_000
 
 
 def grid_poe_moments(mus, sigma2s, weights, n_grid=40001, span=14.0):

@@ -64,6 +64,15 @@ class TestSimulateCommand:
         parts = [float(r["Z1"]) + float(r["Z2"]) + float(r["Z3"]) for r in rows]
         np.testing.assert_allclose(z, parts, rtol=1e-9)
 
+    @pytest.mark.parametrize("args,field", [
+        (["--n", "0"], "n_train"), (["--test", "-1"], "n_test"), (["--beta0", "nan"], "beta0"),
+    ])
+    def test_unusable_scenario_exit_3(self, tmp_path, capsys, args, field):
+        code = main(["simulate", "--n", "50", "--test", "10", *args, "--out", str(tmp_path / "bad")])
+        assert code == 3
+        assert field in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())  # nothing written
+
     @pytest.mark.parametrize("bands", ["0", "-1", "nan"])
     def test_bad_multiscale_bandwidth_exit_3(self, tmp_path, capsys, bands):
         code = main(["simulate", "--n", "50", "--test", "0", f"--multiscale={bands}",

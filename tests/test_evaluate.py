@@ -170,10 +170,11 @@ class TestInSampleFromCache:
     @pytest.mark.parametrize("family", ["poisson", "bernoulli", "gaussian"])
     @pytest.mark.parametrize("chunk_doubles", [None, 20_000], ids=["default_chunks", "many_chunks"])
     def test_predict_at_training_sites_is_the_cache(self, family, chunk_doubles, monkeypatch):
-        from cfglmm import experts
+        from cfglmm import experts, geometry
 
-        if chunk_doubles is not None:
+        if chunk_doubles is not None:  # small stack groups and small row blocks
             monkeypatch.setattr(experts, "_CHUNK_DOUBLES", chunk_doubles)
+            monkeypatch.setattr(geometry, "_BLOCK_DOUBLES", chunk_doubles)
         if family == "gaussian":
             from oracles import gaussian_spatial_dataset
 

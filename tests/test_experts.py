@@ -140,38 +140,62 @@ def _assert_layers_equal(got: ScaleLayer, want: ScaleLayer):
     assert len(got.mu) == 1 or not got.active.all()
 
 
+def _assert_layers_close(got: ScaleLayer, want: ScaleLayer, targets):
+    """The tolerance of ``fit_layer`` against the serial chunk loop: ``mu`` and
+    ``raw_mean`` within ``rtol=1e-12, atol=1e-12 * max|t|``, ``sigma2`` and
+    ``tau2`` within ``rtol=1e-12``, ``active`` identical."""
+    atol = 1e-12 * np.abs(targets).max()
+    for field in ("mu", "raw_mean"):
+        np.testing.assert_allclose(getattr(got, field), getattr(want, field), rtol=1e-12, atol=atol, err_msg=field)
+    np.testing.assert_allclose(got.sigma2, want.sigma2, rtol=1e-12, atol=0.0)
+    assert got.tau2 == pytest.approx(want.tau2, rel=1e-12, abs=0.0)
+    np.testing.assert_array_equal(got.active, want.active)
+    np.testing.assert_array_equal(got.centers, want.centers)
+    assert got.bandwidth == want.bandwidth
+    assert len(got.mu) == 1 or not got.active.all()
+
+
+def _on_one_worker(monkeypatch, fn, *args):
+    """``fn(*args)`` with every kernel block run on the calling thread."""
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "POOL_WORKERS", 1)
+        return fn(*args)
+
+
 class TestFitLayerBitwise:
-    """The pooled ``fit_layer`` equals the serial reference bit for bit."""
+    """The pooled ``fit_layer`` has the bits of a run on one worker, and is
+    within the stated tolerance of the serial chunk loop."""
 
     @pytest.mark.parametrize("n_chunks", [1, 2, 3, 5])
     @pytest.mark.parametrize("last", [1, 36], ids=["remainder1", "remainder_width-1"])
     def test_short_last_chunk(self, n_chunks, last, monkeypatch):
         n_pts, width = 300, 37
         chunk_doubles = width * n_pts
-        monkeypatch.setattr(experts, "_CHUNK_DOUBLES", chunk_doubles)
+        monkeypatch.setattr(geometry, "_BLOCK_DOUBLES", chunk_doubles)  # blocks of the oracle's chunks
         args = _fit_inputs(n_chunks, n_pts, (n_chunks - 1) * width + last)
         got = fit_layer(*args, FitConfig())
-        _assert_layers_equal(got, ref_fit_layer(*args, FitConfig(), chunk_doubles=chunk_doubles))
+        _assert_layers_equal(got, _on_one_worker(monkeypatch, fit_layer, *args, FitConfig()))
+        _assert_layers_close(got, ref_fit_layer(*args, FitConfig(), chunk_doubles=chunk_doubles), args[0])
 
     def test_default_chunk_width(self):
-        # 2500 sites: 1600 centers per chunk, so three chunks, the last of 1
+        # 2500 sites: the oracle takes 1600 centers per chunk, so three chunks, the last of 1
         args = _fit_inputs(7, 2500, 3201)
-        _assert_layers_equal(fit_layer(*args, FitConfig()), ref_fit_layer(*args, FitConfig()))
+        _assert_layers_close(fit_layer(*args, FitConfig()), ref_fit_layer(*args, FitConfig()), args[0])
 
     def test_more_workers_than_cores(self, monkeypatch):
         """Eight workers, one buffer each, and a short switch interval: a
-        buffer shared by two chunks in flight, or a lost slice, breaks equality."""
+        buffer shared by two blocks in flight, or a lost block, breaks equality."""
         n_pts, width = 2000, 16
-        chunk_doubles = width * n_pts
-        monkeypatch.setattr(experts, "_CHUNK_DOUBLES", chunk_doubles)
+        monkeypatch.setattr(geometry, "_BLOCK_DOUBLES", width * n_pts)
+        args = _fit_inputs(11, n_pts, 40 * width + 1)
+        want = _on_one_worker(monkeypatch, fit_layer, *args, FitConfig())
+        _assert_layers_close(want, ref_fit_layer(*args, FitConfig()), args[0])
         monkeypatch.setattr(geometry, "POOL_WORKERS", 8)
-        pool = ThreadPoolExecutor(max_workers=8, thread_name_prefix="test-chunk")
+        pool = _worker_pool(8)
         monkeypatch.setattr(geometry, "_POOL", pool)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            args = _fit_inputs(11, n_pts, 40 * width + 1)
-            want = ref_fit_layer(*args, FitConfig(), chunk_doubles=chunk_doubles)
             for _ in range(5):
                 _assert_layers_equal(fit_layer(*args, FitConfig()), want)
         finally:
@@ -248,12 +272,9 @@ class TestEvaluateLayer:
 
 
 def _row_blocks(rows: int, cols: int) -> list[slice]:
-    """The row blocks of a kernel of ``experts``, at its current chunk size."""
-    return geometry._row_blocks(rows, cols, experts._CHUNK_DOUBLES)
-
-
-def _serial_chunk_map(fn, slices):
-    return [fn(s) for s in slices]
+    """The row blocks of a ``rows`` by ``cols`` kernel: ``_BLOCK_DOUBLES // cols``
+    rows each (at least one), the last block shorter (see ``test_block_rule``)."""
+    return geometry._chunks(rows, geometry._BLOCK_DOUBLES // max(cols, 1))
 
 
 def _record_blocks(monkeypatch) -> list[tuple[str, int, slice, str, str, bool]]:
@@ -263,7 +284,7 @@ def _record_blocks(monkeypatch) -> list[tuple[str, int, slice, str, str, bool]]:
     calls = []
     real = experts._map_kernel_blocks
 
-    def spy(kernels, chunk_doubles):
+    def spy(kernels):
         caller = threading.current_thread().name
 
         def recorded(fn, cols):
@@ -274,7 +295,7 @@ def _record_blocks(monkeypatch) -> list[tuple[str, int, slice, str, str, bool]]:
 
             return block
 
-        return real([(recorded(fn, cols), rows, cols) for fn, rows, cols in kernels], chunk_doubles)
+        return real([(recorded(fn, cols), rows, cols) for fn, rows, cols in kernels])
 
     monkeypatch.setattr(experts, "_map_kernel_blocks", spy)
     return calls
@@ -296,23 +317,30 @@ def _assert_evaluations_equal(got, want):
     np.testing.assert_array_equal(got.variance, want.variance)
 
 
+def _assert_evaluations_close(got, want, layer):
+    """The tolerance of ``evaluate_layer`` against the serial chunk loop: mean
+    within ``rtol=1e-12, atol=1e-12 * max|mu_active|``, variance within
+    ``rtol=1e-12``."""
+    atol = 1e-12 * np.abs(layer.mu[layer.active]).max()
+    np.testing.assert_allclose(got.mean, want.mean, rtol=1e-12, atol=atol)
+    np.testing.assert_allclose(got.variance, want.variance, rtol=1e-12, atol=0.0)
+
+
 class TestEvaluateLayerBitwise:
-    """The pooled ``evaluate_layer`` equals the serial chunk loop bit for bit."""
+    """The pooled ``evaluate_layer`` has the bits of a run on one worker, and
+    is within the stated tolerance of the serial chunk loop."""
 
     @pytest.mark.parametrize("n_chunks,last", [(1, 37), (2, 37), (2, 1), (5, 1), (6, 20)])
     def test_chunks_match_serial(self, n_chunks, last, monkeypatch):
         n_experts, width = 300, 37
         layer, sites = _eval_inputs(n_chunks, (n_chunks - 1) * width + last, n_experts)
         chunk_doubles = width * (n_experts - 1)  # one expert inactive
-        monkeypatch.setattr(experts, "_CHUNK_DOUBLES", chunk_doubles)
         monkeypatch.setattr(geometry, "_BLOCK_DOUBLES", 8 * (n_experts - 1))  # 8-row blocks
         calls = _record_blocks(monkeypatch)
         got = evaluate_layer(layer, sites)
-        assert sorted((c[2] for c in calls), key=lambda b: b.start) == _row_blocks(len(sites), n_experts - 1)
-        assert len(calls) > n_chunks or len(sites) < 8
-        monkeypatch.setattr(geometry, "chunk_map", _serial_chunk_map)
-        _assert_evaluations_equal(got, evaluate_layer(layer, sites))
-        _assert_evaluations_equal(got, ref_evaluate_layer(layer, sites, chunk_doubles=chunk_doubles))
+        assert sorted((c[2] for c in calls), key=lambda b: b.start) == geometry._chunks(len(sites), 8)
+        _assert_evaluations_equal(got, _on_one_worker(monkeypatch, evaluate_layer, layer, sites))
+        _assert_evaluations_close(got, ref_evaluate_layer(layer, sites, chunk_doubles=chunk_doubles), layer)
         assert np.isfinite(got.variance[-1]) and got.mean[-1] != 0.0  # the dead site
 
     def test_more_workers_than_cores(self, monkeypatch):
@@ -320,10 +348,9 @@ class TestEvaluateLayerBitwise:
         buffer shared by two blocks in flight, or a lost block, breaks equality."""
         n_experts, width = 400, 16
         layer, sites = _eval_inputs(11, 40 * width + 3, n_experts)
-        chunk_doubles = width * (n_experts - 1)
-        monkeypatch.setattr(experts, "_CHUNK_DOUBLES", chunk_doubles)
         monkeypatch.setattr(geometry, "_BLOCK_DOUBLES", 4 * (n_experts - 1))
-        want = ref_evaluate_layer(layer, sites, chunk_doubles=chunk_doubles)
+        want = _on_one_worker(monkeypatch, evaluate_layer, layer, sites)
+        _assert_evaluations_close(want, ref_evaluate_layer(layer, sites, chunk_doubles=width * (n_experts - 1)), layer)
         monkeypatch.setattr(geometry, "POOL_WORKERS", 8)
         pool = _worker_pool(8)
         monkeypatch.setattr(geometry, "_POOL", pool)
@@ -384,9 +411,9 @@ class TestEvaluateLayerBitwise:
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=300)
 
 
-# (rows per chunk, chunk count, last chunk's rows) at 8-row blocks: chunks of
-# 36-39 rows end in 0-3 tail rows; a 41-row chunk ends in a 1-row block that
-# joins the one before it; 1-row chunks are single blocks.
+# (rows per chunk of the serial oracle, chunk count, last chunk's rows) at
+# 8-row blocks: blocks that end 0-3 rows before a chunk boundary, that cross
+# one, a last chunk shorter than a block, and one-row chunks.
 BLOCK_CASES = {
     "tail0": (36, 3, 36),
     "tail1": (37, 3, 33),
@@ -399,69 +426,62 @@ BLOCK_CASES = {
 
 
 class TestKernelBlocks:
-    """Row blocks of ``_BLOCK_DOUBLES`` entries inside ``_CHUNK_DOUBLES``
-    chunks give the bits of one gemv per chunk."""
+    """Row blocks of about ``_BLOCK_DOUBLES`` entries, cut from the kernel's
+    shape alone: the passes have the bits of one worker and stay within the
+    stated tolerance of the serial chunk loop, whatever its chunks."""
 
-    @pytest.mark.parametrize("rows,cols,chunk,block", [
-        (0, 10, 100, 40), (1, 10, 100, 40), (10, 10, 100, 40), (100, 10, 370, 80), (97, 10, 410, 80),
-        (50, 10, 5, 80), (50, 1000, 4_000_000, 1000), (12_345, 3750, 4_000_000, 65_536), (9, 0, 100, 40),
+    @pytest.mark.parametrize("rows,cols,block", [
+        (0, 10, 40), (1, 10, 40), (10, 10, 40), (100, 10, 80), (97, 10, 80),
+        (50, 10, 80), (50, 1000, 1000), (12_345, 3750, 65_536), (9, 0, 40),
     ])
-    def test_block_rule(self, rows, cols, chunk, block, monkeypatch):
+    def test_block_rule(self, rows, cols, block, monkeypatch):
+        """Consecutive blocks of ``block // cols`` rows (at least one) cover
+        the rows; only the last may be shorter; each gets a buffer of its shape."""
         monkeypatch.setattr(geometry, "_BLOCK_DOUBLES", block)
-        width = max(1, chunk // max(cols, 1))
-        blocks = geometry._row_blocks(rows, cols, chunk)
+        blocks = []
+
+        def record(sl, out):
+            assert out.shape == (sl.stop - sl.start, cols)
+            blocks.append(sl)
+
+        geometry._map_kernel_blocks([(record, rows, cols)])
+        blocks.sort(key=lambda b: b.start)
         assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
         assert (blocks[0].start, blocks[-1].stop) == (0, rows) if rows else blocks == []
-        for b in blocks:
-            into = b.start % width  # rows from the start of its chunk
-            assert into % 4 == 0
-            assert b.stop - b.start + into <= width  # never crosses a chunk boundary
-            chunk_stop = min(b.start - into + width, rows)
-            if b.stop < chunk_stop:  # not the chunk's last block: whole 4-row groups
-                assert (b.stop - b.start) % 4 == 0
-            else:  # the chunk's tail rows, in a block of at least 4 rows when the chunk has them
-                assert b.stop - b.start >= min(4, chunk_stop - (b.start - into))
+        step = max(1, block // max(cols, 1))
+        assert all(b.stop - b.start == step for b in blocks[:-1])
+        assert all(0 < b.stop - b.start <= step for b in blocks[-1:])
 
     @pytest.mark.parametrize("case", BLOCK_CASES.values(), ids=BLOCK_CASES.keys())
     def test_fit_layer_matches_chunk_loop(self, case, monkeypatch):
         width, n_chunks, last = case
         n_pts = 300
-        chunk_doubles = width * n_pts
-        monkeypatch.setattr(experts, "_CHUNK_DOUBLES", chunk_doubles)
         monkeypatch.setattr(geometry, "_BLOCK_DOUBLES", 8 * n_pts)
         args = _fit_inputs(width + n_chunks, n_pts, (n_chunks - 1) * width + last)
         calls = _record_blocks(monkeypatch)
         got = fit_layer(*args, FitConfig())
-        assert sorted((c[2] for c in calls), key=lambda b: b.start) == _row_blocks(len(args[3]), n_pts)
-        _assert_layers_equal(got, ref_fit_layer(*args, FitConfig(), chunk_doubles=chunk_doubles))
+        assert sorted((c[2] for c in calls), key=lambda b: b.start) == geometry._chunks(len(args[3]), 8)
+        _assert_layers_equal(got, _on_one_worker(monkeypatch, fit_layer, *args, FitConfig()))
+        _assert_layers_close(got, ref_fit_layer(*args, FitConfig(), chunk_doubles=width * n_pts), args[0])
 
     @pytest.mark.parametrize("case", BLOCK_CASES.values(), ids=BLOCK_CASES.keys())
     def test_evaluate_layer_matches_chunk_loop(self, case, monkeypatch):
         width, n_chunks, last = case
         n_experts = 301  # 300 active
-        chunk_doubles = width * (n_experts - 1)
-        monkeypatch.setattr(experts, "_CHUNK_DOUBLES", chunk_doubles)
         monkeypatch.setattr(geometry, "_BLOCK_DOUBLES", 8 * (n_experts - 1))
         layer, sites = _eval_inputs(width + n_chunks, (n_chunks - 1) * width + last, n_experts)
         got = evaluate_layer(layer, sites)
-        _assert_evaluations_equal(got, ref_evaluate_layer(layer, sites, chunk_doubles=chunk_doubles))
+        _assert_evaluations_equal(got, _on_one_worker(monkeypatch, evaluate_layer, layer, sites))
+        want = ref_evaluate_layer(layer, sites, chunk_doubles=width * (n_experts - 1))
+        _assert_evaluations_close(got, want, layer)
         assert np.isfinite(got.variance[-1]) and got.mean[-1] != 0.0  # the dead site
 
     @pytest.mark.parametrize("n_sites,n_experts", [(2000, 3750), (50_001, 7), (3, 5000), (9001, 1066)])
     def test_default_sizes_match_chunk_loop(self, n_sites, n_experts):
-        """At the default constants, in a child process with one BLAS thread:
-        with more, gemv splits each call's rows between its threads at half
-        the call's rows, so a block and a chunk are split differently."""
-        code = (
-            "from test_experts import _eval_inputs, _assert_evaluations_equal\n"
-            "from oracles import ref_evaluate_layer\n"
-            "from cfglmm import evaluate_layer\n"
-            f"layer, sites = _eval_inputs({n_sites}, {n_sites}, {n_experts})\n"
-            "_assert_evaluations_equal(evaluate_layer(layer, sites), ref_evaluate_layer(layer, sites))\n"
-        )
-        paths = [os.path.dirname(__file__), os.path.dirname(os.path.dirname(experts.__file__))]
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(paths)}
-        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=300)
+        """At the default constants, the oracle's chunks and the blocks both
+        of the default sizes."""
+        layer, sites = _eval_inputs(n_sites, n_sites, n_experts)
+        _assert_evaluations_close(evaluate_layer(layer, sites), ref_evaluate_layer(layer, sites), layer)
 
     def test_more_workers_than_cores(self, monkeypatch):
         """Eight workers with a 1 µs switch interval, across every case above."""

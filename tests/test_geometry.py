@@ -3,7 +3,6 @@ import math
 import multiprocessing
 import os
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from oracles import ref_lattice_means, ref_pairwise_distances
 
 from cfglmm import bbox_diagonal, center_count, kernel_weight, place_centers
 from cfglmm import geometry
-from cfglmm.geometry import _assign_nearest, _chunks, _lattice_means, _pin_worker, chunk_map, pairwise_distances
+from cfglmm.geometry import _assign_nearest, _chunks, _lattice_means, _pin_worker, pairwise_distances
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
@@ -297,52 +296,80 @@ class TestBitwiseReference:
         assert np.array_equal(got, want)
 
 
-def _name_of_thread(_sl):
-    return threading.current_thread().name
+@pytest.fixture
+def two_workers(monkeypatch):
+    """The library's pool made with two workers, whatever the CPU count, and
+    kernels cut into one-row blocks (a kernel of ``rows`` by 1)."""
+    monkeypatch.setattr(geometry, "_BLOCK_DOUBLES", 1)
+    monkeypatch.setattr(geometry, "POOL_WORKERS", 2)
+    monkeypatch.setattr(geometry, "_POOL", geometry._POOL)
+    geometry._renew_pool()
+    yield
+    geometry._POOL.shutdown(wait=True)
 
 
-def _chunk_map_in_child():
-    # exit code 0 only if the pool still runs work after the fork
-    raise SystemExit(0 if chunk_map(_name_of_thread, _chunks(4, 1))[0].startswith("cfglmm-chunk") else 1)
+def _block_threads(rows: int) -> list[str]:
+    """The thread that ran each one-row block of a ``rows`` by 1 kernel, in row order."""
+    names = [""] * rows
+
+    def record(sl, out):
+        assert out.shape == (1, 1)
+        names[sl.start] = threading.current_thread().name
+
+    geometry._map_kernel_blocks([(record, rows, 1)])
+    return names
 
 
-def _nested_chunk_map_in_child():
+def _blocks_in_child():
+    # exit code 0 only if the pool still runs blocks after the fork
+    raise SystemExit(0 if all(n.startswith("cfglmm-chunk") for n in _block_threads(4)) else 1)
+
+
+def _nested_blocks_in_child():
     # exit code 0 only if each call made on a pool worker ran on that worker
-    def outer(_sl):
-        return threading.current_thread().name, chunk_map(_name_of_thread, _chunks(4, 1))
+    got = {}
 
-    got = chunk_map(outer, _chunks(2 * geometry.POOL_WORKERS, 1))
+    def outer(sl, out):
+        got[sl.start] = threading.current_thread().name, _block_threads(4)
+
+    geometry._map_kernel_blocks([(outer, 2 * geometry.POOL_WORKERS, 1)])
     ok = len(got) == 2 * geometry.POOL_WORKERS and all(
-        worker.startswith("cfglmm-chunk") and inner == [worker] * 4 for worker, inner in got
+        worker.startswith("cfglmm-chunk") and inner == [worker] * 4 for worker, inner in got.values()
     )
     raise SystemExit(0 if ok else 1)
 
 
+def _join_child(target) -> int:
+    """Run ``target`` in a forked child, killed if it hangs; its exit code."""
+    child = multiprocessing.get_context("fork").Process(target=target)
+    child.start()
+    child.join(timeout=30)
+    alive = child.is_alive()
+    if alive:
+        child.kill()
+        child.join()
+    assert not alive, f"{target.__name__} hung"
+    return child.exitcode
+
+
 class TestChunkMap:
-    def test_results_in_chunk_order(self):
-        slices = _chunks(10, 3)
-        assert [s.stop - s.start for s in slices] == [3, 3, 3, 1]
+    """The worker pool behind ``_map_kernel_blocks``."""
 
-        def slow_first(sl):
-            time.sleep(0.02 * (len(slices) - sl.start // 3))
-            return sl.start
-
-        assert chunk_map(slow_first, slices) == [0, 3, 6, 9]
-
-    def test_runs_on_named_pool_threads(self):
-        names = chunk_map(_name_of_thread, _chunks(4, 1))
-        assert all(n.startswith("cfglmm-chunk") for n in names)
-        assert chunk_map(_name_of_thread, _chunks(4, 4)) == [threading.current_thread().name]
+    def test_runs_on_named_pool_threads(self, two_workers):
+        assert all(n.startswith("cfglmm-chunk") for n in _block_threads(4))
+        assert _block_threads(1) == [threading.current_thread().name]  # one block: the caller runs it
 
     @pytest.mark.skipif(geometry.POOL_WORKERS < 2 or not hasattr(os, "sched_setaffinity"), reason="one CPU")
-    def test_each_worker_pinned_to_its_own_cpu(self):
+    def test_each_worker_pinned_to_its_own_cpu(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_BLOCK_DOUBLES", 1)
         barrier = threading.Barrier(geometry.POOL_WORKERS)
+        got = []
 
-        def affinity(_sl):
-            barrier.wait(timeout=30)  # every worker holds one chunk
-            return frozenset(os.sched_getaffinity(0))
+        def affinity(sl, out):
+            barrier.wait(timeout=30)  # every worker holds one block
+            got.append(frozenset(os.sched_getaffinity(0)))
 
-        got = chunk_map(affinity, _chunks(geometry.POOL_WORKERS, 1))
+        geometry._map_kernel_blocks([(affinity, geometry.POOL_WORKERS, 1)])
         assert sorted(map(sorted, got)) == [[c] for c in sorted(os.sched_getaffinity(0))]
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no thread affinity")
@@ -362,37 +389,20 @@ class TestChunkMap:
         assert got == [{cpus[(len(cpus) + 1) % len(cpus)]}, set(cpus)]
         assert os.sched_getaffinity(0) == set(cpus)  # the caller is never pinned
 
-    def test_call_from_a_pool_worker_runs_inline(self):
+    def test_call_from_a_pool_worker_runs_inline(self, two_workers):
         """A pool worker that called the pool and waited on it could deadlock
         it; its calls run on itself instead, and return. Run in a child
         process, which is killed if it hangs."""
-        child = multiprocessing.get_context("fork").Process(target=_nested_chunk_map_in_child)
-        child.start()
-        child.join(timeout=30)
-        alive = child.is_alive()
-        if alive:
-            child.kill()
-            child.join()
-        assert not alive, "chunk_map hung when called from a pool worker"
-        assert child.exitcode == 0
+        assert _join_child(_nested_blocks_in_child) == 0
 
-    def test_error_of_a_chunk_reaches_the_caller(self):
-        def fail_at_two(sl):
+    def test_error_of_a_chunk_reaches_the_caller(self, two_workers):
+        def fail_at_two(sl, out):
             if sl.start == 2:
                 raise KeyError(sl.start)
-            return sl.start
 
         with pytest.raises(KeyError):
-            chunk_map(fail_at_two, _chunks(4, 1))
+            geometry._map_kernel_blocks([(fail_at_two, 4, 1)])
 
-    def test_pool_works_in_forked_child(self):
-        chunk_map(_name_of_thread, _chunks(4, 1))  # start the parent's workers
-        child = multiprocessing.get_context("fork").Process(target=_chunk_map_in_child)
-        child.start()
-        child.join(timeout=30)
-        alive = child.is_alive()
-        if alive:
-            child.kill()
-            child.join()
-        assert not alive, "chunk_map hung in a forked child"
-        assert child.exitcode == 0
+    def test_pool_works_in_forked_child(self, two_workers):
+        _block_threads(4)  # start the parent's workers
+        assert _join_child(_blocks_in_child) == 0

@@ -175,16 +175,19 @@ def _pool_budget_sites(model):
 
 def _set_budget_to(monkeypatch, model, n_sites):
     """Make ``n_sites`` the exact group edge: ``_CHUNK_DOUBLES`` holds the
-    results of every layer at ``n_sites`` sites. It also cuts the layers into
-    several row blocks each."""
-    monkeypatch.setattr(experts, "_CHUNK_DOUBLES", 2 * n_sites * len(model.layers))
+    results of every layer at ``n_sites`` sites. Row blocks of as many kernel
+    entries cut the larger layers into several blocks each."""
+    budget = 2 * n_sites * len(model.layers)
+    monkeypatch.setattr(experts, "_CHUNK_DOUBLES", budget)
+    monkeypatch.setattr(geometry, "_BLOCK_DOUBLES", budget)
 
 
 def _blocks(model, n_sites):
     """Every (layer size, block) of a direct ``evaluate_layer`` call per layer,
     largest first, ties in layer and row order."""
-    chunk = experts._CHUNK_DOUBLES
-    items = [(l.n_active, b) for l in model.layers for b in geometry._row_blocks(n_sites, l.n_active, chunk)]
+    items = [
+        (l.n_active, b) for l in model.layers for b in geometry._chunks(n_sites, geometry._BLOCK_DOUBLES // l.n_active)
+    ]
     return sorted(items, key=lambda item: -item[0] * (item[1].stop - item[1].start))
 
 
@@ -214,9 +217,9 @@ class _Spy:
             out.setdefault(name, []).append(cols * (sl.stop - sl.start))
         return out
 
-    def __call__(self, kernels, chunk_doubles):
+    def __call__(self, kernels):
         self.groups.append([cols for _, _, cols in kernels])
-        return self.real([(self._wrap(fn, cols), rows, cols) for fn, rows, cols in kernels], chunk_doubles)
+        return self.real([(self._wrap(fn, cols), rows, cols) for fn, rows, cols in kernels])
 
     def _wrap(self, fn, cols):
         def block(sl, out):
@@ -332,6 +335,7 @@ class TestEvaluateStack:
         workers(2)
         model = _stack_model(rng)
         monkeypatch.setattr(experts, "_CHUNK_DOUBLES", 2 * 257)  # one layer's results at 257 sites
+        monkeypatch.setattr(geometry, "_BLOCK_DOUBLES", 2 * 257)  # several blocks per layer
         sites, x, off = _query(rng, 257)
         want = ref_predict(model, sites, x, off)
         s = spy(delay=0.001)

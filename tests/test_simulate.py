@@ -1,7 +1,5 @@
-import filecmp
+import csv
 import itertools
-import os
-import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -10,6 +8,7 @@ import numpy as np
 import pytest
 from oracles import ref_smooth
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 from cfglmm import SimScenario, gen_binomial, gen_poisson, generate, geometry, simulate, validate_dataset
 from cfglmm.cli import main
@@ -175,6 +174,17 @@ class TestGenerate:
         with pytest.raises(ValueError, match="unsupported simulation family"):
             generate(SimScenario(family="gaussian"), seed=0)
 
+    @pytest.mark.parametrize("field,kw", [
+        ("n_train", {"n_train": 0}), ("n_train", {"n_train": -3}), ("n_test", {"n_test": -1}),
+        ("beta0", {"beta0": np.nan}), ("beta", {"beta": (0.5, np.inf)}),
+        ("field_noise_sd", {"field_noise_sd": np.nan}), ("field_noise_sd", {"field_noise_sd": -0.1}),
+        ("field_noise_sd", {"field_noise_sd": np.inf}),
+    ], ids=["n_train0", "n_train-3", "n_test-1", "beta0_nan", "beta_inf", "noise_nan", "noise_negative", "noise_inf"])
+    def test_unusable_scenario_rejected(self, field, kw):
+        scn = SimScenario(**{"n_train": 50, "n_test": 10, **kw})
+        with pytest.raises(ValueError, match=field):
+            generate(scn, seed=0)
+
     @pytest.mark.parametrize("h", [0.0, -1.0, np.nan, np.inf])
     def test_bad_multiscale_bandwidth_rejected(self, h):
         with pytest.raises(ValueError, match="finite and positive"):
@@ -212,9 +222,37 @@ def _smooth_inputs(seed: int, n_query: int, n_anchors: int, n_cols: int):
     return query, anchors, rng.normal(size=(n_anchors, n_cols))
 
 
-# (rows per chunk, chunk count, last chunk's rows) at 8-row blocks: chunks of
-# 36-39 rows end in 0-3 tail rows; a 41-row chunk ends in a 1-row block that
-# joins the one before it; 1-row chunks are single blocks of one row.
+def _exact_smooth(query, anchors, bandwidth, noise):
+    """The field from exact distances, one dense kernel."""
+    k = np.exp(cdist(query, anchors) * (-1.0 / bandwidth))
+    s = k.sum(axis=1)
+    return (k @ noise) / (s[:, None] if noise.ndim == 2 else s)
+
+
+def _assert_smooth_close(got, query, anchors, bandwidth, noise, **ref_kw):
+    """``_smooth``'s tolerances: within ``rtol=1e-12, atol=1e-12 * max|noise|``
+    of the exact-distance field, and within ``2 * sqrt(8 * eps * R2) / h *
+    max|noise|`` of the serial chunk loop, whose expanded-square distances
+    ``sqrt(|q|^2 + |a|^2 - 2 q.a)`` err by up to ``sqrt(8 * eps * R2)``, R2 the
+    largest squared norm of a query or anchor."""
+    scale = np.abs(noise).max()
+    np.testing.assert_allclose(got, _exact_smooth(query, anchors, bandwidth, noise), rtol=1e-12, atol=1e-12 * scale)
+    r2 = max((query * query).sum(axis=1).max(), (anchors * anchors).sum(axis=1).max())
+    bound = 2.0 * np.sqrt(8.0 * np.finfo(float).eps * r2) / bandwidth * scale
+    err = np.abs(got - ref_smooth(query, anchors, bandwidth, noise, **ref_kw)).max()
+    assert err <= bound, (err, bound)
+
+
+def _smooth_one_worker(monkeypatch, *args):
+    """``_smooth(*args)`` with every row block run on the calling thread."""
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "POOL_WORKERS", 1)
+        return simulate._smooth(*args)
+
+
+# (rows per chunk of the serial oracle, chunk count, last chunk's rows) at
+# 8-row blocks: blocks that end 0-3 rows before a chunk boundary, that cross
+# one, a last chunk shorter than a block, and one-row chunks.
 SMOOTH_CASES = {
     "tail0": (36, 3, 36),
     "tail1": (37, 3, 33),
@@ -227,20 +265,24 @@ SMOOTH_CASES = {
 
 
 class TestSmoothBlocks:
-    """``_smooth``, its kernel built in row blocks on the pool between the
-    chunk's two matrix products, equals the serial chunk loop bit for bit."""
+    """``_smooth``, one pass of row blocks on the pool: the bits of a run on
+    one worker, within ``rtol=1e-12`` of exact distances, and within the
+    expanded-square error of the serial chunk loop."""
 
     @pytest.mark.parametrize("n_cols", [1, 3])
-    def test_one_row_query(self, n_cols):
+    def test_one_row_query(self, n_cols, monkeypatch):
         query, anchors, noise = _smooth_inputs(n_cols, 1, 300, n_cols)
         query[0] = (0.4, 0.6)
         for u in (noise, noise[:, 0]):
-            assert np.array_equal(simulate._smooth(query, anchors, 0.1, u), ref_smooth(query, anchors, 0.1, u))
+            got = simulate._smooth(query, anchors, 0.1, u)
+            assert np.array_equal(got, _smooth_one_worker(monkeypatch, query, anchors, 0.1, u))
+            _assert_smooth_close(got, query, anchors, 0.1, u)
 
-    def test_far_query(self):
+    def test_far_query(self, monkeypatch):
         query, anchors, noise = _smooth_inputs(4, 50, 500, 3)
         got = simulate._smooth(query, anchors, 0.05, noise)
-        assert np.array_equal(got, ref_smooth(query, anchors, 0.05, noise))
+        assert np.array_equal(got, _smooth_one_worker(monkeypatch, query, anchors, 0.05, noise))
+        _assert_smooth_close(got, query, anchors, 0.05, noise)
         assert np.isfinite(got[-1]).all() and (got[-1] != 0.0).all()
 
     @pytest.mark.parametrize("n_cols", [1, 3])
@@ -248,12 +290,11 @@ class TestSmoothBlocks:
     def test_blocks_match_chunk_loop(self, case, n_cols, monkeypatch):
         width, n_chunks, last = case
         n_anchors = 300
-        chunk_doubles = width * n_anchors
-        monkeypatch.setattr(simulate, "_CHUNK_DOUBLES", chunk_doubles)
         monkeypatch.setattr(geometry, "_BLOCK_DOUBLES", 8 * n_anchors)
         query, anchors, noise = _smooth_inputs(width + n_chunks, (n_chunks - 1) * width + last, n_anchors, n_cols)
         got = simulate._smooth(query, anchors, 0.05, noise)
-        assert np.array_equal(got, ref_smooth(query, anchors, 0.05, noise, chunk_doubles=chunk_doubles))
+        assert np.array_equal(got, _smooth_one_worker(monkeypatch, query, anchors, 0.05, noise))
+        _assert_smooth_close(got, query, anchors, 0.05, noise, chunk_doubles=width * n_anchors)
         assert np.isfinite(got[-1]).all() and (got[-1] != 0.0).all()  # the far site
 
     def test_more_workers_than_cores(self, monkeypatch):
@@ -266,10 +307,10 @@ class TestSmoothBlocks:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            self.test_far_query()
+            self.test_far_query(monkeypatch)
             for n_cols in (1, 3):
-                self.test_one_row_query(n_cols)
-            for n_cols in (1, 3):  # these patch the constants for the rest of the test
+                self.test_one_row_query(n_cols, monkeypatch)
+            for n_cols in (1, 3):  # these patch the block size for the rest of the test
                 for case in SMOOTH_CASES.values():
                     self.test_blocks_match_chunk_loop(case, n_cols, monkeypatch)
         finally:
@@ -278,39 +319,33 @@ class TestSmoothBlocks:
 
     @pytest.mark.parametrize("n_query,n_anchors", [(5000, 5000), (2000, 5005)])
     def test_default_size_matches_chunk_loop(self, n_query, n_anchors):
-        """At the default constants (5000 anchors: chunks of 1600 rows, blocks
-        of 52), in a child process with one BLAS thread, as the kernels of
-        ``experts`` are checked. With 5005 anchors, OpenBLAS's SkylakeX gemm
-        gives the last five columns of ``query @ anchors.T`` bits that depend
-        on the row count, so a product cut into blocks fails here."""
-        code = (
-            "import numpy as np\n"
-            "from test_simulate import _smooth_inputs\n"
-            "from oracles import ref_smooth\n"
-            "from cfglmm.simulate import _smooth\n"
-            f"query, anchors, noise = _smooth_inputs(5, {n_query}, {n_anchors}, 3)\n"
-            "assert np.array_equal(_smooth(query, anchors, 0.05, noise), ref_smooth(query, anchors, 0.05, noise))\n"
-        )
-        paths = [os.path.dirname(__file__), os.path.dirname(os.path.dirname(simulate.__file__))]
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(paths)}
-        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=300)
+        """At the default constants: the oracle's chunks of 1600 rows (5000
+        anchors), the blocks of 52."""
+        query, anchors, noise = _smooth_inputs(5, n_query, n_anchors, 3)
+        _assert_smooth_close(simulate._smooth(query, anchors, 0.05, noise), query, anchors, 0.05, noise)
+
+    def test_training_sites_on_themselves(self):
+        """The training-site field of every ``generate`` call: the query is the
+        anchors. There the serial loop's expanded square errs most (1.1e-6 at
+        h = 0.012 against a bound of 4.4e-5)."""
+        _, anchors, noise = _smooth_inputs(8, 1, 5000, 3)
+        _assert_smooth_close(simulate._smooth(anchors, anchors, 0.012, noise), anchors, anchors, 0.012, noise)
 
     def test_peak_memory_one_chunk(self):
-        """One kernel buffer per call: a second chunk-sized array alive at once,
-        a temporary or a buffer per chunk, pushes the traced peak past it."""
+        """No kernel larger than a row block: the traced peak of a second call
+        stays below the pool's block buffers, the output and 8 MB of slack
+        (12 MB on two CPUs), where a 64 MB kernel of 1600 rows would not."""
         query, anchors, noise = _smooth_inputs(6, 5000, 5000, 3)
         simulate._smooth(query, anchors, 0.05, noise)  # the pool's threads and buffers exist
         tracemalloc.start()
         try:
-            simulate._smooth(query, anchors, 0.05, noise)
+            out = simulate._smooth(query, anchors, 0.05, noise)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < simulate._CHUNK_DOUBLES * 8 + 16 * 2**20, peak
+        assert peak < geometry.POOL_WORKERS * geometry._BLOCK_DOUBLES * 8 + out.nbytes + 8 * 2**20, peak
 
 
-# training sizes of 4, 5 and 7 mod 8, where cutting the distance product into
-# blocks would change its bits (see test_default_size_matches_chunk_loop)
 SIMULATE_ARGS = {
     "poisson": ["--family", "poisson", "--n", "3004", "--test", "1000", "--seed", "7"],
     "bernoulli": ["--family", "bernoulli", "--beta0", "-1.5", "--n", "1205", "--test", "700", "--seed", "4"],
@@ -318,11 +353,29 @@ SIMULATE_ARGS = {
 }
 
 
+def _read_columns(path) -> dict[str, list[str]]:
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    return {name: [r[j] for r in rows[1:]] for j, name in enumerate(rows[0])}
+
+
 @pytest.mark.parametrize("args", SIMULATE_ARGS.values(), ids=SIMULATE_ARGS.keys())
 def test_simulate_csvs_match_chunk_loop(args, tmp_path, monkeypatch):
-    """``cfglmm simulate`` writes the bytes of the serial chunk loop."""
+    """``cfglmm simulate`` writes the CSVs of the serial chunk loop: the same
+    sites, labels and responses, and every derived value (covariates, ``mu``,
+    ``z`` and components) within ``rtol=1e-6, atol=1e-6``. The fields move by
+    at most a few 1e-7 here, within ``_smooth``'s bound against the loop."""
     assert main(["simulate", *args, "--out", str(tmp_path / "blocks")]) == 0
     monkeypatch.setattr(simulate, "_smooth", ref_smooth)
     assert main(["simulate", *args, "--out", str(tmp_path / "loop")]) == 0
     for suffix in ("_train.csv", "_test.csv", "_truth.csv"):
-        assert filecmp.cmp(tmp_path / f"blocks{suffix}", tmp_path / f"loop{suffix}", shallow=False), suffix
+        got, want = _read_columns(tmp_path / f"blocks{suffix}"), _read_columns(tmp_path / f"loop{suffix}")
+        assert got.keys() == want.keys(), suffix
+        for name in got:
+            if name in ("dataset", "x", "y", "response"):
+                assert got[name] == want[name], (suffix, name)
+            else:
+                np.testing.assert_allclose(
+                    np.array(got[name], dtype=float), np.array(want[name], dtype=float), rtol=1e-6, atol=1e-6,
+                    err_msg=f"{suffix} {name}",
+                )
