@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FitConfig, as_sites
-from .geometry import CenterSet, _map_kernel_blocks, pairwise_distances
+from .data import FitConfig, ValidationError, as_sites, check_finite_inputs
+from .geometry import CenterSet, _kernel_product, _map_kernel_blocks, pairwise_distances
 
 SIGMA2_FLOOR = 1e-10
 
@@ -71,40 +71,42 @@ class LayerEvaluation:
 
 
 def fit_layer(targets, site_weights, sites, centers: CenterSet, cfg: FitConfig) -> ScaleLayer:
-    """Fit every local expert of one scale against a weighted working target."""
+    """Fit every local expert of one scale against a weighted working target.
+
+    Raises :class:`~cfglmm.data.ValidationError` for a non-finite target,
+    site weight, site or center.
+    """
     t = np.asarray(targets, dtype=float).ravel()
     sw = np.asarray(site_weights, dtype=float).ravel()
     pts = as_sites(sites)
     if not len(t) == len(sw) == len(pts):
         raise ValueError("targets, site_weights, and sites must have equal length")
+    check_finite_inputs(pts)
+    check_finite_inputs(centers.centers)
+    if not np.isfinite(t).all():
+        raise ValidationError("non-finite target")
+    if not np.isfinite(sw).all():
+        raise ValidationError("non-finite site weight")
     if (sw < 0).any():
         raise ValueError("site_weights must be nonnegative")
     h = centers.bandwidth
     cen = centers.centers
     n_centers = len(cen)
 
-    raw_mean = np.zeros(n_centers)
-    raw_var = np.zeros(n_centers)
-    sum_prec = np.zeros(n_centers)
-    sum_sq_kernel = np.zeros(n_centers)
-    moments = np.column_stack([t, t * t])
+    rhs = np.column_stack([np.ones(len(t)), sw, sw * t, sw * t * t])
+    sums = np.empty((n_centers, 4))
 
     def fit_block(sl: slice, out: np.ndarray) -> None:
-        k2 = pairwise_distances(cen[sl], pts, out=out)
-        k2 *= -2.0 / h
-        np.exp(k2, out=k2)  # kernel squared in one pass: exp(-d/h)^2 = exp(-2d/h)
-        sum_sq_kernel[sl] = k2.sum(axis=1)
-        k2 *= sw[None, :]
-        sp = k2.sum(axis=1)
-        sum_prec[sl] = sp
-        with np.errstate(invalid="ignore", divide="ignore"):
-            m, m2 = (k2 @ moments).T / sp
-            # weighted second moment minus squared mean; cancellation error is
-            # far below sigma2_floor at working-target scales
-            raw_var[sl] = np.maximum(m2 - m * m, 0.0)
-        raw_mean[sl] = m
+        # kernel squared in one pass: exp(-d/h)^2 = exp(-2d/h)
+        sums[sl] = _kernel_product(cen[sl], pts, -2.0 / h, rhs, out)
 
     _map_kernel_blocks([(fit_block, n_centers, len(pts))])
+    sum_sq_kernel, sum_prec, spt, spt2 = sums.T  # sums of k^2, p, p t and p t^2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        raw_mean = spt / sum_prec
+        # weighted second moment minus squared mean; cancellation error is
+        # far below sigma2_floor at working-target scales
+        raw_var = np.maximum(spt2 / sum_prec - raw_mean * raw_mean, 0.0)
 
     active = sum_prec >= cfg.min_effective_weight
     if not active.any():
@@ -133,33 +135,34 @@ def evaluate_layer(layer: ScaleLayer, sites) -> LayerEvaluation:
     The rows are cut into blocks of about 256K kernel entries from the
     kernel's shape alone (see :func:`geometry._map_kernel_blocks`), which the
     pool's workers take from one queue and which write disjoint rows, so the
-    result does not depend on the number of CPUs.
+    result does not depend on the number of CPUs. Raises
+    :class:`~cfglmm.data.ValidationError` for a non-finite site.
     """
-    return _evaluate_group([layer], as_sites(sites))[0]
+    pts = as_sites(sites)
+    check_finite_inputs(pts)
+    return _evaluate_group([layer], pts)[0]
 
 
 def _layer_kernel(layer: ScaleLayer, pts: np.ndarray) -> tuple[tuple, LayerEvaluation]:
     """``evaluate_layer``'s kernel, ``(block function, rows, columns)``, and
-    the evaluation its blocks fill in."""
+    the evaluation its blocks fill in. A block's product of ``k^power`` with
+    ``[1/s2, mu/s2]`` gives ``sum(q)`` and ``sum(q mu)``."""
     act = layer.active
     if not act.any():
         raise ValueError("layer has no active expert")
     cen = np.compress(act, layer.centers, axis=0)  # rows: 4x faster than centers[act]
     mu = layer.mu[act]
     sigma2 = layer.sigma2[act]
+    rhs = np.column_stack([1.0 / sigma2, mu / sigma2])
     n = len(pts)
     mean = np.empty(n)
     variance = np.empty(n)
     log_scale = layer.weight_power / layer.bandwidth
 
     def eval_block(sl: slice, out: np.ndarray) -> None:
-        q = pairwise_distances(pts[sl], cen, out=out)
-        q *= -log_scale
-        np.exp(q, out=q)
-        q /= sigma2[None, :]
-        sq = q.sum(axis=1)
+        sq, sq_mu = _kernel_product(pts[sl], cen, -log_scale, rhs, out).T
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            mean[sl] = (q @ mu) / sq
+            mean[sl] = sq_mu / sq
             variance[sl] = 1.0 / sq
         # near-total kernel underflow: 1/sq overflows or loses all precision
         for i in np.flatnonzero(sq < 1e-280) + sl.start:
@@ -186,9 +189,11 @@ def evaluate_stack(layers, sites) -> Iterator[LayerEvaluation]:
     reaches its first layer. Its layers' row blocks, each cut as in a direct
     ``evaluate_layer`` call, share one queue of the pool, largest block first,
     so neither a small layer nor the tail of a layer leaves a worker idle, and
-    every row gets the bits of a direct call.
+    every row gets the bits of a direct call. Raises
+    :class:`~cfglmm.data.ValidationError` for a non-finite site.
     """
     pts = as_sites(sites)
+    check_finite_inputs(pts)
     layers = list(layers)
     per_group = max(1, _CHUNK_DOUBLES // max(2 * len(pts), 1))
     starts = range(0, len(layers), per_group)

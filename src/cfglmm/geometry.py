@@ -3,8 +3,7 @@
 Also home of the worker pool and its one queue of independent row blocks for
 the dense kernel passes: the local-expert fits, the simulator's smooth, and
 the layer evaluations, one layer or a whole layer stack per queue (see
-:func:`_map_kernel_blocks`). Every pass takes its distances from
-:func:`pairwise_distances`.
+:func:`_map_kernel_blocks`), each block one :func:`_kernel_product`.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .data import as_sites, round_half_away
+from .data import as_sites, check_finite_inputs, round_half_away
 
 # One pool worker per CPU this process may run on (its affinity mask, so
 # ``taskset`` limits it), each pinned to its own CPU of that mask. Threads
@@ -109,6 +108,18 @@ def _map_kernel_blocks(kernels) -> None:
         list(_POOL.map(run, range(tasks)))
 
 
+def _kernel_product(a: np.ndarray, b: np.ndarray, scale: float, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``exp(scale * d) @ rhs`` for the exact distances ``d`` between ``a``
+    and ``b``, with the kernel built in ``out``. The product goes two columns
+    at a time: OpenBLAS's SkylakeX kernels take a product of up to about 1e6
+    multiply-adds through their small-matrix path, which a block of
+    ``_BLOCK_DOUBLES`` entries times two columns is and times four is not."""
+    k = pairwise_distances(a, b, out=out)
+    k *= scale
+    np.exp(k, out=k)
+    return np.hstack([k @ rhs[:, j : j + 2] for j in range(0, rhs.shape[1], 2)])
+
+
 @dataclass(frozen=True)
 class CenterSet:
     """Local-model centers sharing one bandwidth."""
@@ -118,7 +129,7 @@ class CenterSet:
 
     def __post_init__(self):
         object.__setattr__(self, "centers", as_sites(self.centers))
-        if self.bandwidth <= 0.0:
+        if not self.bandwidth > 0.0:  # so that NaN fails it
             raise ValueError("bandwidth must be positive")
 
     def __len__(self) -> int:
@@ -141,19 +152,19 @@ def center_count(diagonal: float, bandwidth: float, density: float) -> int:
     (lattice cells without sites) or up to ``nx - 1`` more (its lattice of
     ``nx`` columns has ``nx * ceil(count / nx)`` cells).
     """
-    if bandwidth <= 0.0:
+    if not bandwidth > 0.0:  # so that NaN fails it
         raise ValueError("bandwidth must be positive")
-    if diagonal < 0.0:
-        raise ValueError("diagonal must be nonnegative")
+    if not 0.0 <= diagonal < math.inf:
+        raise ValueError("diagonal must be finite and nonnegative")
     return max(1, round_half_away(density * diagonal * diagonal / (bandwidth * bandwidth)))
 
 
 def kernel_weight(distance, bandwidth: float):
     """Exponential distance decay ``exp(-d/h)``; scalar in, scalar out."""
-    if bandwidth <= 0.0:
+    if not bandwidth > 0.0:  # so that NaN fails it
         raise ValueError("bandwidth must be positive")
     d = np.asarray(distance, dtype=float)
-    if (d < 0).any():
+    if not (d >= 0).all():
         raise ValueError("distance must be nonnegative")
     w = np.exp(-d / bandwidth)
     return float(w) if np.isscalar(distance) else w
@@ -217,11 +228,13 @@ def place_centers(sites, n_centers: int, bandwidth: float) -> CenterSet:
     every site joins its nearest mean, the means are recomputed, and a mean
     left without sites is dropped. No randomness is involved, and the
     distinct sites are sorted first, so the result does not depend on the
-    input order. For n sites the cost is O(n log n).
+    input order. For n sites the cost is O(n log n). Raises
+    :class:`~cfglmm.data.ValidationError` for a non-finite site.
     """
     pts = as_sites(sites)
     if len(pts) == 0:
         raise ValueError("place_centers requires at least one site")
+    check_finite_inputs(pts)
     if n_centers < 1:
         raise ValueError("n_centers must be at least 1")
     return _place_distinct(*np.unique(pts, axis=0, return_counts=True), n_centers, bandwidth)

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .data import Dataset, as_sites
-from .geometry import _map_kernel_blocks, pairwise_distances
+from .geometry import _kernel_product, _map_kernel_blocks
 
 MU_CAP = 1e8  # Poisson sampling overflow guard
 
@@ -46,20 +46,18 @@ def _smooth(query: np.ndarray, anchors: np.ndarray, bandwidth: float, noise: np.
 
     ``noise`` may hold several columns; they share one kernel matrix. The
     query rows go in row blocks on the pool (:func:`geometry._map_kernel_blocks`):
-    each block computes its exact distances into the running thread's buffer,
-    turns them into kernel weights ``exp(-d/h)``, and writes its rows of
-    ``kernel @ noise`` over the row sums. No kernel larger than a block is
+    each block is one :func:`geometry._kernel_product` of the kernel weights
+    ``exp(-d/h)`` with ``[noise, 1]``, and writes its rows of the first
+    columns over the last, the row sums. No kernel larger than a block is
     allocated.
     """
-    cols = noise if noise.ndim == 2 else noise[:, None]
-    out = np.empty((len(query), cols.shape[1]))
+    rhs = np.column_stack([noise, np.ones(len(anchors))])
+    out = np.empty((len(query), rhs.shape[1] - 1))
     scale = -1.0 / bandwidth
 
     def block(sl: slice, k: np.ndarray) -> None:
-        pairwise_distances(query[sl], anchors, out=k)
-        k *= scale
-        np.exp(k, out=k)
-        out[sl] = (k @ cols) / k.sum(axis=1)[:, None]
+        smoothed = _kernel_product(query[sl], anchors, scale, rhs, k)
+        out[sl] = smoothed[:, :-1] / smoothed[:, -1:]
 
     _map_kernel_blocks([(block, len(query), len(anchors))])
     return out if noise.ndim == 2 else out[:, 0]

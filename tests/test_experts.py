@@ -12,7 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import grid_poe_moments, ref_evaluate_layer, ref_fit_layer
 
-from cfglmm import CenterSet, FitConfig, LayerUnfittableError, evaluate_layer, fit_layer, layer_basis_expansion
+from cfglmm import (
+    CenterSet,
+    FitConfig,
+    LayerUnfittableError,
+    ValidationError,
+    evaluate_layer,
+    fit_layer,
+    layer_basis_expansion,
+)
 from cfglmm import experts, geometry
 from cfglmm.experts import SIGMA2_FLOOR, ScaleLayer
 
@@ -107,6 +115,17 @@ class TestFitLayer:
         np.testing.assert_allclose(a.mu, b.mu, rtol=1e-10)
         np.testing.assert_allclose(a.sigma2, b.sigma2, rtol=1e-10)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("arg", ["target", "site weight", "site", "center"])
+    def test_non_finite_input_rejected(self, arg, bad):
+        """A NaN target used to zero every mean, a NaN weight to raise
+        ``LayerUnfittableError``, and an inf site to drop out of the fit."""
+        targets, weights, sites, centers = _fit_inputs(3, 50, 4)
+        cen = centers.centers.copy()
+        {"target": targets, "site weight": weights, "site": sites, "center": cen}[arg].flat[7] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            fit_layer(targets, weights, sites, CenterSet(cen, centers.bandwidth), FitConfig())
+
     def test_weight_scaling_invariance(self, rng):
         sites = rng.random((30, 2))
         targets = rng.normal(size=30)
@@ -118,13 +137,14 @@ class TestFitLayer:
         np.testing.assert_allclose(a.sigma2, b.sigma2, rtol=1e-12)
 
 
-def _fit_inputs(seed: int, n_pts: int, n_centers: int):
+def _fit_inputs(seed: int, n_pts: int, n_centers: int, wide: bool = False):
     """Working-target inputs with some zero site weights and, given more than
-    one center, one far-off center that ends up inactive."""
+    one center, one far-off center that ends up inactive. ``wide``: site
+    weights log-uniform over 1e-3 to 1e3, as working weights spread."""
     rng = np.random.default_rng(seed)
     sites = rng.random((n_pts, 2))
     targets = rng.normal(size=n_pts)
-    weights = rng.uniform(0.0, 2.0, n_pts)
+    weights = 10.0 ** rng.uniform(-3.0, 3.0, n_pts) if wide else rng.uniform(0.0, 2.0, n_pts)
     weights[rng.random(n_pts) < 0.2] = 0.0
     cen = rng.random((n_centers, 2))
     if n_centers > 1:
@@ -143,7 +163,14 @@ def _assert_layers_equal(got: ScaleLayer, want: ScaleLayer):
 def _assert_layers_close(got: ScaleLayer, want: ScaleLayer, targets):
     """The tolerance of ``fit_layer`` against the serial chunk loop: ``mu`` and
     ``raw_mean`` within ``rtol=1e-12, atol=1e-12 * max|t|``, ``sigma2`` and
-    ``tau2`` within ``rtol=1e-12``, ``active`` identical."""
+    ``tau2`` within ``rtol=1e-12``, ``active`` identical.
+
+    It holds where every active center averages over many sites, as in these
+    inputs (bandwidth 0.05 over 2500 unit-square sites), with site weights
+    spread over 1e-3 to 1e3 or even 1e-6 to 1e6 (``sigma2`` within 5e-14).
+    Where a few sites dominate a center (bandwidth 0.01 over 3000 sites) the
+    ``m2 - m*m`` cancellation in both loops takes ``sigma2`` up to 4e-12 from
+    the oracle at 1e-3 to 1e3 weights, and 4e-11 at 1e-6 to 1e6."""
     atol = 1e-12 * np.abs(targets).max()
     for field in ("mu", "raw_mean"):
         np.testing.assert_allclose(getattr(got, field), getattr(want, field), rtol=1e-12, atol=atol, err_msg=field)
@@ -179,8 +206,9 @@ class TestFitLayerBitwise:
 
     def test_default_chunk_width(self):
         # 2500 sites: the oracle takes 1600 centers per chunk, so three chunks, the last of 1
-        args = _fit_inputs(7, 2500, 3201)
-        _assert_layers_close(fit_layer(*args, FitConfig()), ref_fit_layer(*args, FitConfig()), args[0])
+        for wide in (False, True):
+            args = _fit_inputs(7, 2500, 3201, wide)
+            _assert_layers_close(fit_layer(*args, FitConfig()), ref_fit_layer(*args, FitConfig()), args[0])
 
     def test_more_workers_than_cores(self, monkeypatch):
         """Eight workers, one buffer each, and a short switch interval: a
@@ -263,6 +291,19 @@ class TestEvaluateLayer:
         assert ev.mean[0] == pytest.approx(1.0)
         assert ev.variance[0] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("entry", ["evaluate_layer", "evaluate_stack", "layer_basis_expansion"])
+    def test_non_finite_site_rejected(self, entry, bad):
+        """Such a site used to get a NaN mean."""
+        layer = _layer([[0.0, 0.0], [1.0, 0.0]], [1.0, 2.0], [0.5, 0.5], bandwidth=0.8)
+        call = {
+            "evaluate_layer": evaluate_layer,
+            "evaluate_stack": lambda layer, sites: list(experts.evaluate_stack([layer], sites)),
+            "layer_basis_expansion": layer_basis_expansion,
+        }[entry]
+        with pytest.raises(ValidationError, match="non-finite"):
+            call(layer, [[0.5, 0.5], [bad, 0.0]])
+
     def test_far_site_underflow_guarded(self):
         layer = _layer([[0.0, 0.0]], [3.0], [1.0], bandwidth=1e-3)
         ev = evaluate_layer(layer, [[100.0, 100.0]])  # exp(-141421/1e-3) underflows
@@ -301,11 +342,14 @@ def _record_blocks(monkeypatch) -> list[tuple[str, int, slice, str, str, bool]]:
     return calls
 
 
-def _eval_inputs(seed: int, n_sites: int, n_experts: int):
+def _eval_inputs(seed: int, n_sites: int, n_experts: int, wide: bool = False, power: int = 1):
     """A layer with one inactive expert, and query sites whose last row is a
-    far-away "dead" site where every kernel weight underflows."""
+    far-away "dead" site where every kernel weight underflows. ``wide``:
+    expert variances log-uniform over 1e-4 to 1e4."""
     rng = np.random.default_rng(seed)
-    layer = _layer(rng.random((n_experts, 2)), rng.normal(size=n_experts), rng.uniform(0.1, 2.0, n_experts), 0.05)
+    cen, mu = rng.random((n_experts, 2)), rng.normal(size=n_experts)
+    sigma2 = 10.0 ** rng.uniform(-4.0, 4.0, n_experts) if wide else rng.uniform(0.1, 2.0, n_experts)
+    layer = _layer(cen, mu, sigma2, 0.05, power)
     layer.active[n_experts // 2] = False
     sites = rng.random((n_sites, 2))
     sites[-1] = (50.0, 50.0)
@@ -386,13 +430,15 @@ class TestEvaluateLayerBitwise:
                 _assert_evaluations_equal(ev, evaluate_layer(layer, sites))
 
     def test_stack_under_two_blas_threads(self):
-        """In a child process with two BLAS threads: a layer's blocks may run
-        on either of two pool workers, and every row still has the bits of an
-        ``evaluate_layer`` call that runs all its blocks on the main thread."""
+        """In a child process with two BLAS threads: a kernel's blocks may run
+        on either of two pool workers, and every row still has the bits of a
+        call that runs all its blocks on the main thread. This covers
+        ``evaluate_stack`` against ``evaluate_layer``, the pooled
+        ``fit_layer`` and the simulator's ``_smooth``."""
         code = (
             "import numpy as np\n"
-            "from test_experts import _layer, _assert_evaluations_equal, _worker_pool\n"
-            "from cfglmm import evaluate_layer, evaluate_stack, geometry\n"
+            "from test_experts import _layer, _assert_evaluations_equal, _assert_layers_equal, _fit_inputs, _worker_pool\n"
+            "from cfglmm import FitConfig, evaluate_layer, evaluate_stack, fit_layer, geometry, simulate\n"
             "rng = np.random.default_rng(9)\n"
             "sizes = (3, 40, 1500, 1, 700, 25)\n"
             "layers = [_layer(rng.random((k, 2)), rng.normal(size=k), rng.uniform(0.1, 2.0, k), 0.3) for k in sizes]\n"
@@ -405,6 +451,18 @@ class TestEvaluateLayerBitwise:
             "    geometry.POOL_WORKERS = 2\n"
             "    for ev, w in zip(evaluate_stack(layers, sites), want, strict=True):\n"
             "        _assert_evaluations_equal(ev, w)\n"
+            "for n_centers, n_pts in ((3750, 3750), (700, 2000), (5, 300)):\n"
+            "    args = _fit_inputs(n_centers, n_pts, n_centers)\n"
+            "    geometry.POOL_WORKERS = 1\n"
+            "    want = fit_layer(*args, FitConfig())\n"
+            "    geometry.POOL_WORKERS = 2\n"
+            "    _assert_layers_equal(fit_layer(*args, FitConfig()), want)\n"
+            "anchors, query = rng.random((2000, 2)), rng.random((3000, 2))\n"
+            "for noise in (rng.normal(size=2000), rng.normal(size=(2000, 3))):\n"
+            "    geometry.POOL_WORKERS = 1\n"
+            "    want = simulate._smooth(query, anchors, 0.02, noise)\n"
+            "    geometry.POOL_WORKERS = 2\n"
+            "    np.testing.assert_array_equal(simulate._smooth(query, anchors, 0.02, noise), want)\n"
         )
         paths = [os.path.dirname(__file__), os.path.dirname(os.path.dirname(experts.__file__))]
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": os.pathsep.join(paths)}
@@ -476,11 +534,19 @@ class TestKernelBlocks:
         _assert_evaluations_close(got, want, layer)
         assert np.isfinite(got.variance[-1]) and got.mean[-1] != 0.0  # the dead site
 
-    @pytest.mark.parametrize("n_sites,n_experts", [(2000, 3750), (50_001, 7), (3, 5000), (9001, 1066)])
-    def test_default_sizes_match_chunk_loop(self, n_sites, n_experts):
+    @pytest.mark.parametrize("n_sites,n_experts,wide,power", [
+        pytest.param(2000, 3750, False, 1, id="2000-3750"),
+        pytest.param(50_001, 7, False, 1, id="50001-7"),
+        pytest.param(3, 5000, False, 1, id="3-5000"),
+        pytest.param(9001, 1066, False, 1, id="9001-1066"),
+        pytest.param(2000, 3750, True, 1, id="wide-power1"),
+        pytest.param(2000, 3750, True, 2, id="wide-power2"),
+    ])
+    def test_default_sizes_match_chunk_loop(self, n_sites, n_experts, wide, power):
         """At the default constants, the oracle's chunks and the blocks both
-        of the default sizes."""
-        layer, sites = _eval_inputs(n_sites, n_sites, n_experts)
+        of the default sizes; ``wide`` spreads the expert variances over
+        eight decades."""
+        layer, sites = _eval_inputs(n_sites, n_sites, n_experts, wide, power)
         _assert_evaluations_close(evaluate_layer(layer, sites), ref_evaluate_layer(layer, sites), layer)
 
     def test_more_workers_than_cores(self, monkeypatch):

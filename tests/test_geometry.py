@@ -10,7 +10,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from oracles import ref_lattice_means, ref_pairwise_distances
 
-from cfglmm import bbox_diagonal, center_count, kernel_weight, place_centers
+from cfglmm import CenterSet, ValidationError, bbox_diagonal, center_count, kernel_weight, place_centers
 from cfglmm import geometry
 from cfglmm.geometry import _assign_nearest, _chunks, _lattice_means, _pin_worker, pairwise_distances
 
@@ -53,6 +53,24 @@ class TestCenterCount:
     )
     def test_counts_grow_as_scales_refine(self, diag, h, decay):
         assert center_count(diag, decay * h, 1.5) >= center_count(diag, h, 1.5)
+
+
+# Each guard is written ``not x > 0`` (or ``not x >= 0``) so that NaN fails it.
+NAN_GUARDS = {
+    "CenterSet": lambda: CenterSet(UNIT_SQUARE, math.nan),
+    "place_centers": lambda: place_centers(UNIT_SQUARE, 2, math.nan),
+    "kernel_weight_bandwidth": lambda: kernel_weight(1.0, math.nan),
+    "kernel_weight_distance": lambda: kernel_weight(math.nan, 1.0),
+    "center_count_bandwidth": lambda: center_count(1.0, math.nan, 1.5),
+    "center_count_diagonal": lambda: center_count(math.nan, 1.0, 1.5),
+    "center_count_inf_diagonal": lambda: center_count(math.inf, 1.0, 1.5),
+}
+
+
+@pytest.mark.parametrize("call", NAN_GUARDS.values(), ids=NAN_GUARDS.keys())
+def test_nan_fails_the_guards(call):
+    with pytest.raises(ValueError, match="must be"):
+        call()
 
 
 class TestKernelWeight:
@@ -137,6 +155,14 @@ class TestPlaceCenters:
         np.testing.assert_allclose(
             sorted(tuple(c) for c in a.centers), sorted(tuple(c) for c in b.centers)
         )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_site_rejected(self, bad):
+        """A NaN site used to fail with "cannot convert float NaN to integer"."""
+        pts = UNIT_SQUARE.astype(float)
+        pts[2, 1] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            place_centers(pts, 2, bandwidth=1.0)
 
     def test_centers_inside_bounding_box(self, rng):
         pts = rng.random((60, 2)) * [3.0, 2.0]
