@@ -112,10 +112,10 @@ class FitConfig:
             raise ValueError("bandwidth_decay must be in (0, 1)")
         if self.patience < 1:
             raise ValueError("patience must be a positive integer")
-        if not self.center_density > 0.0:
-            raise ValueError("center_density must be positive")
-        if self.initial_bandwidth is not None and not self.initial_bandwidth > 0.0:
-            raise ValueError("initial_bandwidth must be positive")
+        if not 0.0 < self.center_density < math.inf:
+            raise ValueError("center_density must be finite and positive")
+        if self.initial_bandwidth is not None and not 0.0 < self.initial_bandwidth < math.inf:
+            raise ValueError("initial_bandwidth must be finite and positive")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be a nonnegative integer")
         if self.max_scales < 1:

@@ -26,14 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FitConfig, ValidationError, as_sites, check_finite_inputs
-from .geometry import CenterSet, _kernel_product, _map_kernel_blocks, pairwise_distances
+from .geometry import CenterSet, _map_kernel_blocks, pairwise_distances
 
 SIGMA2_FLOOR = 1e-10
 
 _VARIANCE_CAP = 1e300
 
 # The results of one group of ``evaluate_stack``, in doubles (32 MB).
-_CHUNK_DOUBLES = 4_000_000
+_RESULTS_DOUBLES = 4_000_000
 
 
 class LayerUnfittableError(RuntimeError):
@@ -91,16 +91,11 @@ def fit_layer(targets, site_weights, sites, centers: CenterSet, cfg: FitConfig) 
         raise ValueError("site_weights must be nonnegative")
     h = centers.bandwidth
     cen = centers.centers
-    n_centers = len(cen)
 
     rhs = np.column_stack([np.ones(len(t)), sw, sw * t, sw * t * t])
-    sums = np.empty((n_centers, 4))
-
-    def fit_block(sl: slice, out: np.ndarray) -> None:
-        # kernel squared in one pass: exp(-d/h)^2 = exp(-2d/h)
-        sums[sl] = _kernel_product(cen[sl], pts, -2.0 / h, rhs, out)
-
-    _map_kernel_blocks([(fit_block, n_centers, len(pts))])
+    sums = np.empty((len(cen), 4))
+    # kernel squared in one pass: exp(-d/h)^2 = exp(-2d/h)
+    _map_kernel_blocks([(cen, pts, -2.0 / h, rhs, sums)])
     sum_sq_kernel, sum_prec, spt, spt2 = sums.T  # sums of k^2, p, p t and p t^2
     with np.errstate(invalid="ignore", divide="ignore"):
         raw_mean = spt / sum_prec
@@ -132,10 +127,10 @@ def fit_layer(targets, site_weights, sites, centers: CenterSet, cfg: FitConfig) 
 def evaluate_layer(layer: ScaleLayer, sites) -> LayerEvaluation:
     """Product-of-experts mean and variance of one layer at the query sites.
 
-    The rows are cut into blocks of about 256K kernel entries from the
-    kernel's shape alone (see :func:`geometry._map_kernel_blocks`), which the
-    pool's workers take from one queue and which write disjoint rows, so the
-    result does not depend on the number of CPUs. Raises
+    The layer is one kernel of the sites against its active experts (see
+    :func:`_layer_kernel`), run in row blocks cut from the kernel's shape
+    alone (see :func:`geometry._map_kernel_blocks`), so the result does not
+    depend on the number of CPUs. Raises
     :class:`~cfglmm.data.ValidationError` for a non-finite site.
     """
     pts = as_sites(sites)
@@ -143,68 +138,70 @@ def evaluate_layer(layer: ScaleLayer, sites) -> LayerEvaluation:
     return _evaluate_group([layer], pts)[0]
 
 
-def _layer_kernel(layer: ScaleLayer, pts: np.ndarray) -> tuple[tuple, LayerEvaluation]:
-    """``evaluate_layer``'s kernel, ``(block function, rows, columns)``, and
-    the evaluation its blocks fill in. A block's product of ``k^power`` with
-    ``[1/s2, mu/s2]`` gives ``sum(q)`` and ``sum(q mu)``."""
+def _layer_kernel(layer: ScaleLayer, pts: np.ndarray) -> tuple:
+    """``evaluate_layer``'s kernel: ``k^power`` against ``[1/s2, mu/s2]``
+    gives ``sum(q)`` and ``sum(q mu)`` in an ``(n, 2)`` array, which
+    :func:`_layer_moments` turns into the evaluation in place."""
     act = layer.active
     if not act.any():
         raise ValueError("layer has no active expert")
     cen = np.compress(act, layer.centers, axis=0)  # rows: 4x faster than centers[act]
-    mu = layer.mu[act]
     sigma2 = layer.sigma2[act]
-    rhs = np.column_stack([1.0 / sigma2, mu / sigma2])
-    n = len(pts)
-    mean = np.empty(n)
-    variance = np.empty(n)
-    log_scale = layer.weight_power / layer.bandwidth
+    rhs = np.column_stack([1.0 / sigma2, layer.mu[act] / sigma2])
+    return pts, cen, -layer.weight_power / layer.bandwidth, rhs, np.empty((len(pts), 2))
 
-    def eval_block(sl: slice, out: np.ndarray) -> None:
-        sq, sq_mu = _kernel_product(pts[sl], cen, -log_scale, rhs, out).T
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            mean[sl] = sq_mu / sq
-            variance[sl] = 1.0 / sq
-        # near-total kernel underflow: 1/sq overflows or loses all precision
-        for i in np.flatnonzero(sq < 1e-280) + sl.start:
+
+def _layer_moments(layer: ScaleLayer, kernel: tuple) -> LayerEvaluation:
+    """The evaluation from its kernel's product: variance ``1 / sum(q)`` over
+    the first column, mean ``sum(q mu) / sum(q)`` over the second."""
+    pts, cen, _, _, sums = kernel
+    sq, sq_mu = sums.T
+    # near-total kernel underflow: 1/sq overflows or loses all precision
+    far = np.flatnonzero(sq < 1e-280)
+    act = layer.active
+    log_scale = layer.weight_power / layer.bandwidth
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        mean = np.divide(sq_mu, sq, out=sq_mu)
+        variance = np.divide(1.0, sq, out=sq)
+        for i in far:
             # Kernel underflow at a far-away site: shift log precisions so the
             # dominant expert still contributes; variance is capped, not inf.
             di = np.hypot(pts[i, 0] - cen[:, 0], pts[i, 1] - cen[:, 1])
-            logq = -di * log_scale - np.log(sigma2)
+            logq = -di * log_scale - np.log(layer.sigma2[act])
             top = logq.max()
             qs = np.exp(logq - top)
             ssq = qs.sum()
-            mean[i] = (qs @ mu) / ssq
-            with np.errstate(over="ignore"):
-                variance[i] = min(np.exp(-top) / ssq, _VARIANCE_CAP)
-
-    return (eval_block, n, len(cen)), LayerEvaluation(mean, variance)
+            mean[i] = (qs @ layer.mu[act]) / ssq
+            variance[i] = min(np.exp(-top) / ssq, _VARIANCE_CAP)
+    return LayerEvaluation(mean, variance)
 
 
 def evaluate_stack(layers, sites) -> Iterator[LayerEvaluation]:
     """``evaluate_layer(layer, sites)`` for each layer, in layer order.
 
     The layers go in groups: the longest runs of consecutive layers whose
-    results, two doubles per site and layer, fit in ``_CHUNK_DOUBLES``
+    results, two doubles per site and layer, fit in ``_RESULTS_DOUBLES``
     doubles, at least one layer each. A group is evaluated when the caller
-    reaches its first layer. Its layers' row blocks, each cut as in a direct
-    ``evaluate_layer`` call, share one queue of the pool, largest block first,
-    so neither a small layer nor the tail of a layer leaves a worker idle, and
+    reaches its first layer. Its layers' kernels go to one
+    :func:`geometry._map_kernel_blocks` call, whose queue holds the row blocks
+    of a direct ``evaluate_layer`` call of each, largest block first, so
+    neither a small layer nor the tail of a layer leaves a worker idle, and
     every row gets the bits of a direct call. Raises
     :class:`~cfglmm.data.ValidationError` for a non-finite site.
     """
     pts = as_sites(sites)
     check_finite_inputs(pts)
     layers = list(layers)
-    per_group = max(1, _CHUNK_DOUBLES // max(2 * len(pts), 1))
+    per_group = max(1, _RESULTS_DOUBLES // max(2 * len(pts), 1))
     starts = range(0, len(layers), per_group)
     return (ev for i in starts for ev in _evaluate_group(layers[i : i + per_group], pts))
 
 
-def _evaluate_group(layers: list[ScaleLayer], pts: np.ndarray) -> tuple[LayerEvaluation, ...]:
+def _evaluate_group(layers: list[ScaleLayer], pts: np.ndarray) -> list[LayerEvaluation]:
     """The layers' evaluations, their row blocks in one queue of the pool."""
-    kernels, evs = zip(*(_layer_kernel(layer, pts) for layer in layers))
+    kernels = [_layer_kernel(layer, pts) for layer in layers]
     _map_kernel_blocks(kernels)
-    return evs
+    return [_layer_moments(layer, kernel) for layer, kernel in zip(layers, kernels)]
 
 
 def layer_basis_expansion(layer: ScaleLayer, sites) -> tuple[np.ndarray, np.ndarray]:

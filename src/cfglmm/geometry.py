@@ -1,9 +1,9 @@
 """Planar geometry: bounding box, exponential kernel, and lattice center placement.
 
-Also home of the worker pool and its one queue of independent row blocks for
-the dense kernel passes: the local-expert fits, the simulator's smooth, and
-the layer evaluations, one layer or a whole layer stack per queue (see
-:func:`_map_kernel_blocks`), each block one :func:`_kernel_product`.
+Also home of the one engine of the dense kernel passes (local-expert fits,
+layer evaluations, the simulator's smooth): callers hand
+:func:`_map_kernel_blocks` their kernels as data, whose row blocks go into one
+queue of the worker pool, each block one :func:`_kernel_block`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .data import as_sites, check_finite_inputs, round_half_away
 # ``taskset`` limits it), each pinned to its own CPU of that mask. Threads
 # start on first use, not at import.
 POOL_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_THREAD = threading.local()  # ``on_pool``: set on the pool's own threads; ``buf``: kernel block buffer
+_THREAD = threading.local()  # ``buf``: the thread's kernel block buffer
 
 # A kernel is cut into row blocks of about _BLOCK_DOUBLES entries (2 MB, an
 # L2 cache of the bench machine), from its shape alone: a block makes the same
@@ -36,12 +36,11 @@ _BLOCK_DOUBLES = 262_144
 
 
 def _pin_worker(cpus: list[int], counter) -> None:
-    # The pool's initializer: marks a pool worker (see _map_kernel_blocks) and
-    # runs worker k only on the k-th CPU of the mask. Left to the scheduler,
-    # both workers of a 2-vCPU VM were seen sharing one vCPU for up to 0.6 s
-    # with the other idle, which made a small prediction batch as slow as the
-    # serial loop. Pinning is a placement hint: if it fails the worker floats.
-    _THREAD.on_pool = True
+    # The pool's initializer: runs worker k only on the k-th CPU of the mask.
+    # Left to the scheduler, both workers of a 2-vCPU VM were seen sharing one
+    # vCPU for up to 0.6 s with the other idle, which made a small prediction
+    # batch as slow as the serial loop. Pinning is a placement hint: if it
+    # fails the worker floats.
     if len(cpus) > 1:
         try:
             os.sched_setaffinity(0, {cpus[next(counter) % len(cpus)]})
@@ -74,50 +73,50 @@ def _chunks(n: int, width: int) -> list[slice]:
 
 
 def _map_kernel_blocks(kernels) -> None:
-    """Run ``fn(sl, out)`` for every row block ``sl`` of every ``(fn, rows,
-    cols)`` kernel: consecutive rows of about ``_BLOCK_DOUBLES`` entries.
+    """Set ``out = exp(scale * d) @ rhs`` for every ``(query, anchors, scale,
+    rhs, out)`` kernel, ``d`` the exact distances between ``query`` and
+    ``anchors``, in row blocks of about ``_BLOCK_DOUBLES`` kernel entries.
 
     All blocks go into one queue, largest first (ties in kernel and row
     order), and one pool task per worker takes them until it is empty, so a
     worker that gets less CPU takes fewer blocks and the caller waits on one
-    task per worker, not one per block. ``out`` is the block's view of the
-    running thread's buffer, kept between calls; blocks must write disjoint
-    results. With one task, and for every call made on a pool worker, the
-    blocks run on the calling thread: a worker that waited on the pool could
-    deadlock it.
+    task per worker, not one per block. Each block is built in the running
+    thread's buffer, kept between calls; with one task, on the calling thread.
     """
-    blocks = [(fn, sl, cols) for fn, rows, cols in kernels for sl in _chunks(rows, _BLOCK_DOUBLES // max(cols, 1))]
-    todo = collections.deque(sorted(blocks, key=lambda b: (b[1].start - b[1].stop) * b[2]))
+    blocks = [(k, sl) for k in kernels for sl in _chunks(len(k[0]), _BLOCK_DOUBLES // max(len(k[1]), 1))]
+    todo = collections.deque(sorted(blocks, key=lambda b: (b[1].start - b[1].stop) * len(b[0][1])))
 
     def run(_) -> None:
         while True:
             try:
-                fn, sl, cols = todo.popleft()  # thread-safe
+                kernel, sl = todo.popleft()  # thread-safe
             except IndexError:
                 return
-            need = (sl.stop - sl.start) * cols
+            rows, cols = sl.stop - sl.start, len(kernel[1])
             buf = getattr(_THREAD, "buf", None)
-            if buf is None or len(buf) < need:
-                buf = _THREAD.buf = np.empty(need)
-            fn(sl, buf[:need].reshape(sl.stop - sl.start, cols))
+            if buf is None or len(buf) < rows * cols:
+                buf = _THREAD.buf = np.empty(rows * cols)
+            _kernel_block(kernel, sl, buf[: rows * cols].reshape(rows, cols))
 
     tasks = min(POOL_WORKERS, len(blocks))
-    if tasks <= 1 or getattr(_THREAD, "on_pool", False):
+    if tasks <= 1:
         run(None)
     else:
         list(_POOL.map(run, range(tasks)))
 
 
-def _kernel_product(a: np.ndarray, b: np.ndarray, scale: float, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``exp(scale * d) @ rhs`` for the exact distances ``d`` between ``a``
-    and ``b``, with the kernel built in ``out``. The product goes two columns
-    at a time: OpenBLAS's SkylakeX kernels take a product of up to about 1e6
-    multiply-adds through their small-matrix path, which a block of
-    ``_BLOCK_DOUBLES`` entries times two columns is and times four is not."""
-    k = pairwise_distances(a, b, out=out)
+def _kernel_block(kernel, sl: slice, buf: np.ndarray) -> None:
+    """Rows ``sl`` of one kernel's product, the block built in ``buf``. The
+    product goes two columns at a time: OpenBLAS's SkylakeX kernels take a
+    product of up to about 1e6 multiply-adds through their small-matrix path,
+    which a block of ``_BLOCK_DOUBLES`` entries times two columns is and
+    times four is not."""
+    query, anchors, scale, rhs, out = kernel
+    k = pairwise_distances(query[sl], anchors, out=buf)
     k *= scale
     np.exp(k, out=k)
-    return np.hstack([k @ rhs[:, j : j + 2] for j in range(0, rhs.shape[1], 2)])
+    for j in range(0, rhs.shape[1], 2):
+        np.matmul(k, rhs[:, j : j + 2], out=out[sl, j : j + 2])
 
 
 @dataclass(frozen=True)

@@ -71,8 +71,9 @@ def save_model(model: CfModel, path) -> None:
             for r in model.loss_trace
         ],
     }
+    text = json.dumps(doc, allow_nan=False) + "\n"  # one line (json's C encoder), before the path opens
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, allow_nan=False) + "\n")  # one line: json's C encoder
+        fh.write(text)
 
 
 def _loss_doc(loss: float) -> float | None:
@@ -90,6 +91,13 @@ def _positive(value, what: str) -> float:
     x = _number(value, what)
     if not (math.isfinite(x) and x > 0.0):
         raise ModelFormatError(f"{what} must be finite and positive, got {value!r}")
+    return x
+
+
+def _finite(value, what: str) -> float:
+    x = _number(value, what)
+    if not math.isfinite(x):
+        raise ModelFormatError(f"{what} must be finite, got {value!r}")
     return x
 
 
@@ -193,8 +201,8 @@ def load_model(path) -> CfModel:
         split=split,
         loss_trace=trace,
         config=config,
-        initial_deviance=float(_require(doc, "initial_deviance", (int, float))),
-        validation_deviance=float(_require(doc, "validation_deviance", (int, float))),
+        initial_deviance=_finite(_require(doc, "initial_deviance", None), "initial_deviance"),
+        validation_deviance=_finite(_require(doc, "validation_deviance", None), "validation_deviance"),
         n_sites=n_sites,
         n_covariates=n_covariates,
         train_fitted=None,

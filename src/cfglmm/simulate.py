@@ -20,7 +20,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .data import Dataset, as_sites
-from .geometry import _kernel_product, _map_kernel_blocks
+from .geometry import _map_kernel_blocks
 
 MU_CAP = 1e8  # Poisson sampling overflow guard
 
@@ -44,22 +44,17 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
 def _smooth(query: np.ndarray, anchors: np.ndarray, bandwidth: float, noise: np.ndarray) -> np.ndarray:
     """Row-normalized kernel smooth of anchor noise, evaluated at query sites.
 
-    ``noise`` may hold several columns; they share one kernel matrix. The
-    query rows go in row blocks on the pool (:func:`geometry._map_kernel_blocks`):
-    each block is one :func:`geometry._kernel_product` of the kernel weights
-    ``exp(-d/h)`` with ``[noise, 1]``, and writes its rows of the first
-    columns over the last, the row sums. No kernel larger than a block is
+    ``noise`` may hold several columns; they share one kernel. The kernel
+    weights ``exp(-d/h)`` of the query against the anchors go times
+    ``[noise, 1]`` in row blocks on the pool
+    (:func:`geometry._map_kernel_blocks`), and the smoothed columns are those
+    products over the last, the row sums. No kernel larger than a block is
     allocated.
     """
     rhs = np.column_stack([noise, np.ones(len(anchors))])
-    out = np.empty((len(query), rhs.shape[1] - 1))
-    scale = -1.0 / bandwidth
-
-    def block(sl: slice, k: np.ndarray) -> None:
-        smoothed = _kernel_product(query[sl], anchors, scale, rhs, k)
-        out[sl] = smoothed[:, :-1] / smoothed[:, -1:]
-
-    _map_kernel_blocks([(block, len(query), len(anchors))])
+    sums = np.empty((len(query), rhs.shape[1]))
+    _map_kernel_blocks([(query, anchors, -1.0 / bandwidth, rhs, sums)])
+    out = sums[:, :-1] / sums[:, -1:]
     return out if noise.ndim == 2 else out[:, 0]
 
 

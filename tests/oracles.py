@@ -8,7 +8,6 @@ import numpy as np
 from cfglmm import FitConfig, coefficient_of_variation, make_split, place_centers, wls_beta
 from cfglmm.data import Dataset, as_sites
 from cfglmm.experts import (
-    _CHUNK_DOUBLES,
     _VARIANCE_CAP,
     SIGMA2_FLOOR,
     LayerEvaluation,
@@ -21,6 +20,7 @@ from cfglmm.families import add_intercept
 from cfglmm.geometry import bbox_diagonal, center_count, pairwise_distances
 from cfglmm.prediction import Predictions, band_index
 
+_CHUNK_DOUBLES = 4_000_000
 _SMOOTH_CHUNK_DOUBLES = 8_000_000
 
 

@@ -114,6 +114,14 @@ class TestFitCommand:
         assert code == 3
         assert "nonnegative integers" in capsys.readouterr().err
 
+    def test_infinite_initial_bandwidth_exit_3(self, sim_files, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        code = main(["fit", "--data", f"{sim_files}_train.csv", "--family", "poisson",
+                     "--initial-bandwidth", "inf", "--out", str(out)])
+        assert code == 3
+        assert "initial_bandwidth" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_model_file(self, sim_files, tmp_path):
         a = str(tmp_path / "a.json")
         b = str(tmp_path / "b.json")

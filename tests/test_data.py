@@ -137,6 +137,8 @@ class TestFitConfig:
             {"initial_bandwidth": math.nan},
             {"train_fraction": math.nan},
             {"bandwidth_decay": math.nan},
+            {"initial_bandwidth": math.inf},
+            {"center_density": math.inf},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -173,7 +173,7 @@ class TestInSampleFromCache:
         from cfglmm import experts, geometry
 
         if chunk_doubles is not None:  # small stack groups and small row blocks
-            monkeypatch.setattr(experts, "_CHUNK_DOUBLES", chunk_doubles)
+            monkeypatch.setattr(experts, "_RESULTS_DOUBLES", chunk_doubles)
             monkeypatch.setattr(geometry, "_BLOCK_DOUBLES", chunk_doubles)
         if family == "gaussian":
             from oracles import gaussian_spatial_dataset

@@ -318,27 +318,18 @@ def _row_blocks(rows: int, cols: int) -> list[slice]:
     return geometry._chunks(rows, geometry._BLOCK_DOUBLES // max(cols, 1))
 
 
-def _record_blocks(monkeypatch) -> list[tuple[str, int, slice, str, str, bool]]:
-    """Record every kernel block run: (pass, columns, block, thread that
-    asked for the blocks, thread that ran the block, whether the block's
-    buffer is the running thread's own)."""
+def _record_blocks(monkeypatch) -> list[tuple[int, slice, str, bool]]:
+    """Record every kernel block run: (columns, block, thread that ran the
+    block, whether the block's buffer is the running thread's own)."""
     calls = []
-    real = experts._map_kernel_blocks
+    real = geometry._kernel_block
 
-    def spy(kernels):
-        caller = threading.current_thread().name
+    def spy(kernel, sl, buf):
+        own = np.shares_memory(buf, geometry._THREAD.buf)
+        calls.append((len(kernel[1]), sl, threading.current_thread().name, own))
+        real(kernel, sl, buf)
 
-        def recorded(fn, cols):
-            def block(sl, out):
-                own = np.shares_memory(out, geometry._THREAD.buf)
-                calls.append((fn.__name__, cols, sl, caller, threading.current_thread().name, own))
-                fn(sl, out)
-
-            return block
-
-        return real([(recorded(fn, cols), rows, cols) for fn, rows, cols in kernels])
-
-    monkeypatch.setattr(experts, "_map_kernel_blocks", spy)
+    monkeypatch.setattr(geometry, "_kernel_block", spy)
     return calls
 
 
@@ -382,7 +373,7 @@ class TestEvaluateLayerBitwise:
         monkeypatch.setattr(geometry, "_BLOCK_DOUBLES", 8 * (n_experts - 1))  # 8-row blocks
         calls = _record_blocks(monkeypatch)
         got = evaluate_layer(layer, sites)
-        assert sorted((c[2] for c in calls), key=lambda b: b.start) == geometry._chunks(len(sites), 8)
+        assert sorted((c[1] for c in calls), key=lambda b: b.start) == geometry._chunks(len(sites), 8)
         _assert_evaluations_equal(got, _on_one_worker(monkeypatch, evaluate_layer, layer, sites))
         _assert_evaluations_close(got, ref_evaluate_layer(layer, sites, chunk_doubles=chunk_doubles), layer)
         assert np.isfinite(got.variance[-1]) and got.mean[-1] != 0.0  # the dead site
@@ -420,12 +411,12 @@ class TestEvaluateLayerBitwise:
             calls.clear()
             sites = rng.random((n, 2))
             stack = list(experts.evaluate_stack(layers, sites))
-            assert sorted((c[1], c[2].start, c[2].stop) for c in calls) == sorted(
+            assert sorted((c[0], c[1].start, c[1].stop) for c in calls) == sorted(
                 (k, b.start, b.stop) for k in (1, 7, 25, 40) for b in _row_blocks(n, k)
             )
             assert all(own for *_, own in calls), calls
             if geometry.POOL_WORKERS > 1 and len(calls) > 1:
-                assert all(runner.startswith("cfglmm-chunk") for _, _, _, _, runner, _ in calls), calls
+                assert all(runner.startswith("cfglmm-chunk") for _, _, runner, _ in calls), calls
             for layer, ev in zip(layers, stack, strict=True):
                 _assert_evaluations_equal(ev, evaluate_layer(layer, sites))
 
@@ -494,15 +485,21 @@ class TestKernelBlocks:
     ])
     def test_block_rule(self, rows, cols, block, monkeypatch):
         """Consecutive blocks of ``block // cols`` rows (at least one) cover
-        the rows; only the last may be shorter; each gets a buffer of its shape."""
+        the rows; only the last may be shorter; each gets a buffer of its
+        shape and fills its rows of the product."""
         monkeypatch.setattr(geometry, "_BLOCK_DOUBLES", block)
         blocks = []
+        real = geometry._kernel_block
 
-        def record(sl, out):
-            assert out.shape == (sl.stop - sl.start, cols)
+        def record(kernel, sl, buf):
+            assert buf.shape == (sl.stop - sl.start, cols)
             blocks.append(sl)
+            real(kernel, sl, buf)
 
-        geometry._map_kernel_blocks([(record, rows, cols)])
+        monkeypatch.setattr(geometry, "_kernel_block", record)
+        out = np.full((rows, 1), -1.0)
+        geometry._map_kernel_blocks([(np.zeros((rows, 2)), np.zeros((cols, 2)), -1.0, np.ones((cols, 1)), out)])
+        assert (out == cols).all()  # zero distances: each row sums ``cols`` ones
         blocks.sort(key=lambda b: b.start)
         assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
         assert (blocks[0].start, blocks[-1].stop) == (0, rows) if rows else blocks == []
@@ -518,7 +515,7 @@ class TestKernelBlocks:
         args = _fit_inputs(width + n_chunks, n_pts, (n_chunks - 1) * width + last)
         calls = _record_blocks(monkeypatch)
         got = fit_layer(*args, FitConfig())
-        assert sorted((c[2] for c in calls), key=lambda b: b.start) == geometry._chunks(len(args[3]), 8)
+        assert sorted((c[1] for c in calls), key=lambda b: b.start) == geometry._chunks(len(args[3]), 8)
         _assert_layers_equal(got, _on_one_worker(monkeypatch, fit_layer, *args, FitConfig()))
         _assert_layers_close(got, ref_fit_layer(*args, FitConfig(), chunk_doubles=width * n_pts), args[0])
 

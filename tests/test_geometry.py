@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -334,35 +335,35 @@ def two_workers(monkeypatch):
     geometry._POOL.shutdown(wait=True)
 
 
+def _map_with(block, rows: int) -> None:
+    """``_map_kernel_blocks`` on a ``rows`` by 1 kernel with ``block(kernel,
+    sl, buf)`` run before each of its row blocks."""
+    real = geometry._kernel_block
+
+    def spy(kernel, sl, buf):
+        block(kernel, sl, buf)
+        real(kernel, sl, buf)
+
+    kernel = (np.zeros((rows, 2)), np.zeros((1, 2)), -1.0, np.ones((1, 1)), np.empty((rows, 1)))
+    with mock.patch.object(geometry, "_kernel_block", spy):
+        geometry._map_kernel_blocks([kernel])
+
+
 def _block_threads(rows: int) -> list[str]:
     """The thread that ran each one-row block of a ``rows`` by 1 kernel, in row order."""
     names = [""] * rows
 
-    def record(sl, out):
-        assert out.shape == (1, 1)
+    def record(kernel, sl, buf):
+        assert buf.shape == (1, 1)
         names[sl.start] = threading.current_thread().name
 
-    geometry._map_kernel_blocks([(record, rows, 1)])
+    _map_with(record, rows)
     return names
 
 
 def _blocks_in_child():
     # exit code 0 only if the pool still runs blocks after the fork
     raise SystemExit(0 if all(n.startswith("cfglmm-chunk") for n in _block_threads(4)) else 1)
-
-
-def _nested_blocks_in_child():
-    # exit code 0 only if each call made on a pool worker ran on that worker
-    got = {}
-
-    def outer(sl, out):
-        got[sl.start] = threading.current_thread().name, _block_threads(4)
-
-    geometry._map_kernel_blocks([(outer, 2 * geometry.POOL_WORKERS, 1)])
-    ok = len(got) == 2 * geometry.POOL_WORKERS and all(
-        worker.startswith("cfglmm-chunk") and inner == [worker] * 4 for worker, inner in got.values()
-    )
-    raise SystemExit(0 if ok else 1)
 
 
 def _join_child(target) -> int:
@@ -391,11 +392,11 @@ class TestChunkMap:
         barrier = threading.Barrier(geometry.POOL_WORKERS)
         got = []
 
-        def affinity(sl, out):
+        def affinity(kernel, sl, buf):
             barrier.wait(timeout=30)  # every worker holds one block
             got.append(frozenset(os.sched_getaffinity(0)))
 
-        geometry._map_kernel_blocks([(affinity, geometry.POOL_WORKERS, 1)])
+        _map_with(affinity, geometry.POOL_WORKERS)
         assert sorted(map(sorted, got)) == [[c] for c in sorted(os.sched_getaffinity(0))]
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no thread affinity")
@@ -415,19 +416,13 @@ class TestChunkMap:
         assert got == [{cpus[(len(cpus) + 1) % len(cpus)]}, set(cpus)]
         assert os.sched_getaffinity(0) == set(cpus)  # the caller is never pinned
 
-    def test_call_from_a_pool_worker_runs_inline(self, two_workers):
-        """A pool worker that called the pool and waited on it could deadlock
-        it; its calls run on itself instead, and return. Run in a child
-        process, which is killed if it hangs."""
-        assert _join_child(_nested_blocks_in_child) == 0
-
     def test_error_of_a_chunk_reaches_the_caller(self, two_workers):
-        def fail_at_two(sl, out):
+        def fail_at_two(kernel, sl, buf):
             if sl.start == 2:
                 raise KeyError(sl.start)
 
         with pytest.raises(KeyError):
-            geometry._map_kernel_blocks([(fail_at_two, 4, 1)])
+            _map_with(fail_at_two, 4)
 
     def test_pool_works_in_forked_child(self, two_workers):
         _block_threads(4)  # start the parent's workers

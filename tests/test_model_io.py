@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tempfile
@@ -190,6 +191,10 @@ class TestModelRoundTrip:
             (("config", "irls_tol"), "small", "config"),
             (("n_covariates",), False, "n_covariates"),
             (("n_covariates",), -1, "n_covariates"),
+            (("initial_deviance",), True, "initial_deviance"),
+            (("validation_deviance",), False, "validation_deviance"),
+            (("initial_deviance",), math.nan, "initial_deviance"),
+            (("validation_deviance",), math.nan, "validation_deviance"),
         ],
     )
     def test_schema_fault_rejected(self, fitted, tmp_path, path, value, match):
@@ -204,6 +209,19 @@ class TestModelRoundTrip:
         file.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match=match):
             load_model(file)
+
+    def test_failed_save_leaves_file_unchanged(self, fitted, tmp_path):
+        """A model that cannot be written (a non-finite coefficient) raises
+        before the path is opened, so an earlier model there stays as it was."""
+        model, _ = fitted
+        file = tmp_path / "m.json"
+        save_model(model, file)
+        before = file.read_bytes()
+        beta = model.beta.copy()
+        beta[0] = math.inf
+        with pytest.raises(ValueError):
+            save_model(dataclasses.replace(model, beta=beta), file)
+        assert file.read_bytes() == before
 
     def test_negative_n_covariates_rejected(self, fitted, tmp_path):
         """``"n_covariates": -1`` with an empty ``beta`` would load a model

@@ -170,15 +170,15 @@ def _assert_predictions_equal(got, want):
 
 def _pool_budget_sites(model):
     """Largest query batch whose layers ``evaluate_stack`` evaluates in one group."""
-    return experts._CHUNK_DOUBLES // (2 * len(model.layers))
+    return experts._RESULTS_DOUBLES // (2 * len(model.layers))
 
 
 def _set_budget_to(monkeypatch, model, n_sites):
-    """Make ``n_sites`` the exact group edge: ``_CHUNK_DOUBLES`` holds the
+    """Make ``n_sites`` the exact group edge: ``_RESULTS_DOUBLES`` holds the
     results of every layer at ``n_sites`` sites. Row blocks of as many kernel
     entries cut the larger layers into several blocks each."""
     budget = 2 * n_sites * len(model.layers)
-    monkeypatch.setattr(experts, "_CHUNK_DOUBLES", budget)
+    monkeypatch.setattr(experts, "_RESULTS_DOUBLES", budget)
     monkeypatch.setattr(geometry, "_BLOCK_DOUBLES", budget)
 
 
@@ -200,6 +200,7 @@ class _Spy:
     def __init__(self, real, delay=0.0, fail_on=None, error=None, slow_on=None, slow_delay=0.0):
         self.real, self.delay, self.fail_on, self.error = real, delay, fail_on, error
         self.slow_on, self.slow_delay = slow_on, slow_delay
+        self.real_block = geometry._kernel_block
         self.lock = threading.Lock()
         self.in_flight = collections.Counter()
         self.peak_layers = 0
@@ -218,27 +219,25 @@ class _Spy:
         return out
 
     def __call__(self, kernels):
-        self.groups.append([cols for _, _, cols in kernels])
-        return self.real([(self._wrap(fn, cols), rows, cols) for fn, rows, cols in kernels])
+        self.groups.append([len(anchors) for _, anchors, *_ in kernels])
+        return self.real(kernels)
 
-    def _wrap(self, fn, cols):
-        def block(sl, out):
+    def block(self, kernel, sl, buf):
+        cols = len(kernel[1])
+        with self.lock:
+            self.runs.append((cols, sl, threading.current_thread().name))
+            self.own.append(np.shares_memory(buf, geometry._THREAD.buf))
+            self.in_flight[cols] += 1
+            self.peak_layers = max(self.peak_layers, sum(1 for v in self.in_flight.values() if v))
+        try:
+            slow = self.slow_on is not None and cols == self.slow_on.n_active
+            time.sleep(self.slow_delay if slow else self.delay)
+            if self.fail_on is not None and cols == self.fail_on.n_active:
+                raise self.error
+            self.real_block(kernel, sl, buf)
+        finally:
             with self.lock:
-                self.runs.append((cols, sl, threading.current_thread().name))
-                self.own.append(np.shares_memory(out, geometry._THREAD.buf))
-                self.in_flight[cols] += 1
-                self.peak_layers = max(self.peak_layers, sum(1 for v in self.in_flight.values() if v))
-            try:
-                slow = self.slow_on is not None and cols == self.slow_on.n_active
-                time.sleep(self.slow_delay if slow else self.delay)
-                if self.fail_on is not None and cols == self.fail_on.n_active:
-                    raise self.error
-                fn(sl, out)
-            finally:
-                with self.lock:
-                    self.in_flight[cols] -= 1
-
-        return block
+                self.in_flight[cols] -= 1
 
 
 @pytest.fixture
@@ -246,6 +245,7 @@ def spy(monkeypatch):
     def install(**kw):
         s = _Spy(experts._map_kernel_blocks, **kw)
         monkeypatch.setattr(experts, "_map_kernel_blocks", s)
+        monkeypatch.setattr(geometry, "_kernel_block", s.block)
         return s
 
     return install
@@ -334,7 +334,7 @@ class TestEvaluateStack:
     def test_over_budget_one_layer_at_a_time(self, rng, spy, workers, monkeypatch):
         workers(2)
         model = _stack_model(rng)
-        monkeypatch.setattr(experts, "_CHUNK_DOUBLES", 2 * 257)  # one layer's results at 257 sites
+        monkeypatch.setattr(experts, "_RESULTS_DOUBLES", 2 * 257)  # one layer's results at 257 sites
         monkeypatch.setattr(geometry, "_BLOCK_DOUBLES", 2 * 257)  # several blocks per layer
         sites, x, off = _query(rng, 257)
         want = ref_predict(model, sites, x, off)
@@ -352,7 +352,7 @@ class TestEvaluateStack:
         sites = rng.random((257, 2))
         s = spy()
         for budget, per_group in ((2 * 257, 1), (2 * 257 * 2 + 1, 2), (2 * 256 * len(sizes), len(sizes) - 1)):
-            monkeypatch.setattr(experts, "_CHUNK_DOUBLES", budget)
+            monkeypatch.setattr(experts, "_RESULTS_DOUBLES", budget)
             want = [experts.evaluate_layer(layer, sites) for layer in model.layers]
             s.clear()
             stack = evaluate_stack(model.layers, sites)
