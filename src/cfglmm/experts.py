@@ -185,8 +185,10 @@ def evaluate_stack(layers, sites) -> Iterator[LayerEvaluation]:
     reaches its first layer. Its layers' kernels go to one
     :func:`geometry._map_kernel_blocks` call, whose queue holds the row blocks
     of a direct ``evaluate_layer`` call of each, largest block first, so
-    neither a small layer nor the tail of a layer leaves a worker idle, and
-    every row gets the bits of a direct call. Raises
+    neither a small layer nor the tail of a layer leaves a worker idle. Layers
+    of a group whose active centers are equal share one distance pass per row
+    block; each still gets the same distances, scale, ``exp`` and products,
+    so every row has the bits of a direct call. Raises
     :class:`~cfglmm.data.ValidationError` for a non-finite site.
     """
     pts = as_sites(sites)
@@ -198,8 +200,13 @@ def evaluate_stack(layers, sites) -> Iterator[LayerEvaluation]:
 
 
 def _evaluate_group(layers: list[ScaleLayer], pts: np.ndarray) -> list[LayerEvaluation]:
-    """The layers' evaluations, their row blocks in one queue of the pool."""
+    """The layers' evaluations, their row blocks in one queue of the pool.
+    Layers whose active centers are equal pass one array, so their blocks
+    share one distance pass."""
     kernels = [_layer_kernel(layer, pts) for layer in layers]
+    for i, (_, cen, *rest) in enumerate(kernels):
+        same = (k[1] for k in kernels[:i] if np.array_equal(k[1], cen))
+        kernels[i] = (pts, next(same, cen), *rest)
     _map_kernel_blocks(kernels)
     return [_layer_moments(layer, kernel) for layer, kernel in zip(layers, kernels)]
 

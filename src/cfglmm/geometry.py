@@ -3,7 +3,10 @@
 Also home of the one engine of the dense kernel passes (local-expert fits,
 layer evaluations, the simulator's smooth): callers hand
 :func:`_map_kernel_blocks` their kernels as data, whose row blocks go into one
-queue of the worker pool, each block one :func:`_kernel_block`.
+queue of the worker pool, each block one :func:`_kernel_block`. Kernels with
+the same ``query`` and ``anchors`` objects (layers with equal active centers,
+the bandwidth groups of a multiscale draw) share one distance pass per row
+block, at the cost of one more block buffer per worker.
 """
 
 from __future__ import annotations
@@ -26,7 +29,9 @@ from .data import as_sites, check_finite_inputs, round_half_away
 # ``taskset`` limits it), each pinned to its own CPU of that mask. Threads
 # start on first use, not at import.
 POOL_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_THREAD = threading.local()  # ``buf``: the thread's kernel block buffer
+# ``buf``: the thread's kernel block buffer; ``dist``: its distance block
+# buffer, made for the first shared block it runs
+_THREAD = threading.local()
 
 # A kernel is cut into row blocks of about _BLOCK_DOUBLES entries (2 MB, an
 # L2 cache of the bench machine), from its shape alone: a block makes the same
@@ -75,28 +80,38 @@ def _chunks(n: int, width: int) -> list[slice]:
 def _map_kernel_blocks(kernels) -> None:
     """Set ``out = exp(scale * d) @ rhs`` for every ``(query, anchors, scale,
     rhs, out)`` kernel, ``d`` the exact distances between ``query`` and
-    ``anchors``, in row blocks of about ``_BLOCK_DOUBLES`` kernel entries.
+    ``anchors``, in row blocks of about ``_BLOCK_DOUBLES`` entries of one
+    kernel.
 
-    All blocks go into one queue, largest first (ties in kernel and row
-    order), and one pool task per worker takes them until it is empty, so a
-    worker that gets less CPU takes fewer blocks and the caller waits on one
-    task per worker, not one per block. Each block is built in the running
-    thread's buffer, kept between calls; with one task, on the calling thread.
+    Kernels with the same ``query`` and ``anchors`` objects form one group,
+    whose row blocks compute their distances once for all its kernels. All
+    blocks go into one queue, largest first (a block weighs its entries times
+    its group's kernels; ties in group and row order), and one pool task per
+    worker takes them until it is empty, so a worker that gets less CPU takes
+    fewer blocks and the caller waits on one task per worker, not one per
+    block. Each kernel is built in the running thread's buffer, kept between
+    calls; a shared block keeps its distances in a second buffer of the same
+    size. With one task, everything runs on the calling thread.
     """
-    blocks = [(k, sl) for k in kernels for sl in _chunks(len(k[0]), _BLOCK_DOUBLES // max(len(k[1]), 1))]
-    todo = collections.deque(sorted(blocks, key=lambda b: (b[1].start - b[1].stop) * len(b[0][1])))
+    groups = {}
+    for kernel in kernels:
+        groups.setdefault((id(kernel[0]), id(kernel[1])), []).append(kernel)
+    blocks = [
+        (group, sl)
+        for group in groups.values()
+        for sl in _chunks(len(group[0][0]), _BLOCK_DOUBLES // max(len(group[0][1]), 1))
+    ]
+    todo = collections.deque(sorted(blocks, key=lambda b: (b[1].start - b[1].stop) * len(b[0][0][1]) * len(b[0])))
 
     def run(_) -> None:
         while True:
             try:
-                kernel, sl = todo.popleft()  # thread-safe
+                group, sl = todo.popleft()  # thread-safe
             except IndexError:
                 return
-            rows, cols = sl.stop - sl.start, len(kernel[1])
-            buf = getattr(_THREAD, "buf", None)
-            if buf is None or len(buf) < rows * cols:
-                buf = _THREAD.buf = np.empty(rows * cols)
-            _kernel_block(kernel, sl, buf[: rows * cols].reshape(rows, cols))
+            shape = (sl.stop - sl.start, len(group[0][1]))
+            k = _thread_buffer("buf", shape)
+            _kernel_block(group, sl, k if len(group) == 1 else _thread_buffer("dist", shape), k)
 
     tasks = min(POOL_WORKERS, len(blocks))
     if tasks <= 1:
@@ -105,18 +120,30 @@ def _map_kernel_blocks(kernels) -> None:
         list(_POOL.map(run, range(tasks)))
 
 
-def _kernel_block(kernel, sl: slice, buf: np.ndarray) -> None:
-    """Rows ``sl`` of one kernel's product, the block built in ``buf``. The
-    product goes two columns at a time: OpenBLAS's SkylakeX kernels take a
-    product of up to about 1e6 multiply-adds through their small-matrix path,
-    which a block of ``_BLOCK_DOUBLES`` entries times two columns is and
-    times four is not."""
-    query, anchors, scale, rhs, out = kernel
-    k = pairwise_distances(query[sl], anchors, out=buf)
-    k *= scale
-    np.exp(k, out=k)
-    for j in range(0, rhs.shape[1], 2):
-        np.matmul(k, rhs[:, j : j + 2], out=out[sl, j : j + 2])
+def _thread_buffer(name: str, shape: tuple[int, int]) -> np.ndarray:
+    """The running thread's buffer ``name`` as an array of ``shape``, grown when too small."""
+    size = shape[0] * shape[1]
+    buf = getattr(_THREAD, name, None)
+    if buf is None or len(buf) < size:
+        buf = np.empty(size)
+        setattr(_THREAD, name, buf)
+    return buf[:size].reshape(shape)
+
+
+def _kernel_block(group, sl: slice, d: np.ndarray, k: np.ndarray) -> None:
+    """Rows ``sl`` of the products of a group of kernels with one ``query``
+    and ``anchors``: their distances into ``d`` once, then for each kernel
+    ``k = exp(scale * d)`` and its product. A lone kernel passes ``k`` as
+    ``d``, so its block is built in place. The product goes two columns at a
+    time: OpenBLAS's SkylakeX kernels take a product of up to about 1e6
+    multiply-adds through their small-matrix path, which a block of
+    ``_BLOCK_DOUBLES`` entries times two columns is and times four is not."""
+    pairwise_distances(group[0][0][sl], group[0][1], out=d)
+    for _, _, scale, rhs, out in group:
+        np.multiply(d, scale, out=k)
+        np.exp(k, out=k)
+        for j in range(0, rhs.shape[1], 2):
+            np.matmul(k, rhs[:, j : j + 2], out=out[sl, j : j + 2])
 
 
 @dataclass(frozen=True)

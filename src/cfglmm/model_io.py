@@ -130,7 +130,7 @@ def _trace_record(row) -> ScaleRecord:
     )
 
 
-def _layer(entry) -> ScaleLayer:
+def _layer(entry, index: int) -> ScaleLayer:
     if not isinstance(entry, dict):
         raise ModelFormatError("model layer is not a JSON object")
     shape_error = "layer experts must be rows of [x, y, mu, sigma2, active]"
@@ -146,6 +146,8 @@ def _layer(entry) -> ScaleLayer:
         raise ModelFormatError("expert sigma2 must be positive")
     if not np.isin(experts[:, 4], (0.0, 1.0)).all():
         raise ModelFormatError("expert active flag must be 0 or 1")
+    if not experts[:, 4].any():
+        raise ModelFormatError(f"model layer {index} has no active expert")
     weight_power = entry.get("weight_power", 1)
     if isinstance(weight_power, bool) or weight_power not in (1, 2):
         raise ModelFormatError(f"layer weight_power must be 1 or 2, got {weight_power!r}")
@@ -184,7 +186,7 @@ def load_model(path) -> CfModel:
         config = FitConfig(**cfg_doc)
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"bad config block: {exc}") from None
-    layers = tuple(_layer(entry) for entry in _require(doc, "layers", list))
+    layers = tuple(_layer(entry, i) for i, entry in enumerate(_require(doc, "layers", list)))
     trace = tuple(_trace_record(row) for row in _require(doc, "loss_trace", list))
     n_sites = _integer(_require(doc, "n_sites", None), "n_sites")
     split: HvSplit | None = None

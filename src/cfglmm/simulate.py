@@ -51,11 +51,20 @@ def _smooth(query: np.ndarray, anchors: np.ndarray, bandwidth: float, noise: np.
     products over the last, the row sums. No kernel larger than a block is
     allocated.
     """
-    rhs = np.column_stack([noise, np.ones(len(anchors))])
-    sums = np.empty((len(query), rhs.shape[1]))
-    _map_kernel_blocks([(query, anchors, -1.0 / bandwidth, rhs, sums)])
-    out = sums[:, :-1] / sums[:, -1:]
-    return out if noise.ndim == 2 else out[:, 0]
+    return _smooth_groups(query, anchors, [(bandwidth, noise)])[0]
+
+
+def _smooth_groups(query: np.ndarray, anchors: np.ndarray, groups) -> list[np.ndarray]:
+    """``_smooth(query, anchors, h, noise)`` for each ``(h, noise)`` group,
+    their kernels in one :func:`geometry._map_kernel_blocks` call, so each row
+    block computes its distances once for all groups."""
+    kernels = []
+    for h, noise in groups:
+        rhs = np.column_stack([noise, np.ones(len(anchors))])
+        kernels.append((query, anchors, -1.0 / h, rhs, np.empty((len(query), rhs.shape[1]))))
+    _map_kernel_blocks(kernels)
+    out = [sums[:, :-1] / sums[:, -1:] for *_, sums in kernels]
+    return [o if noise.ndim == 2 else o[:, 0] for o, (_, noise) in zip(out, groups)]
 
 
 def knn_bandwidth(sites, k: int = 10) -> float:
@@ -136,7 +145,8 @@ def generate(scenario: SimScenario, seed: int) -> SimData:
     train_pts = _rng(seed, _S_TRAIN_SITES).random((n, 2)) * side
     knn_h = knn_bandwidth(train_pts)
 
-    # Noise columns grouped by bandwidth so each group shares one kernel pass.
+    # Noise columns grouped by bandwidth so each group shares one kernel pass,
+    # and all groups one distance pass.
     # Covariate fields always use the knn bandwidth; the latent field either
     # does too (single-scale) or splits into fixed-bandwidth components.
     cov_u = np.column_stack([_rng(seed, _S_COV_FIELD, k).normal(0.0, 1.0, n) for k in range(2)])
@@ -151,7 +161,7 @@ def generate(scenario: SimScenario, seed: int) -> SimData:
         groups += [(float(h), comp_u[:, [m]]) for m, h in enumerate(scenario.multiscale)]
 
     def smooth_all(pts):
-        return np.column_stack([_smooth(pts, train_pts, h, u) for h, u in groups])
+        return np.column_stack(_smooth_groups(pts, train_pts, groups))
 
     train_smoothed = smooth_all(train_pts)
     # Row-normalized smoothing collapses the variance of coarse components to

@@ -195,6 +195,21 @@ class TestPredictCommand:
         assert "experts" in err
         assert "Traceback" not in err
 
+    def test_layer_without_active_expert_exit_3(self, fitted_files, tmp_path, capsys):
+        sim_prefix, model_path, _ = fitted_files
+        doc = json.loads(Path(model_path).read_text())
+        for row in doc["layers"][0]["experts"]:
+            row[4] = 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        for cmd in ("predict", "decompose"):
+            code = main([cmd, "--model", str(bad), "--sites", f"{sim_prefix}_test.csv", "--out",
+                         str(tmp_path / "p.csv")])
+            err = capsys.readouterr().err
+            assert code == 3
+            assert "model layer 0 has no active expert" in err
+            assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "corrupt",
         [

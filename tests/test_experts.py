@@ -319,15 +319,17 @@ def _row_blocks(rows: int, cols: int) -> list[slice]:
 
 
 def _record_blocks(monkeypatch) -> list[tuple[int, slice, str, bool]]:
-    """Record every kernel block run: (columns, block, thread that ran the
-    block, whether the block's buffer is the running thread's own)."""
+    """Record every kernel block run, one record per kernel of a shared block:
+    (columns, block, thread that ran the block, whether the block's buffers
+    are the running thread's own)."""
     calls = []
     real = geometry._kernel_block
 
-    def spy(kernel, sl, buf):
-        own = np.shares_memory(buf, geometry._THREAD.buf)
-        calls.append((len(kernel[1]), sl, threading.current_thread().name, own))
-        real(kernel, sl, buf)
+    def spy(group, sl, d, k):
+        own = np.shares_memory(k, geometry._THREAD.buf) and (d is k or np.shares_memory(d, geometry._THREAD.dist))
+        for kernel in group:
+            calls.append((len(kernel[1]), sl, threading.current_thread().name, own))
+        real(group, sl, d, k)
 
     monkeypatch.setattr(geometry, "_kernel_block", spy)
     return calls
@@ -345,6 +347,23 @@ def _eval_inputs(seed: int, n_sites: int, n_experts: int, wide: bool = False, po
     sites = rng.random((n_sites, 2))
     sites[-1] = (50.0, 50.0)
     return layer, sites
+
+
+def _shared_layers(seed: int, n_experts: int = 300) -> list[ScaleLayer]:
+    """Layers on copies of one set of centers, at weight_power 1 and 2 and
+    several bandwidths, so they share one distance pass; between them a layer
+    on other centers, and last one on the same centers with an inactive
+    expert, whose active centers differ, so it is not shared."""
+    rng = np.random.default_rng(seed)
+    cen = rng.random((n_experts, 2))
+
+    def make(h, power, centers=cen):
+        return _layer(centers.copy(), rng.normal(size=n_experts), rng.uniform(0.1, 2.0, n_experts), h, power)
+
+    layers = [make(0.3, 1), make(0.1, 2), make(0.05, 1), make(0.2, 1, rng.random((n_experts, 2))), make(0.02, 2)]
+    layers.append(make(0.1, 1))
+    layers[-1].active[3] = False
+    return layers
 
 
 def _assert_evaluations_equal(got, want):
@@ -420,15 +439,57 @@ class TestEvaluateLayerBitwise:
             for layer, ev in zip(layers, stack, strict=True):
                 _assert_evaluations_equal(ev, evaluate_layer(layer, sites))
 
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_equal_centers_share_one_distance_pass(self, workers, monkeypatch):
+        """Layers with equal active centers share one distance pass per row
+        block, and each still has the bits of a direct call, the far site's
+        underflow fix-up included; every layer's blocks are those of a direct
+        call, each in the running thread's own buffers."""
+        layers = _shared_layers(3)
+        cols = [layer.n_active for layer in layers]
+        monkeypatch.setattr(geometry, "_BLOCK_DOUBLES", 16 * 300)  # 16-row blocks
+        sites = np.random.default_rng(4).random((150, 2))
+        sites[-1] = (50.0, 50.0)
+        want = [evaluate_layer(layer, sites) for layer in layers]
+        monkeypatch.setattr(geometry, "POOL_WORKERS", workers)
+        pool = _worker_pool(workers)
+        monkeypatch.setattr(geometry, "_POOL", pool)
+        passes = []
+        real = geometry.pairwise_distances
+
+        def count(a, b, out=None):
+            passes.append((len(a), len(b)))
+            return real(a, b, out=out)
+
+        monkeypatch.setattr(geometry, "pairwise_distances", count)
+        calls = _record_blocks(monkeypatch)
+        try:
+            stack = list(experts.evaluate_stack(layers, sites))
+        finally:
+            pool.shutdown(wait=True)
+        # three groups: the four layers on one set of centers, the layer on
+        # others, the layer with an inactive expert
+        blocks = {c: _row_blocks(len(sites), c) for c in (300, 299)}
+        assert sorted(passes) == sorted((b.stop - b.start, c) for c in (300, 300, 299) for b in blocks[c])
+        assert sorted((c[0], c[1].start) for c in calls) == sorted((k, b.start) for k in cols for b in blocks[k])
+        assert all(own for *_, own in calls), calls
+        for ev, w in zip(stack, want, strict=True):
+            _assert_evaluations_equal(ev, w)
+            assert np.isfinite(ev.variance[-1]) and ev.mean[-1] != 0.0  # the dead site
+        assert stack[2].variance[-1] == experts._VARIANCE_CAP  # its underflow fix-up ran
+
     def test_stack_under_two_blas_threads(self):
         """In a child process with two BLAS threads: a kernel's blocks may run
         on either of two pool workers, and every row still has the bits of a
         call that runs all its blocks on the main thread. This covers
-        ``evaluate_stack`` against ``evaluate_layer``, the pooled
-        ``fit_layer`` and the simulator's ``_smooth``."""
+        ``evaluate_stack`` against ``evaluate_layer`` (layers with equal
+        centers on 1, 2 and 8 workers too), the pooled ``fit_layer`` and the
+        simulator's ``_smooth``, alone and with its bandwidth groups in one
+        pass."""
         code = (
             "import numpy as np\n"
-            "from test_experts import _layer, _assert_evaluations_equal, _assert_layers_equal, _fit_inputs, _worker_pool\n"
+            "from test_experts import (\n"
+            "    _layer, _assert_evaluations_equal, _assert_layers_equal, _fit_inputs, _shared_layers, _worker_pool)\n"
             "from cfglmm import FitConfig, evaluate_layer, evaluate_stack, fit_layer, geometry, simulate\n"
             "rng = np.random.default_rng(9)\n"
             "sizes = (3, 40, 1500, 1, 700, 25)\n"
@@ -442,6 +503,18 @@ class TestEvaluateLayerBitwise:
             "    geometry.POOL_WORKERS = 2\n"
             "    for ev, w in zip(evaluate_stack(layers, sites), want, strict=True):\n"
             "        _assert_evaluations_equal(ev, w)\n"
+            "shared = _shared_layers(4, 1500)\n"
+            "for n in (256, 2000):\n"
+            "    sites = rng.random((n, 2))\n"
+            "    sites[0] = (50.0, 50.0)\n"
+            "    geometry.POOL_WORKERS = 1\n"
+            "    want = [evaluate_layer(layer, sites) for layer in shared]\n"
+            "    for workers in (1, 2, 8):\n"
+            "        geometry._POOL = _worker_pool(workers)\n"
+            "        geometry.POOL_WORKERS = workers\n"
+            "        for ev, w in zip(evaluate_stack(shared, sites), want, strict=True):\n"
+            "            _assert_evaluations_equal(ev, w)\n"
+            "geometry._POOL = _worker_pool(2)\n"
             "for n_centers, n_pts in ((3750, 3750), (700, 2000), (5, 300)):\n"
             "    args = _fit_inputs(n_centers, n_pts, n_centers)\n"
             "    geometry.POOL_WORKERS = 1\n"
@@ -454,6 +527,12 @@ class TestEvaluateLayerBitwise:
             "    want = simulate._smooth(query, anchors, 0.02, noise)\n"
             "    geometry.POOL_WORKERS = 2\n"
             "    np.testing.assert_array_equal(simulate._smooth(query, anchors, 0.02, noise), want)\n"
+            "groups = [(0.02, rng.normal(size=(2000, 2))), (0.3, rng.normal(size=(2000, 1)))]\n"
+            "geometry.POOL_WORKERS = 1\n"
+            "want = [simulate._smooth(query, anchors, h, u) for h, u in groups]\n"
+            "geometry.POOL_WORKERS = 2\n"
+            "for got, w in zip(simulate._smooth_groups(query, anchors, groups), want, strict=True):\n"
+            "    np.testing.assert_array_equal(got, w)\n"
         )
         paths = [os.path.dirname(__file__), os.path.dirname(os.path.dirname(experts.__file__))]
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": os.pathsep.join(paths)}
@@ -491,10 +570,10 @@ class TestKernelBlocks:
         blocks = []
         real = geometry._kernel_block
 
-        def record(kernel, sl, buf):
-            assert buf.shape == (sl.stop - sl.start, cols)
+        def record(group, sl, d, k):
+            assert k.shape == (sl.stop - sl.start, cols) and d is k
             blocks.append(sl)
-            real(kernel, sl, buf)
+            real(group, sl, d, k)
 
         monkeypatch.setattr(geometry, "_kernel_block", record)
         out = np.full((rows, 1), -1.0)

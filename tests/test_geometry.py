@@ -336,13 +336,13 @@ def two_workers(monkeypatch):
 
 
 def _map_with(block, rows: int) -> None:
-    """``_map_kernel_blocks`` on a ``rows`` by 1 kernel with ``block(kernel,
-    sl, buf)`` run before each of its row blocks."""
+    """``_map_kernel_blocks`` on a ``rows`` by 1 kernel with ``block(group,
+    sl, buf)`` run before each of its row blocks, ``buf`` the kernel's block."""
     real = geometry._kernel_block
 
-    def spy(kernel, sl, buf):
-        block(kernel, sl, buf)
-        real(kernel, sl, buf)
+    def spy(group, sl, d, k):
+        block(group, sl, k)
+        real(group, sl, d, k)
 
     kernel = (np.zeros((rows, 2)), np.zeros((1, 2)), -1.0, np.ones((1, 1)), np.empty((rows, 1)))
     with mock.patch.object(geometry, "_kernel_block", spy):
@@ -353,7 +353,7 @@ def _block_threads(rows: int) -> list[str]:
     """The thread that ran each one-row block of a ``rows`` by 1 kernel, in row order."""
     names = [""] * rows
 
-    def record(kernel, sl, buf):
+    def record(group, sl, buf):
         assert buf.shape == (1, 1)
         names[sl.start] = threading.current_thread().name
 
@@ -392,7 +392,7 @@ class TestChunkMap:
         barrier = threading.Barrier(geometry.POOL_WORKERS)
         got = []
 
-        def affinity(kernel, sl, buf):
+        def affinity(group, sl, buf):
             barrier.wait(timeout=30)  # every worker holds one block
             got.append(frozenset(os.sched_getaffinity(0)))
 
@@ -417,7 +417,7 @@ class TestChunkMap:
         assert os.sched_getaffinity(0) == set(cpus)  # the caller is never pinned
 
     def test_error_of_a_chunk_reaches_the_caller(self, two_workers):
-        def fail_at_two(kernel, sl, buf):
+        def fail_at_two(group, sl, buf):
             if sl.start == 2:
                 raise KeyError(sl.start)
 

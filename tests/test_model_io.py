@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import ref_model_doc
+from oracles import ref_model_doc, ref_predict
 
 from cfglmm import (
     BERNOULLI,
@@ -195,6 +195,7 @@ class TestModelRoundTrip:
             (("validation_deviance",), False, "validation_deviance"),
             (("initial_deviance",), math.nan, "initial_deviance"),
             (("validation_deviance",), math.nan, "validation_deviance"),
+            (("layers", 2, "experts"), [[0.5, 0.5, 1.0, 1.0, 0]], "model layer 2 has no active expert"),
         ],
     )
     def test_schema_fault_rejected(self, fitted, tmp_path, path, value, match):
@@ -209,6 +210,26 @@ class TestModelRoundTrip:
         file.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match=match):
             load_model(file)
+
+    def test_capped_layers_round_trip_bit_exact(self, tmp_path):
+        """A fit whose finest layers all place every training site: their
+        evaluations share one distance pass, before and after a round trip,
+        and predict bit for bit like the serial layer loop."""
+        sim = gen_poisson(SimScenario(beta0=0.5, n_train=500, n_test=200), seed=5)
+        model = fit_cf(sim.train, FitConfig(rng_seed=5))
+        capped = [layer for layer in model.layers if layer.n_active == len(model.split.train_idx)]
+        assert len(capped) >= 3
+        assert all(np.array_equal(layer.centers, capped[0].centers) for layer in capped)
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        sites = np.vstack([sim.test.sites, [[50.0, 50.0]]])
+        x = np.vstack([sim.test.covariates, [[0.0, 0.0]]])
+        want = ref_predict(model, sites, x)
+        for m in (model, loaded):
+            got = predict(m, sites, x)
+            for f in ("mu_lin", "mu", "z_total", "var_z", "cov"):
+                np.testing.assert_array_equal(getattr(got, f), getattr(want, f), err_msg=f)
 
     def test_failed_save_leaves_file_unchanged(self, fitted, tmp_path):
         """A model that cannot be written (a non-finite coefficient) raises

@@ -6,6 +6,7 @@ import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -193,9 +194,10 @@ def _blocks(model, n_sites):
 
 class _Spy:
     """Wraps ``evaluate_stack``'s kernel blocks. Records each group of layers
-    (their sizes) and, per block run, its layer's size, its rows, the thread
-    that ran it and whether it ran in that thread's own buffer; tracks the
-    layers with blocks in flight. A layer is known by its size, ``n_active``."""
+    (their sizes) and, per block run and per layer of a shared block, its
+    layer's size, its rows, the thread that ran it and whether it ran in that
+    thread's own buffers; tracks the layers with blocks in flight. A layer is
+    known by its size, ``n_active``."""
 
     def __init__(self, real, delay=0.0, fail_on=None, error=None, slow_on=None, slow_delay=0.0):
         self.real, self.delay, self.fail_on, self.error = real, delay, fail_on, error
@@ -222,11 +224,14 @@ class _Spy:
         self.groups.append([len(anchors) for _, anchors, *_ in kernels])
         return self.real(kernels)
 
-    def block(self, kernel, sl, buf):
-        cols = len(kernel[1])
+    def block(self, group, sl, d, k):
+        cols = len(group[0][1])
         with self.lock:
-            self.runs.append((cols, sl, threading.current_thread().name))
-            self.own.append(np.shares_memory(buf, geometry._THREAD.buf))
+            for _ in group:
+                self.runs.append((cols, sl, threading.current_thread().name))
+                self.own.append(
+                    np.shares_memory(k, geometry._THREAD.buf) and (d is k or np.shares_memory(d, geometry._THREAD.dist))
+                )
             self.in_flight[cols] += 1
             self.peak_layers = max(self.peak_layers, sum(1 for v in self.in_flight.values() if v))
         try:
@@ -234,7 +239,7 @@ class _Spy:
             time.sleep(self.slow_delay if slow else self.delay)
             if self.fail_on is not None and cols == self.fail_on.n_active:
                 raise self.error
-            self.real_block(kernel, sl, buf)
+            self.real_block(group, sl, d, k)
         finally:
             with self.lock:
                 self.in_flight[cols] -= 1
@@ -313,6 +318,26 @@ class TestEvaluateStack:
             np.testing.assert_array_equal(
                 decompose(model, t.sites[sl], (0.5, 0.2)).band_values, ref_band_values(model, t.sites[sl], (0.5, 0.2))
             )
+
+    def test_equal_centers_run_blocks_of_direct_calls(self, rng, spy, workers, monkeypatch):
+        """Three layers on copies of one set of centers share their blocks;
+        each layer still runs the blocks of a direct call, in the running
+        thread's own buffers, and predict has the bits of the serial loop."""
+        workers(2)
+        model = _stack_model(rng, sizes=(40, 10, 40, 25, 40), active_share=1.0)
+        cen = model.layers[0].centers
+        layers = [replace(l, centers=cen.copy()) if l.n_active == 40 else l for l in model.layers]
+        model = replace(model, layers=tuple(layers))
+        _set_budget_to(monkeypatch, model, 256)
+        sites, x, off = _query(rng, 256)
+        sites[0] = (50.0, 50.0)  # far site: the underflow fix-up
+        want = ref_predict(model, sites, x, off)
+        s = spy()
+        _assert_predictions_equal(predict(model, sites, x, off), want)
+        assert sorted((c, b.start, b.stop) for c, b, _ in s.runs) == sorted(
+            (c, b.start, b.stop) for c, b in _blocks(model, 256)
+        )
+        assert all(s.own)
 
     def test_within_budget_layers_run_on_pool(self, rng, spy, workers, monkeypatch):
         workers(2)

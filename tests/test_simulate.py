@@ -204,6 +204,37 @@ class TestMultiscale:
         sim = gen_poisson(scn, seed=6)
         np.testing.assert_allclose(sim.truth_train.components.std(axis=0), 1.0, rtol=1e-12)
 
+    def test_groups_share_one_distance_pass(self, monkeypatch):
+        """The bandwidth groups of a draw go to one kernel map, which computes
+        each row block's distances once, and the fields have the bits of one
+        map call per group."""
+        scn = SimScenario(beta0=0.5, n_train=600, n_test=300, multiscale=(3.0, 0.8, 0.3))
+        monkeypatch.setattr(geometry, "_BLOCK_DOUBLES", 64 * 600)  # 64-row blocks
+        real_map, real_distances = simulate._map_kernel_blocks, geometry.pairwise_distances
+        maps, passes = [], []
+
+        def record_map(kernels):
+            maps.append(len(kernels))
+            real_map(kernels)
+
+        def count(a, b, out=None):
+            passes.append(len(a))
+            return real_distances(a, b, out=out)
+
+        monkeypatch.setattr(simulate, "_map_kernel_blocks", record_map)
+        monkeypatch.setattr(geometry, "pairwise_distances", count)
+        got = gen_poisson(scn, seed=6)
+        assert maps == [4, 4]  # train, then test: the covariate group and three components
+        assert sorted(passes) == sorted(b.stop - b.start for n in (600, 300) for b in geometry._chunks(n, 64))
+        monkeypatch.setattr(simulate, "_map_kernel_blocks", lambda kernels: [real_map([k]) for k in kernels])
+        want = gen_poisson(scn, seed=6)
+        for a, b in ((got.train, want.train), (got.test, want.test)):
+            np.testing.assert_array_equal(a.covariates, b.covariates)
+            np.testing.assert_array_equal(a.response, b.response)
+        for a, b in ((got.truth_train, want.truth_train), (got.truth_test, want.truth_test)):
+            for field in ("mu", "z", "components"):
+                np.testing.assert_array_equal(getattr(a, field), getattr(b, field), err_msg=field)
+
     def test_multiscale_domain_is_larger(self):
         scn = SimScenario(beta0=0.5, n_train=300, n_test=0, multiscale=(3.0, 0.8, 0.3))
         sim = gen_poisson(scn, seed=6)
