@@ -200,13 +200,8 @@ def evaluate_stack(layers, sites) -> Iterator[LayerEvaluation]:
 
 
 def _evaluate_group(layers: list[ScaleLayer], pts: np.ndarray) -> list[LayerEvaluation]:
-    """The layers' evaluations, their row blocks in one queue of the pool.
-    Layers whose active centers are equal pass one array, so their blocks
-    share one distance pass."""
+    """The layers' evaluations, their row blocks in one queue of the pool."""
     kernels = [_layer_kernel(layer, pts) for layer in layers]
-    for i, (_, cen, *rest) in enumerate(kernels):
-        same = (k[1] for k in kernels[:i] if np.array_equal(k[1], cen))
-        kernels[i] = (pts, next(same, cen), *rest)
     _map_kernel_blocks(kernels)
     return [_layer_moments(layer, kernel) for layer, kernel in zip(layers, kernels)]
 

@@ -4,9 +4,9 @@ Also home of the one engine of the dense kernel passes (local-expert fits,
 layer evaluations, the simulator's smooth): callers hand
 :func:`_map_kernel_blocks` their kernels as data, whose row blocks go into one
 queue of the worker pool, each block one :func:`_kernel_block`. Kernels with
-the same ``query`` and ``anchors`` objects (layers with equal active centers,
-the bandwidth groups of a multiscale draw) share one distance pass per row
-block, at the cost of one more block buffer per worker.
+the same ``query`` object and equal ``anchors`` (layers with equal active
+centers, the bandwidth groups of a multiscale draw) share one distance pass per
+row block, at the cost of one more block buffer per worker.
 """
 
 from __future__ import annotations
@@ -83,22 +83,28 @@ def _map_kernel_blocks(kernels) -> None:
     ``anchors``, in row blocks of about ``_BLOCK_DOUBLES`` entries of one
     kernel.
 
-    Kernels with the same ``query`` and ``anchors`` objects form one group,
-    whose row blocks compute their distances once for all its kernels. All
-    blocks go into one queue, largest first (a block weighs its entries times
-    its group's kernels; ties in group and row order), and one pool task per
-    worker takes them until it is empty, so a worker that gets less CPU takes
-    fewer blocks and the caller waits on one task per worker, not one per
-    block. Each kernel is built in the running thread's buffer, kept between
-    calls; a shared block keeps its distances in a second buffer of the same
-    size. With one task, everything runs on the calling thread.
+    Kernels with the same ``query`` object and equal ``anchors`` (same shape
+    and values) form one group, whose row blocks compute their distances once
+    for all its kernels. All blocks go into one queue, largest first (a block
+    weighs its entries times its group's kernels; ties in group and row
+    order), and one pool task per worker takes them until it is empty, so a
+    worker that gets less CPU takes fewer blocks and the caller waits on one
+    task per worker, not one per block. Each kernel is built in the running
+    thread's buffer, kept between calls; a shared block keeps its distances
+    in a second buffer of the same size. With one task, everything runs on
+    the calling thread.
     """
-    groups = {}
+    groups: list[list] = []
     for kernel in kernels:
-        groups.setdefault((id(kernel[0]), id(kernel[1])), []).append(kernel)
+        for group in groups:
+            if group[0][0] is kernel[0] and np.array_equal(group[0][1], kernel[1]):
+                group.append(kernel)
+                break
+        else:
+            groups.append([kernel])
     blocks = [
         (group, sl)
-        for group in groups.values()
+        for group in groups
         for sl in _chunks(len(group[0][0]), _BLOCK_DOUBLES // max(len(group[0][1]), 1))
     ]
     todo = collections.deque(sorted(blocks, key=lambda b: (b[1].start - b[1].stop) * len(b[0][0][1]) * len(b[0])))

@@ -41,23 +41,18 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def _smooth(query: np.ndarray, anchors: np.ndarray, bandwidth: float, noise: np.ndarray) -> np.ndarray:
-    """Row-normalized kernel smooth of anchor noise, evaluated at query sites.
+def _smooth(query: np.ndarray, anchors: np.ndarray, groups) -> list[np.ndarray]:
+    """Row-normalized kernel smooths of anchor noise, evaluated at query
+    sites, one per ``(bandwidth, noise)`` group.
 
     ``noise`` may hold several columns; they share one kernel. The kernel
     weights ``exp(-d/h)`` of the query against the anchors go times
-    ``[noise, 1]`` in row blocks on the pool
-    (:func:`geometry._map_kernel_blocks`), and the smoothed columns are those
-    products over the last, the row sums. No kernel larger than a block is
+    ``[noise, 1]`` in row blocks on the pool, and the smoothed columns are
+    those products over the last, the row sums. All groups go to one
+    :func:`geometry._map_kernel_blocks` call, so each row block computes its
+    distances once for all of them. No kernel larger than a block is
     allocated.
     """
-    return _smooth_groups(query, anchors, [(bandwidth, noise)])[0]
-
-
-def _smooth_groups(query: np.ndarray, anchors: np.ndarray, groups) -> list[np.ndarray]:
-    """``_smooth(query, anchors, h, noise)`` for each ``(h, noise)`` group,
-    their kernels in one :func:`geometry._map_kernel_blocks` call, so each row
-    block computes its distances once for all groups."""
     kernels = []
     for h, noise in groups:
         rhs = np.column_stack([noise, np.ones(len(anchors))])
@@ -161,7 +156,7 @@ def generate(scenario: SimScenario, seed: int) -> SimData:
         groups += [(float(h), comp_u[:, [m]]) for m, h in enumerate(scenario.multiscale)]
 
     def smooth_all(pts):
-        return np.column_stack(_smooth_groups(pts, train_pts, groups))
+        return np.column_stack(_smooth(pts, train_pts, groups))
 
     train_smoothed = smooth_all(train_pts)
     # Row-normalized smoothing collapses the variance of coarse components to

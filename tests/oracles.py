@@ -178,10 +178,10 @@ def _ref_chunks(n: int, width: int):
 
 
 def ref_smooth(query, anchors, bandwidth, noise, chunk_doubles=_SMOOTH_CHUNK_DOUBLES) -> np.ndarray:
-    """``simulate._smooth`` as a serial loop with one gemm per chunk of about
-    ``chunk_doubles`` kernel entries and a new kernel per chunk, kept verbatim
-    from before the kernel was built in row blocks on the pool (the chunk
-    width is a parameter, as in ``ref_fit_layer``)."""
+    """One group of ``simulate._smooth`` as a serial loop with one gemm per
+    chunk of about ``chunk_doubles`` kernel entries and a new kernel per
+    chunk, kept verbatim from before the kernel was built in row blocks on the
+    pool (the chunk width is a parameter, as in ``ref_fit_layer``)."""
     cols = noise if noise.ndim == 2 else noise[:, None]
     out = np.empty((len(query), cols.shape[1]))
     a2 = (anchors * anchors).sum(axis=1)

@@ -524,14 +524,14 @@ class TestEvaluateLayerBitwise:
             "anchors, query = rng.random((2000, 2)), rng.random((3000, 2))\n"
             "for noise in (rng.normal(size=2000), rng.normal(size=(2000, 3))):\n"
             "    geometry.POOL_WORKERS = 1\n"
-            "    want = simulate._smooth(query, anchors, 0.02, noise)\n"
+            "    want = simulate._smooth(query, anchors, [(0.02, noise)])\n"
             "    geometry.POOL_WORKERS = 2\n"
-            "    np.testing.assert_array_equal(simulate._smooth(query, anchors, 0.02, noise), want)\n"
+            "    np.testing.assert_array_equal(simulate._smooth(query, anchors, [(0.02, noise)])[0], want[0])\n"
             "groups = [(0.02, rng.normal(size=(2000, 2))), (0.3, rng.normal(size=(2000, 1)))]\n"
             "geometry.POOL_WORKERS = 1\n"
-            "want = [simulate._smooth(query, anchors, h, u) for h, u in groups]\n"
+            "want = [simulate._smooth(query, anchors, [g])[0] for g in groups]\n"
             "geometry.POOL_WORKERS = 2\n"
-            "for got, w in zip(simulate._smooth_groups(query, anchors, groups), want, strict=True):\n"
+            "for got, w in zip(simulate._smooth(query, anchors, groups), want, strict=True):\n"
             "    np.testing.assert_array_equal(got, w)\n"
         )
         paths = [os.path.dirname(__file__), os.path.dirname(os.path.dirname(experts.__file__))]

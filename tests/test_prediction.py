@@ -194,10 +194,10 @@ def _blocks(model, n_sites):
 
 class _Spy:
     """Wraps ``evaluate_stack``'s kernel blocks. Records each group of layers
-    (their sizes) and, per block run and per layer of a shared block, its
-    layer's size, its rows, the thread that ran it and whether it ran in that
-    thread's own buffers; tracks the layers with blocks in flight. A layer is
-    known by its size, ``n_active``."""
+    (their sizes), the kernel count of each block run and, per block run and
+    per layer of a shared block, its layer's size, its rows, the thread that
+    ran it and whether it ran in that thread's own buffers; tracks the layers
+    with blocks in flight. A layer is known by its size, ``n_active``."""
 
     def __init__(self, real, delay=0.0, fail_on=None, error=None, slow_on=None, slow_delay=0.0):
         self.real, self.delay, self.fail_on, self.error = real, delay, fail_on, error
@@ -206,11 +206,11 @@ class _Spy:
         self.lock = threading.Lock()
         self.in_flight = collections.Counter()
         self.peak_layers = 0
-        self.groups, self.runs, self.own = [], [], []
+        self.groups, self.shared, self.runs, self.own = [], [], [], []
 
     def clear(self):
         self.peak_layers = 0
-        for records in (self.groups, self.runs, self.own):
+        for records in (self.groups, self.shared, self.runs, self.own):
             records.clear()
 
     def taken(self) -> dict[str, list[int]]:
@@ -227,6 +227,7 @@ class _Spy:
     def block(self, group, sl, d, k):
         cols = len(group[0][1])
         with self.lock:
+            self.shared.append(len(group))
             for _ in group:
                 self.runs.append((cols, sl, threading.current_thread().name))
                 self.own.append(
@@ -334,9 +335,10 @@ class TestEvaluateStack:
         want = ref_predict(model, sites, x, off)
         s = spy()
         _assert_predictions_equal(predict(model, sites, x, off), want)
-        assert sorted((c, b.start, b.stop) for c, b, _ in s.runs) == sorted(
-            (c, b.start, b.stop) for c, b in _blocks(model, 256)
-        )
+        blocks = _blocks(model, 256)
+        assert sorted((c, b.start, b.stop) for c, b, _ in s.runs) == sorted((c, b.start, b.stop) for c, b in blocks)
+        n_shared = sum(c == 40 for c, _ in blocks) // 3
+        assert sorted(s.shared) == [1] * (len(blocks) - 3 * n_shared) + [3] * n_shared
         assert all(s.own)
 
     def test_within_budget_layers_run_on_pool(self, rng, spy, workers, monkeypatch):

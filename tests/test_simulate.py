@@ -274,11 +274,16 @@ def _assert_smooth_close(got, query, anchors, bandwidth, noise, **ref_kw):
     assert err <= bound, (err, bound)
 
 
+def _smooth(query, anchors, bandwidth, noise):
+    """``simulate._smooth`` of one bandwidth group."""
+    return simulate._smooth(query, anchors, [(bandwidth, noise)])[0]
+
+
 def _smooth_one_worker(monkeypatch, *args):
     """``_smooth(*args)`` with every row block run on the calling thread."""
     with monkeypatch.context() as m:
         m.setattr(geometry, "POOL_WORKERS", 1)
-        return simulate._smooth(*args)
+        return _smooth(*args)
 
 
 # (rows per chunk of the serial oracle, chunk count, last chunk's rows) at
@@ -305,13 +310,13 @@ class TestSmoothBlocks:
         query, anchors, noise = _smooth_inputs(n_cols, 1, 300, n_cols)
         query[0] = (0.4, 0.6)
         for u in (noise, noise[:, 0]):
-            got = simulate._smooth(query, anchors, 0.1, u)
+            got = _smooth(query, anchors, 0.1, u)
             assert np.array_equal(got, _smooth_one_worker(monkeypatch, query, anchors, 0.1, u))
             _assert_smooth_close(got, query, anchors, 0.1, u)
 
     def test_far_query(self, monkeypatch):
         query, anchors, noise = _smooth_inputs(4, 50, 500, 3)
-        got = simulate._smooth(query, anchors, 0.05, noise)
+        got = _smooth(query, anchors, 0.05, noise)
         assert np.array_equal(got, _smooth_one_worker(monkeypatch, query, anchors, 0.05, noise))
         _assert_smooth_close(got, query, anchors, 0.05, noise)
         assert np.isfinite(got[-1]).all() and (got[-1] != 0.0).all()
@@ -323,7 +328,7 @@ class TestSmoothBlocks:
         n_anchors = 300
         monkeypatch.setattr(geometry, "_BLOCK_DOUBLES", 8 * n_anchors)
         query, anchors, noise = _smooth_inputs(width + n_chunks, (n_chunks - 1) * width + last, n_anchors, n_cols)
-        got = simulate._smooth(query, anchors, 0.05, noise)
+        got = _smooth(query, anchors, 0.05, noise)
         assert np.array_equal(got, _smooth_one_worker(monkeypatch, query, anchors, 0.05, noise))
         _assert_smooth_close(got, query, anchors, 0.05, noise, chunk_doubles=width * n_anchors)
         assert np.isfinite(got[-1]).all() and (got[-1] != 0.0).all()  # the far site
@@ -353,24 +358,24 @@ class TestSmoothBlocks:
         """At the default constants: the oracle's chunks of 1600 rows (5000
         anchors), the blocks of 52."""
         query, anchors, noise = _smooth_inputs(5, n_query, n_anchors, 3)
-        _assert_smooth_close(simulate._smooth(query, anchors, 0.05, noise), query, anchors, 0.05, noise)
+        _assert_smooth_close(_smooth(query, anchors, 0.05, noise), query, anchors, 0.05, noise)
 
     def test_training_sites_on_themselves(self):
         """The training-site field of every ``generate`` call: the query is the
         anchors. There the serial loop's expanded square errs most (1.1e-6 at
         h = 0.012 against a bound of 4.4e-5)."""
         _, anchors, noise = _smooth_inputs(8, 1, 5000, 3)
-        _assert_smooth_close(simulate._smooth(anchors, anchors, 0.012, noise), anchors, anchors, 0.012, noise)
+        _assert_smooth_close(_smooth(anchors, anchors, 0.012, noise), anchors, anchors, 0.012, noise)
 
     def test_peak_memory_one_chunk(self):
         """No kernel larger than a row block: the traced peak of a second call
         stays below the pool's block buffers, the output and 8 MB of slack
         (12 MB on two CPUs), where a 64 MB kernel of 1600 rows would not."""
         query, anchors, noise = _smooth_inputs(6, 5000, 5000, 3)
-        simulate._smooth(query, anchors, 0.05, noise)  # the pool's threads and buffers exist
+        _smooth(query, anchors, 0.05, noise)  # the pool's threads and buffers exist
         tracemalloc.start()
         try:
-            out = simulate._smooth(query, anchors, 0.05, noise)
+            out = _smooth(query, anchors, 0.05, noise)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -397,7 +402,7 @@ def test_simulate_csvs_match_chunk_loop(args, tmp_path, monkeypatch):
     ``z`` and components) within ``rtol=1e-6, atol=1e-6``. The fields move by
     at most a few 1e-7 here, within ``_smooth``'s bound against the loop."""
     assert main(["simulate", *args, "--out", str(tmp_path / "blocks")]) == 0
-    monkeypatch.setattr(simulate, "_smooth", ref_smooth)
+    monkeypatch.setattr(simulate, "_smooth", lambda q, a, groups: [ref_smooth(q, a, h, u) for h, u in groups])
     assert main(["simulate", *args, "--out", str(tmp_path / "loop")]) == 0
     for suffix in ("_train.csv", "_test.csv", "_truth.csv"):
         got, want = _read_columns(tmp_path / f"blocks{suffix}"), _read_columns(tmp_path / f"loop{suffix}")
