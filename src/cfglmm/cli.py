@@ -120,11 +120,7 @@ def _cmd_predict(args) -> int:
     model = load_model(args.model)
     sites, covariates, offset = read_sites_csv(args.sites, model.n_covariates)
     pred = predict(model, sites, covariates, offset)
-    rows = [
-        [float(sites[i, 0]), float(sites[i, 1]), float(pred.mu_lin[i]), float(pred.mu[i]),
-         float(pred.z_total[i]), float(pred.var_z[i]), float(pred.cov[i])]
-        for i in range(len(sites))
-    ]
+    rows = np.column_stack([sites, pred.mu_lin, pred.mu, pred.z_total, pred.var_z, pred.cov]).tolist()
     write_rows_csv(args.out, ["x", "y", "mu_lin", "mu", "z_total", "var_z", "cov"], rows)
     return EXIT_OK
 
@@ -147,19 +143,11 @@ def _cmd_decompose(args) -> int:
     edges = _parse_floats(args.bands, "--bands")
     bands = decompose(model, sites, edges)
     names = _band_names(bands.band_edges)
-    rows = []
-    for i in range(len(sites)):
-        row = [float(sites[i, 0]), float(sites[i, 1])]
-        row.extend(float(v) for v in bands.band_values[i])
-        row.append(float(bands.band_values[i].sum()))
-        rows.append(row)
+    values = bands.band_values
+    rows = np.column_stack([sites, values, values.sum(axis=1)]).tolist()
     write_rows_csv(args.out, ["x", "y", *names, "z_total"], rows)
     sd_path = str(Path(args.out).with_suffix("")) + "_band_sds.csv"
-    write_rows_csv(
-        sd_path,
-        ["band", "sd"],
-        [[names[b], float(bands.band_sds[b])] for b in range(bands.n_bands)],
-    )
+    write_rows_csv(sd_path, ["band", "sd"], zip(names, bands.band_sds.tolist()))
     return EXIT_OK
 
 
@@ -185,38 +173,24 @@ def _cmd_simulate(args) -> int:
     ):
         if dataset is None:
             continue
-        for i in range(dataset.n_sites):
-            row = [label, float(dataset.sites[i, 0]), float(dataset.sites[i, 1]),
-                   float(truth.mu[i]), float(truth.z[i])]
-            if multiscale:
-                row.extend(float(v) for v in truth.components[i])
-            truth_rows.append(row)
+        columns = [dataset.sites, truth.mu, truth.z]
+        if multiscale:
+            columns.append(truth.components)
+        truth_rows += [[label, *row] for row in np.column_stack(columns).tolist()]
     write_rows_csv(f"{args.out}_truth.csv", ["dataset", "x", "y", "mu", "z", *comp_names], truth_rows)
     return EXIT_OK
 
 
 def _report_rows(report, size: int):
+    """One dict per trial: the scalar fields of ``TrialResult`` as they are,
+    its tuple fields spread over ``beta{j}``, ``beta{j}_glm`` and
+    ``corr_band_{b}`` columns."""
     rows = []
     for t in report.trials:
-        row = {
-            "n": size,
-            "trial": t.trial,
-            "seed": t.seed,
-            "error": t.error or "",
-            "rmse_in": t.rmse_in,
-            "rmse_out": t.rmse_out,
-            "rmse_in_glm": t.rmse_in_glm,
-            "rmse_out_glm": t.rmse_out_glm,
-            "fit_seconds": t.fit_seconds,
-            "accepted_scales": t.accepted_scales,
-        }
-        for j, b in enumerate(t.beta_hat):
-            row[f"beta{j}"] = b
-        for j, b in enumerate(t.beta_hat_glm):
-            row[f"beta{j}_glm"] = b
-        if t.scale_correlations is not None:
-            for b, c in enumerate(t.scale_correlations):
-                row[f"corr_band_{b}"] = c
+        row = {"n": size, **vars(t)}
+        row.update((f"beta{j}", b) for j, b in enumerate(row.pop("beta_hat")))
+        row.update((f"beta{j}_glm", b) for j, b in enumerate(row.pop("beta_hat_glm")))
+        row.update((f"corr_band_{b}", c) for b, c in enumerate(row.pop("scale_correlations") or ()))
         rows.append(row)
     return rows
 
@@ -236,13 +210,12 @@ def _write_report(out_dir: Path, suite: str, all_rows, quantile_blocks) -> None:
         ["n", "metric", *QUANTILE_LABELS],
         quantile_blocks,
     )
-    long_rows = []
-    for row in all_rows:
-        for key, value in row.items():
-            if key in ("n", "trial", "seed", "error"):
-                continue
-            if isinstance(value, float) and np.isfinite(value):
-                long_rows.append([row["n"], row["trial"], key, float(value)])
+    long_rows = [
+        [row["n"], row["trial"], key, value]
+        for row in all_rows
+        for key, value in row.items()
+        if isinstance(value, float) and np.isfinite(value)
+    ]
     write_rows_csv(out_dir / f"{suite}_long.csv", ["n", "trial", "metric", "value"], long_rows)
 
 

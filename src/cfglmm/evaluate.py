@@ -83,9 +83,6 @@ class ExperimentReport:
     trials: tuple[TrialResult, ...]
     quantiles: dict
 
-    def ok_trials(self) -> list[TrialResult]:
-        return [t for t in self.trials if t.error is None]
-
 
 def _midpoint_edges(bandwidths) -> tuple[float, ...]:
     hs = sorted(bandwidths, reverse=True)

@@ -127,53 +127,13 @@ def fit_layer(targets, site_weights, sites, centers: CenterSet, cfg: FitConfig) 
 def evaluate_layer(layer: ScaleLayer, sites) -> LayerEvaluation:
     """Product-of-experts mean and variance of one layer at the query sites.
 
-    The layer is one kernel of the sites against its active experts (see
-    :func:`_layer_kernel`), run in row blocks cut from the kernel's shape
-    alone (see :func:`geometry._map_kernel_blocks`), so the result does not
-    depend on the number of CPUs. Raises
+    This is ``evaluate_stack([layer], sites)``: one kernel of the sites against
+    the layer's active experts (see :func:`_evaluate_group`), run in row blocks
+    cut from the kernel's shape alone (see :func:`geometry._map_kernel_blocks`),
+    so the result does not depend on the number of CPUs. Raises
     :class:`~cfglmm.data.ValidationError` for a non-finite site.
     """
-    pts = as_sites(sites)
-    check_finite_inputs(pts)
-    return _evaluate_group([layer], pts)[0]
-
-
-def _layer_kernel(layer: ScaleLayer, pts: np.ndarray) -> tuple:
-    """``evaluate_layer``'s kernel: ``k^power`` against ``[1/s2, mu/s2]``
-    gives ``sum(q)`` and ``sum(q mu)`` in an ``(n, 2)`` array, which
-    :func:`_layer_moments` turns into the evaluation in place."""
-    act = layer.active
-    if not act.any():
-        raise ValueError("layer has no active expert")
-    cen = np.compress(act, layer.centers, axis=0)  # rows: 4x faster than centers[act]
-    sigma2 = layer.sigma2[act]
-    rhs = np.column_stack([1.0 / sigma2, layer.mu[act] / sigma2])
-    return pts, cen, -layer.weight_power / layer.bandwidth, rhs, np.empty((len(pts), 2))
-
-
-def _layer_moments(layer: ScaleLayer, kernel: tuple) -> LayerEvaluation:
-    """The evaluation from its kernel's product: variance ``1 / sum(q)`` over
-    the first column, mean ``sum(q mu) / sum(q)`` over the second."""
-    pts, cen, _, _, sums = kernel
-    sq, sq_mu = sums.T
-    # near-total kernel underflow: 1/sq overflows or loses all precision
-    far = np.flatnonzero(sq < 1e-280)
-    act = layer.active
-    log_scale = layer.weight_power / layer.bandwidth
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        mean = np.divide(sq_mu, sq, out=sq_mu)
-        variance = np.divide(1.0, sq, out=sq)
-        for i in far:
-            # Kernel underflow at a far-away site: shift log precisions so the
-            # dominant expert still contributes; variance is capped, not inf.
-            di = np.hypot(pts[i, 0] - cen[:, 0], pts[i, 1] - cen[:, 1])
-            logq = -di * log_scale - np.log(layer.sigma2[act])
-            top = logq.max()
-            qs = np.exp(logq - top)
-            ssq = qs.sum()
-            mean[i] = (qs @ layer.mu[act]) / ssq
-            variance[i] = min(np.exp(-top) / ssq, _VARIANCE_CAP)
-    return LayerEvaluation(mean, variance)
+    return next(evaluate_stack([layer], sites))
 
 
 def evaluate_stack(layers, sites) -> Iterator[LayerEvaluation]:
@@ -184,12 +144,12 @@ def evaluate_stack(layers, sites) -> Iterator[LayerEvaluation]:
     doubles, at least one layer each. A group is evaluated when the caller
     reaches its first layer. Its layers' kernels go to one
     :func:`geometry._map_kernel_blocks` call, whose queue holds the row blocks
-    of a direct ``evaluate_layer`` call of each, largest block first, so
-    neither a small layer nor the tail of a layer leaves a worker idle. Layers
-    of a group whose active centers are equal share one distance pass per row
-    block; each still gets the same distances, scale, ``exp`` and products,
-    so every row has the bits of a direct call. Raises
-    :class:`~cfglmm.data.ValidationError` for a non-finite site.
+    of each layer evaluated alone, largest block first, so neither a small
+    layer nor the tail of a layer leaves a worker idle. Layers of a group whose
+    active centers are equal share one distance pass per row block; each still
+    gets the same distances, scale, ``exp`` and products, so every row has the
+    bits of a one-layer group. Raises :class:`~cfglmm.data.ValidationError`
+    for a non-finite site.
     """
     pts = as_sites(sites)
     check_finite_inputs(pts)
@@ -200,10 +160,45 @@ def evaluate_stack(layers, sites) -> Iterator[LayerEvaluation]:
 
 
 def _evaluate_group(layers: list[ScaleLayer], pts: np.ndarray) -> list[LayerEvaluation]:
-    """The layers' evaluations, their row blocks in one queue of the pool."""
-    kernels = [_layer_kernel(layer, pts) for layer in layers]
+    """The layers' evaluations, their row blocks in one queue of the pool.
+
+    Each layer is one kernel: ``k^power`` of the sites against its active
+    experts, times ``[1/s2, mu/s2]``, gives ``sum(q)`` and ``sum(q mu)`` in an
+    ``(n, 2)`` array. That array becomes the evaluation in place: variance
+    ``1 / sum(q)`` over the first column, mean ``sum(q mu) / sum(q)`` over the
+    second.
+    """
+    kernels = []
+    for layer in layers:
+        act = layer.active
+        if not act.any():
+            raise ValueError("layer has no active expert")
+        cen = np.compress(act, layer.centers, axis=0)  # rows: 4x faster than centers[act]
+        sigma2 = layer.sigma2[act]
+        rhs = np.column_stack([1.0 / sigma2, layer.mu[act] / sigma2])
+        kernels.append((pts, cen, -layer.weight_power / layer.bandwidth, rhs, np.empty((len(pts), 2))))
     _map_kernel_blocks(kernels)
-    return [_layer_moments(layer, kernel) for layer, kernel in zip(layers, kernels)]
+    evaluations = []
+    for layer, (_, cen, scale, _, sums) in zip(layers, kernels):
+        sq, sq_mu = sums.T
+        # near-total kernel underflow: 1/sq overflows or loses all precision
+        far = np.flatnonzero(sq < 1e-280)
+        act = layer.active
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            mean = np.divide(sq_mu, sq, out=sq_mu)
+            variance = np.divide(1.0, sq, out=sq)
+            for i in far:
+                # Kernel underflow at a far-away site: shift log precisions so the
+                # dominant expert still contributes; variance is capped, not inf.
+                di = np.hypot(pts[i, 0] - cen[:, 0], pts[i, 1] - cen[:, 1])
+                logq = di * scale - np.log(layer.sigma2[act])
+                top = logq.max()
+                qs = np.exp(logq - top)
+                ssq = qs.sum()
+                mean[i] = (qs @ layer.mu[act]) / ssq
+                variance[i] = min(np.exp(-top) / ssq, _VARIANCE_CAP)
+        evaluations.append(LayerEvaluation(mean, variance))
+    return evaluations
 
 
 def layer_basis_expansion(layer: ScaleLayer, sites) -> tuple[np.ndarray, np.ndarray]:

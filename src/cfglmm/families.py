@@ -141,8 +141,6 @@ def working_state(family: Family, y, mu_lin) -> WorkingState:
 def add_intercept(covariates: np.ndarray) -> np.ndarray:
     """Prepend the implicit intercept column."""
     x = np.asarray(covariates, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
     return np.column_stack([np.ones(len(x)), x])
 
 

@@ -142,20 +142,17 @@ def fit_cf(
     z_cache = np.zeros(n)
     var_cache = np.zeros(n)
     rejections = 0
-    scale = 1
-    while scale <= cfg.max_scales:
+    for scale in range(1, cfg.max_scales + 1):
         n_centers = min(center_count(diagonal, bandwidth, cfg.center_density), len(tr))
         xb = design @ beta
         ws = working_state(family, y, xb + cum_offset)
         resid = ws.eta_hat - xb - cum_offset
-        record = None
         try:
             centers = _place_distinct(uniq, counts, n_centers, bandwidth)
             layer = fit_layer(resid[tr], ws.weights[tr], train_pts, centers, cfg)
         except LayerUnfittableError:
             record = ScaleRecord(scale, bandwidth, n_centers, math.nan, math.nan, False)
-            rejections += 1
-        if record is None:
+        else:
             ev = evaluate_layer(layer, d.sites)
             beta_new = wls_beta(design, ws.eta_hat - cum_offset - ev.mean, ws.weights, subset=tr)
             cand_loss, cand_train = valid_dev(beta_new, ev.mean)
@@ -168,16 +165,13 @@ def fit_cf(
                 z_cache += ev.mean
                 var_cache += ev.variance
                 best_loss = cand_loss
-                rejections = 0
-            else:
-                rejections += 1
+        rejections = 0 if record.accepted else rejections + 1
         trace.append(record)
         if progress is not None:
             progress(record)
         if rejections >= cfg.patience:
             break
         bandwidth *= cfg.bandwidth_decay
-        scale += 1
 
     return CfModel(
         beta=beta,

@@ -36,10 +36,6 @@ class ModelFormatError(ValueError):
     """Model JSON does not match the expected schema."""
 
 
-def _fmt(x: float) -> str:
-    return _NUM_FMT % x
-
-
 # ---------------------------------------------------------------------------
 # model persistence
 
@@ -149,7 +145,7 @@ def _layer(entry, index: int) -> ScaleLayer:
     if not experts[:, 4].any():
         raise ModelFormatError(f"model layer {index} has no active expert")
     weight_power = entry.get("weight_power", 1)
-    if isinstance(weight_power, bool) or weight_power not in (1, 2):
+    if type(weight_power) is not int or weight_power not in (1, 2):
         raise ModelFormatError(f"layer weight_power must be 1 or 2, got {weight_power!r}")
     return ScaleLayer(
         bandwidth=_positive(_require(entry, "bandwidth", None), "layer bandwidth"),
@@ -177,10 +173,13 @@ def load_model(path) -> CfModel:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ModelFormatError("model file is not a JSON object")
-    version = _require(doc, "format_version", int)
+    version = _integer(_require(doc, "format_version", None), "format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ModelFormatError(f"unsupported model format version {version}")
-    family = get_family(str(_require(doc, "family", str)))
+    try:
+        family = get_family(_require(doc, "family", str))
+    except ValueError as exc:
+        raise ModelFormatError(str(exc)) from None
     cfg_doc = _require(doc, "config", dict)
     try:
         config = FitConfig(**cfg_doc)
@@ -304,30 +303,22 @@ def read_sites_csv(path, n_covariates: int) -> tuple[np.ndarray, np.ndarray, np.
 
 def write_dataset_csv(path, dataset: Dataset) -> None:
     header = ["x", "y", "response"]
-    has_offset = bool(np.any(dataset.offset != 0.0))
-    if has_offset:
+    columns = [dataset.sites, dataset.response]
+    if np.any(dataset.offset != 0.0):
         header.append("offset")
+        columns.append(dataset.offset)
     header += [f"cov_{k + 1}" for k in range(dataset.n_covariates)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(dataset.n_sites):
-            row = [dataset.sites[i, 0], dataset.sites[i, 1], dataset.response[i]]
-            if has_offset:
-                row.append(dataset.offset[i])
-            row.extend(dataset.covariates[i])
-            writer.writerow([_fmt(v) for v in row])
+    write_rows_csv(path, header, np.column_stack([*columns, dataset.covariates]).tolist())
 
 
 def write_rows_csv(path, header: list[str], rows) -> None:
-    """Write rows of mixed values; floats get 12 significant digits."""
+    """Write rows of mixed values: floats get 12 significant digits, ``None``
+    is an empty cell, and any other value is written as its ``str``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow(
-                [_fmt(v) if isinstance(v, float) and math.isfinite(v) else str(v) for v in row]
-            )
+            writer.writerow([_NUM_FMT % v if isinstance(v, float) else v for v in row])
 
 
 def write_trace_csv(path, trace) -> None:

@@ -138,10 +138,10 @@ def test_c02_monotone_validation_loss():
 
 def test_c03_prediction_ordering(experiment_2000, experiment_500):
     """Out-of-sample latent-mean RMSE: coarse-to-fine below plain GLM."""
-    ok2000 = experiment_2000.ok_trials()
+    ok2000 = [t for t in experiment_2000.trials if t.error is None]
     med_cf = float(np.median([t.rmse_out for t in ok2000]))
     med_glm = float(np.median([t.rmse_out_glm for t in ok2000]))
-    ok500 = experiment_500.ok_trials()
+    ok500 = [t for t in experiment_500.trials if t.error is None]
     wins500 = sum(t.rmse_out < t.rmse_out_glm for t in ok500)
     passed = (
         len(ok2000) == 20
@@ -156,7 +156,7 @@ def test_c03_prediction_ordering(experiment_2000, experiment_500):
 
 def test_c04_coefficient_bias(experiment_2000):
     """Median slope estimate closer to the true 2.0 than the GLM's."""
-    ok = experiment_2000.ok_trials()
+    ok = [t for t in experiment_2000.trials if t.error is None]
     b1 = float(np.median([t.beta_hat[1] for t in ok]))
     b1_glm = float(np.median([t.beta_hat_glm[1] for t in ok]))
     passed = abs(b1 - 2.0) < abs(b1_glm - 2.0)
@@ -171,7 +171,7 @@ def test_c05_multiscale_recovery():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         report = run_experiment(scn, 20, seed=SEED, band_edges=(1.9, 0.5))
-    ok = report.ok_trials()
+    ok = [t for t in report.trials if t.error is None]
     med = [float(np.median([t.scale_correlations[b] for t in ok])) for b in range(3)]
     passed = len(ok) == 20 and med[0] > 0.5 and med[0] >= med[1] and med[0] >= med[2]
     detail = f"median correlations large/moderate/small = {med[0]:.3f}/{med[1]:.3f}/{med[2]:.3f}"

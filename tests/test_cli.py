@@ -7,13 +7,29 @@ import numpy as np
 import pytest
 
 from cfglmm.cli import main
-from cfglmm import load_model
+from cfglmm import SimScenario, decompose, generate, load_model, predict, run_experiment
+from cfglmm.model_io import read_sites_csv
 
 
 def _read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     return rows
+
+
+def _header(path):
+    with open(path, newline="") as fh:
+        return next(csv.reader(fh))
+
+
+def _assert_written(path, columns):
+    """The CSV holds exactly ``columns``, in order, each with the library's
+    values: strings as they are, numbers at the 12 significant digits written."""
+    rows = _read_csv(path)
+    assert _header(path) == list(columns)
+    for name, want in columns.items():
+        written = [r[name] for r in rows]
+        assert written == [v if isinstance(v, str) else "%.12g" % v for v in want], name
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +79,36 @@ class TestSimulateCommand:
         z = [float(r["z"]) for r in rows]
         parts = [float(r["Z1"]) + float(r["Z2"]) + float(r["Z3"]) for r in rows]
         np.testing.assert_allclose(z, parts, rtol=1e-9)
+
+    @pytest.mark.parametrize("multiscale", [None, (3.0, 0.8, 0.3)], ids=["single", "multiscale"])
+    def test_csvs_hold_generated_draw(self, tmp_path, multiscale):
+        """Train rows then test rows of the truth file, then Z1..Z3 for a
+        multiscale draw, and both datasets, as ``generate`` returns them."""
+        prefix = str(tmp_path / "draw")
+        args = ["simulate", "--family", "poisson", "--n", "200", "--beta0", "0.5", "--test", "50",
+                "--seed", "4", "--out", prefix]
+        assert main(args + (["--multiscale", "3.0,0.8,0.3"] if multiscale else [])) == 0
+        sim = generate(SimScenario(family="poisson", beta0=0.5, n_train=200, n_test=50,
+                                   multiscale=multiscale), 4)
+        parts = ((sim.train, sim.truth_train), (sim.test, sim.truth_test))
+
+        def stacked(column):
+            return np.concatenate([column(d, truth) for d, truth in parts])
+
+        truth = {
+            "dataset": ["train"] * 200 + ["test"] * 50,
+            "x": stacked(lambda d, t: d.sites[:, 0]),
+            "y": stacked(lambda d, t: d.sites[:, 1]),
+            "mu": stacked(lambda d, t: t.mu),
+            "z": stacked(lambda d, t: t.z),
+        }
+        for m in range(len(multiscale or ())):
+            truth[f"Z{m + 1}"] = stacked(lambda d, t: t.components[:, m])
+        _assert_written(f"{prefix}_truth.csv", truth)
+        for label, d in (("train", sim.train), ("test", sim.test)):
+            columns = {"x": d.sites[:, 0], "y": d.sites[:, 1], "response": d.response}
+            columns.update((f"cov_{k + 1}", d.covariates[:, k]) for k in range(d.n_covariates))
+            _assert_written(f"{prefix}_{label}.csv", columns)
 
     @pytest.mark.parametrize("args,field", [
         (["--n", "0"], "n_train"), (["--test", "-1"], "n_test"), (["--beta0", "nan"], "beta0"),
@@ -143,6 +189,19 @@ class TestPredictCommand:
         assert all(float(r["var_z"]) >= 0 for r in rows)
         assert all(float(r["cov"]) >= 0 for r in rows)
 
+    def test_csv_holds_library_predictions(self, fitted_files, tmp_path):
+        sim_prefix, model_path, _ = fitted_files
+        out = str(tmp_path / "pred.csv")
+        assert main(["predict", "--model", model_path, "--sites", f"{sim_prefix}_test.csv",
+                     "--out", out]) == 0
+        model = load_model(model_path)
+        sites, covariates, offset = read_sites_csv(f"{sim_prefix}_test.csv", model.n_covariates)
+        pred = predict(model, sites, covariates, offset)
+        _assert_written(out, {
+            "x": sites[:, 0], "y": sites[:, 1], "mu_lin": pred.mu_lin, "mu": pred.mu,
+            "z_total": pred.z_total, "var_z": pred.var_z, "cov": pred.cov,
+        })
+
     def test_predict_at_training_sites_matches_cache(self, tmp_path):
         # gaussian model: mu at the training sites equals the cached train fit.
         # The reference is fit on the CSV the CLI reads (12 significant digits),
@@ -222,10 +281,11 @@ class TestPredictCommand:
             lambda doc: doc.__setitem__("n_sites", -5),
             lambda doc: doc.update(n_covariates=-1, beta=[]),
             lambda doc: doc.__setitem__("n_covariates", True),
+            lambda doc: doc["layers"][0].__setitem__("weight_power", 2.0),
         ],
         ids=["null_trace_scale", "null_expert_mu", "zero_sigma2", "active_2",
              "float_rng_seed", "bool_patience", "negative_n_sites", "negative_n_covariates",
-             "bool_n_covariates"],
+             "bool_n_covariates", "float_weight_power"],
     )
     def test_schema_fault_exit_3(self, fitted_files, tmp_path, capsys, corrupt):
         sim_prefix, model_path, _ = fitted_files
@@ -252,6 +312,21 @@ class TestDecomposeCommand:
         for r in rows:
             parts = sum(float(v) for k, v in r.items() if k.startswith("band_"))
             assert parts == pytest.approx(float(r["z_total"]), abs=1e-9)
+
+    def test_csvs_hold_library_bands(self, fitted_files, tmp_path):
+        sim_prefix, model_path, _ = fitted_files
+        out = str(tmp_path / "bands.csv")
+        assert main(["decompose", "--model", model_path, "--sites", f"{sim_prefix}_test.csv",
+                     "--bands", "0.5,0.2", "--out", out]) == 0
+        sites, _, _ = read_sites_csv(f"{sim_prefix}_test.csv", 0)
+        bands = decompose(load_model(model_path), sites, (0.5, 0.2))
+        names = ["band_h_ge_0.5", "band_h_0.2_to_0.5", "band_h_lt_0.2"]
+        values = bands.band_values
+        columns = {"x": sites[:, 0], "y": sites[:, 1]}
+        columns.update((name, values[:, b]) for b, name in enumerate(names))
+        columns["z_total"] = values.sum(axis=1)
+        _assert_written(out, columns)
+        _assert_written(str(tmp_path / "bands_band_sds.csv"), {"band": names, "sd": bands.band_sds})
 
     def test_band_sd_side_file(self, fitted_files, tmp_path):
         sim_prefix, model_path, _ = fitted_files
@@ -336,8 +411,36 @@ class TestBenchmarkCommand:
             code = main(["benchmark", "--suite", "multiscale", "--trials", "2",
                          "--sizes", "250", "--seed", "1", "--out", out])
         assert code == 0
-        rows = _read_csv(str(Path(out) / "multiscale_trials.csv"))
-        assert {"corr_band_0", "corr_band_1", "corr_band_2"} <= set(rows[0])
+        assert _header(Path(out) / "multiscale_trials.csv") == [
+            "n", "trial", "seed", "error", "accepted_scales", "beta0", "beta0_glm", "beta1",
+            "beta1_glm", "beta2", "beta2_glm", "corr_band_0", "corr_band_1", "corr_band_2",
+            "fit_seconds", "rmse_in", "rmse_in_glm", "rmse_out", "rmse_out_glm",
+        ]
+
+    def test_binomial_suite_rows(self, tmp_path):
+        """The trials CSV holds every field of ``run_experiment``'s trials
+        (its tuple fields spread over columns) but the wall-clock time."""
+        out = str(tmp_path / "bench")
+        assert main(["benchmark", "--suite", "binomial", "--trials", "2", "--sizes", "150",
+                     "--seed", "1", "--out", out]) == 0
+        path = Path(out) / "binomial_trials.csv"
+        assert _header(path) == [
+            "n", "trial", "seed", "error", "accepted_scales", "beta0", "beta0_glm", "beta1",
+            "beta1_glm", "beta2", "beta2_glm", "fit_seconds", "rmse_in", "rmse_in_glm",
+            "rmse_out", "rmse_out_glm",
+        ]
+        scenario = SimScenario(family="bernoulli", beta0=0.5, n_train=150, n_test=2000)
+        trials = run_experiment(scenario, 2, 1).trials
+        rows = _read_csv(path)
+        for row, t in zip(rows, trials, strict=True):
+            want = {"n": 150, "trial": t.trial, "seed": t.seed, "error": t.error or "",
+                    "accepted_scales": t.accepted_scales, "rmse_in": t.rmse_in,
+                    "rmse_in_glm": t.rmse_in_glm, "rmse_out": t.rmse_out, "rmse_out_glm": t.rmse_out_glm}
+            for j, (b, b_glm) in enumerate(zip(t.beta_hat, t.beta_hat_glm, strict=True)):
+                want[f"beta{j}"], want[f"beta{j}_glm"] = b, b_glm
+            assert {k: row[k] for k in want} == {
+                k: "%.12g" % v if isinstance(v, float) else str(v) for k, v in want.items()
+            }
 
 
 class TestArgumentParsing:

@@ -123,13 +123,13 @@ class TestRunExperiment:
 
     def test_glm_rmse_present_for_every_trial(self, small_report):
         _, report = small_report
-        for t in report.ok_trials():
+        for t in (t for t in report.trials if t.error is None):
             assert np.isfinite(t.rmse_out_glm)
             assert np.isfinite(t.rmse_in_glm)
 
     def test_quantiles_consistent_with_trials(self, small_report):
         _, report = small_report
-        outs = [t.rmse_out for t in report.ok_trials()]
+        outs = [t.rmse_out for t in report.trials if t.error is None]
         assert report.quantiles["rmse_out"][2] == pytest.approx(float(np.median(outs)))
         assert report.quantiles["rmse_out"][0] == pytest.approx(min(outs))
         assert report.quantiles["rmse_out"][4] == pytest.approx(max(outs))
@@ -149,7 +149,7 @@ class TestRunExperiment:
         errors = [t for t in report.trials if t.error]
         assert len(errors) == 1
         assert "boom" in errors[0].error
-        assert len(report.ok_trials()) == 2
+        assert sum(t.error is None for t in report.trials) == 2
 
     def test_multiscale_correlations_attached(self):
         scn = SimScenario(beta0=0.5, n_train=300, n_test=0, multiscale=(3.0, 0.8, 0.3))

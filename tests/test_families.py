@@ -121,6 +121,15 @@ class TestWorkingState:
         assert np.all(np.isfinite(ws.eta_hat))
 
 
+class TestAddIntercept:
+    def test_one_dimensional_covariate_is_one_column(self, rng):
+        x = rng.normal(size=7)
+        design = add_intercept(x)
+        assert design.shape == (7, 2)
+        np.testing.assert_array_equal(design, add_intercept(x[:, None]))
+        np.testing.assert_array_equal(design[:, 0], 1.0)
+
+
 class TestWlsBeta:
     def test_intercept_only_weighted_mean(self):
         design = np.ones((3, 1))

@@ -196,6 +196,9 @@ class TestModelRoundTrip:
             (("initial_deviance",), math.nan, "initial_deviance"),
             (("validation_deviance",), math.nan, "validation_deviance"),
             (("layers", 2, "experts"), [[0.5, 0.5, 1.0, 1.0, 0]], "model layer 2 has no active expert"),
+            (("layers", 0, "weight_power"), 2.0, "weight_power"),
+            (("format_version",), True, "format_version"),
+            (("family",), "gamma", "family"),
         ],
     )
     def test_schema_fault_rejected(self, fitted, tmp_path, path, value, match):
