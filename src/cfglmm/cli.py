@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -126,15 +125,8 @@ def _cmd_predict(args) -> int:
 
 
 def _band_names(edges: tuple[float, ...]) -> list[str]:
-    names = []
-    for b in range(len(edges) + 1):
-        if b == 0:
-            names.append(f"band_h_ge_{edges[0]:g}")
-        elif b == len(edges):
-            names.append(f"band_h_lt_{edges[-1]:g}")
-        else:
-            names.append(f"band_h_{edges[b]:g}_to_{edges[b - 1]:g}")
-    return names
+    inner = [f"band_h_{lo:g}_to_{hi:g}" for hi, lo in zip(edges, edges[1:])]
+    return [f"band_h_ge_{edges[0]:g}", *inner, f"band_h_lt_{edges[-1]:g}"]
 
 
 def _cmd_decompose(args) -> int:

@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset, FitConfig
-from .families import add_intercept, deviance, fit_glm, get_family
+from .families import add_intercept, fit_glm, get_family
 from .learner import CfModel, accepted_scale_count, fit_cf
 from .prediction import decompose, predict
 from .simulate import SimScenario, generate

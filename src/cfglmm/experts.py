@@ -54,10 +54,6 @@ class ScaleLayer:
     raw_mean: np.ndarray | None = None  # pre-shrinkage means; not persisted
 
     @property
-    def n_experts(self) -> int:
-        return len(self.mu)
-
-    @property
     def n_active(self) -> int:
         return int(self.active.sum())
 

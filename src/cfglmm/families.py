@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import expit, xlogy
 
-from .data import Dataset, FitConfig
+from .data import Dataset, FitConfig, validate_dataset
 
 POISSON_MU_RANGE = (1e-10, 1e10)
 BERNOULLI_MU_RANGE = (1e-6, 1.0 - 1e-6)
@@ -118,7 +118,6 @@ class WorkingState:
     eta_hat: np.ndarray
     weights: np.ndarray
     mu: np.ndarray
-    mu_lin: np.ndarray
 
 
 def working_state(family: Family, y, mu_lin) -> WorkingState:
@@ -130,12 +129,12 @@ def working_state(family: Family, y, mu_lin) -> WorkingState:
     y = np.asarray(y, dtype=float)
     mu_lin = np.asarray(mu_lin, dtype=float)
     if family.tag == "gaussian":
-        return WorkingState(y.copy(), np.ones_like(y), mu_lin.copy(), mu_lin)
+        return WorkingState(y.copy(), np.ones_like(y), mu_lin.copy())
     mu = family.clamp_mu(family.inv_link(mu_lin))
     gprime = family.link_deriv(mu)
     eta_hat = mu_lin + (y - mu) * gprime
     weights = 1.0 / (family.variance_fn(mu) * gprime * gprime)
-    return WorkingState(eta_hat, weights, mu, mu_lin)
+    return WorkingState(eta_hat, weights, mu)
 
 
 def add_intercept(covariates: np.ndarray) -> np.ndarray:
@@ -153,8 +152,6 @@ def wls_beta(design, target, weights, subset=None) -> np.ndarray:
     x = np.asarray(design, dtype=float)
     t = np.asarray(target, dtype=float)
     w = np.asarray(weights, dtype=float)
-    if w.ndim == 0:
-        w = np.full(len(t), float(w))
     if subset is not None:
         x = x[subset]
         t = t[subset]
@@ -199,8 +196,10 @@ def fit_glm(d: Dataset, cfg: FitConfig = FitConfig(), subset=None) -> GlmFit:
     Iterates working-response WLS until ``max |dbeta| < cfg.irls_tol`` or
     ``cfg.irls_max_iter`` iterations, with step halving (up to 10) whenever a
     step increases the deviance. Non-convergence is not an error; the best
-    iterate is returned with ``converged=False``.
+    iterate is returned with ``converged=False``. An invalid dataset raises
+    :class:`~cfglmm.data.ValidationError`.
     """
+    validate_dataset(d)
     family = get_family(d.family_tag)
     design = add_intercept(d.covariates)
     y = d.response

@@ -1,7 +1,8 @@
 """File formats: versioned JSON model persistence and the CSV dataset layout.
 
-Dataset CSV header: ``x,y,response[,offset][,cov_1..cov_K]``. Site CSVs for
-prediction use the same layout with ``response`` optional. Numeric output uses
+CSV header grammar: ``x,y[,response][,offset][,cov_1..cov_K]``. ``response``
+is required for a dataset CSV (``fit``) and ignored in a sites CSV
+(``predict``, ``decompose``). Numeric output uses
 12 significant digits; model JSON keeps full float precision so that a
 save/load round trip reproduces predictions bit-exactly. Model files are strict
 JSON: a non-finite loss in the trace (an unfittable scale) is written as
@@ -14,7 +15,6 @@ import csv
 import dataclasses
 import json
 import math
-import re
 
 import numpy as np
 
@@ -63,17 +63,13 @@ def save_model(model: CfModel, path) -> None:
             for layer in model.layers
         ],
         "loss_trace": [
-            [r.scale, r.bandwidth, r.n_centers, _loss_doc(r.train_loss), _loss_doc(r.valid_loss), r.accepted]
+            [None if isinstance(v, float) and not math.isfinite(v) else v for v in dataclasses.astuple(r)]
             for r in model.loss_trace
         ],
     }
     text = json.dumps(doc, allow_nan=False) + "\n"  # one line (json's C encoder), before the path opens
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-
-
-def _loss_doc(loss: float) -> float | None:
-    return float(loss) if math.isfinite(loss) else None
 
 
 def _number(value, what: str) -> float:
@@ -104,26 +100,33 @@ def _integer(value, what: str) -> int:
     return value
 
 
-def _loss_from_doc(value) -> float:
-    return math.nan if value is None else _number(value, "loss_trace loss")
+def _loss(value, what: str) -> float:
+    """A loss; ``null`` is an unfittable scale's NaN."""
+    return math.nan if value is None else _number(value, what)
+
+
+def _flag(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise ModelFormatError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
+# One column per ``ScaleRecord`` field, in field order: the ``--trace`` CSV
+# header name and the model-file reader of the value.
+_TRACE_COLUMNS = (
+    ("scale", _integer),
+    ("bandwidth", _positive),
+    ("centers", _integer),
+    ("train_loss", _loss),
+    ("valid_loss", _loss),
+    ("accepted", _flag),
+)
 
 
 def _trace_record(row) -> ScaleRecord:
-    if not isinstance(row, list) or len(row) != 6:
-        raise ModelFormatError(
-            "loss_trace rows must be [scale, bandwidth, centers, train_loss, valid_loss, accepted]"
-        )
-    s, h, c, tl, vl, a = row
-    if not isinstance(a, bool):
-        raise ModelFormatError(f"loss_trace accepted flag must be true or false, got {a!r}")
-    return ScaleRecord(
-        _integer(s, "loss_trace scale"),
-        _positive(h, "loss_trace bandwidth"),
-        _integer(c, "loss_trace centers"),
-        _loss_from_doc(tl),
-        _loss_from_doc(vl),
-        a,
-    )
+    if not isinstance(row, list) or len(row) != len(_TRACE_COLUMNS):
+        raise ModelFormatError(f"loss_trace rows must be [{', '.join(n for n, _ in _TRACE_COLUMNS)}]")
+    return ScaleRecord(*(read(v, f"loss_trace {name}") for (name, read), v in zip(_TRACE_COLUMNS, row)))
 
 
 def _layer(entry, index: int) -> ScaleLayer:
@@ -213,49 +216,30 @@ def load_model(path) -> CfModel:
 # ---------------------------------------------------------------------------
 # CSV formats
 
-_COV_RE = re.compile(r"^cov_(\d+)$")
-
-
-def _parse_header(header: list[str], path) -> tuple[bool, bool, list[int]]:
-    cleaned = [h.strip() for h in header]
-    base = ["x", "y"]
-    if cleaned[: len(base)] != base:
-        raise CsvFormatError(f"{path}: line 1: header must start with 'x,y', got {cleaned[:2]}")
-    rest = cleaned[2:]
-    has_response = bool(rest) and rest[0] == "response"
-    if has_response:
-        rest = rest[1:]
-    has_offset = bool(rest) and rest[0] == "offset"
-    if has_offset:
-        rest = rest[1:]
-    cov_cols = []
-    for name in rest:
-        m = _COV_RE.match(name)
-        if not m:
-            raise CsvFormatError(f"{path}: line 1: unexpected column {name!r}")
-        cov_cols.append(int(m.group(1)))
-    if cov_cols != list(range(1, len(cov_cols) + 1)):
-        raise CsvFormatError(f"{path}: line 1: covariate columns must be cov_1..cov_K in order")
-    return has_response, has_offset, cov_cols
-
-
-def _read_table(path) -> tuple[bool, bool, int, np.ndarray]:
+def _read_table(path) -> dict[str, np.ndarray]:
+    """The CSV's columns by name: ``sites``, ``covariates`` (``(n, 0)`` when
+    there are none), and ``response`` and ``offset`` when the header has them."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             try:
-                header = next(reader)
+                names = [h.strip() for h in next(reader)]
             except StopIteration:
                 raise CsvFormatError(f"{path}: file is empty") from None
-            has_response, has_offset, cov_cols = _parse_header(header, path)
-            n_fields = 2 + int(has_response) + int(has_offset) + len(cov_cols)
+            optional = [c for c in ("response", "offset") if c in names]
+            n_cov = len(names) - 2 - len(optional)
+            if names != ["x", "y", *optional, *(f"cov_{k}" for k in range(1, n_cov + 1))]:
+                raise CsvFormatError(
+                    f"{path}: line 1: header must be x,y[,response][,offset][,cov_1..cov_K],"
+                    f" got {','.join(names)!r}"
+                )
             rows = []
             for lineno, row in enumerate(reader, start=2):
                 if not row:
                     continue
-                if len(row) != n_fields:
+                if len(row) != len(names):
                     raise CsvFormatError(
-                        f"{path}: line {lineno}: expected {n_fields} fields, got {len(row)}"
+                        f"{path}: line {lineno}: expected {len(names)} fields, got {len(row)}"
                     )
                 try:
                     rows.append([float(cell) for cell in row])
@@ -265,21 +249,19 @@ def _read_table(path) -> tuple[bool, bool, int, np.ndarray]:
         raise CsvFormatError(f"{path}: {exc.strerror or exc}") from None
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
-    return has_response, has_offset, len(cov_cols), np.asarray(rows, dtype=float)
+    table = np.asarray(rows, dtype=float)
+    columns = {name: table[:, j] for j, name in enumerate(optional, start=2)}
+    return {"sites": table[:, 0:2], "covariates": table[:, 2 + len(optional) :], **columns}
 
 
 def read_dataset_csv(path, family_tag: str) -> Dataset:
     """Parse a dataset CSV; the response column is required."""
-    has_response, has_offset, n_cov, table = _read_table(path)
-    if not has_response:
+    columns = _read_table(path)
+    if "response" not in columns:
         raise CsvFormatError(f"{path}: line 1: missing 'response' column")
-    col = 2
-    response = table[:, col]
-    col += 1
-    offset = table[:, col] if has_offset else None
-    col += int(has_offset)
-    covariates = table[:, col : col + n_cov]
-    return Dataset(table[:, 0:2], response, covariates, family_tag, offset)
+    return Dataset(
+        columns["sites"], columns["response"], columns["covariates"], family_tag, columns.get("offset")
+    )
 
 
 def read_sites_csv(path, n_covariates: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -287,16 +269,13 @@ def read_sites_csv(path, n_covariates: int) -> tuple[np.ndarray, np.ndarray, np.
 
     A ``response`` column, if present, is ignored.
     """
-    has_response, has_offset, n_cov, table = _read_table(path)
-    if n_cov < n_covariates:
+    columns = _read_table(path)
+    sites, covariates, offset = columns["sites"], columns["covariates"], columns.get("offset")
+    if covariates.shape[1] < n_covariates:
         raise ValidationError(
             f"{path}: missing covariate column: model expects cov_1..cov_{n_covariates}"
         )
-    sites = table[:, 0:2]
-    col = 2 + int(has_response)
-    offset = table[:, col] if has_offset else None
-    col += int(has_offset)
-    covariates = table[:, col : col + n_covariates]
+    covariates = covariates[:, :n_covariates]
     check_finite_inputs(sites, covariates, offset)
     return sites, covariates, offset
 
@@ -322,11 +301,4 @@ def write_rows_csv(path, header: list[str], rows) -> None:
 
 
 def write_trace_csv(path, trace) -> None:
-    write_rows_csv(
-        path,
-        ["scale", "bandwidth", "centers", "train_loss", "valid_loss", "accepted"],
-        [
-            [r.scale, float(r.bandwidth), r.n_centers, float(r.train_loss), float(r.valid_loss), r.accepted]
-            for r in trace
-        ],
-    )
+    write_rows_csv(path, [name for name, _ in _TRACE_COLUMNS], map(dataclasses.astuple, trace))

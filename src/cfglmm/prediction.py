@@ -23,9 +23,6 @@ class Predictions:
     var_z: np.ndarray
     cov: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.mu)
-
 
 @dataclass(frozen=True)
 class ScaleBandDecomposition:

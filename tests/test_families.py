@@ -13,6 +13,7 @@ from cfglmm import (
     FitConfig,
     GAUSSIAN,
     POISSON,
+    ValidationError,
     deviance,
     fit_glm,
     get_family,
@@ -237,6 +238,23 @@ class TestFitGlm:
         fit = fit_glm(d)
         assert np.all(np.isfinite(fit.beta))
         assert np.isfinite(fit.deviance)
+
+    def test_negative_poisson_response_rejected(self, rng):
+        y = rng.poisson(2.0, 50).astype(float)
+        y[7] = -1.0
+        with pytest.raises(ValidationError, match="nonnegative"):
+            fit_glm(Dataset(rng.random((50, 2)), y, rng.normal(size=(50, 1)), "poisson"))
+
+    def test_nan_response_rejected(self, rng):
+        y = rng.poisson(2.0, 50).astype(float)
+        y[3] = math.nan
+        with pytest.raises(ValidationError, match="non-finite response"):
+            fit_glm(Dataset(rng.random((50, 2)), y, rng.normal(size=(50, 1)), "poisson"))
+
+    def test_short_covariates_rejected(self, rng):
+        y = rng.poisson(2.0, 50).astype(float)
+        with pytest.raises(ValidationError, match="40 covariate rows vs 50"):
+            fit_glm(Dataset(rng.random((50, 2)), y, rng.normal(size=(40, 1)), "poisson"))
 
 
 @given(

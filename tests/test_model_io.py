@@ -22,7 +22,7 @@ from cfglmm import (
     validate_dataset,
     write_dataset_csv,
 )
-from cfglmm.model_io import CsvFormatError, ModelFormatError, read_sites_csv
+from cfglmm.model_io import _TRACE_COLUMNS, CsvFormatError, ModelFormatError, read_sites_csv, write_trace_csv
 from cfglmm.data import ValidationError
 from cfglmm.experts import ScaleLayer
 from cfglmm.learner import CfModel, ScaleRecord
@@ -120,6 +120,10 @@ class TestModelRoundTrip:
         loaded = load_model(path)
         for a, b in zip(loaded.loss_trace, model.loss_trace, strict=True):
             assert repr(a) == repr(b)  # NaN-aware, bit-exact for finite losses
+        trace_csv = tmp_path / "trace.csv"
+        write_trace_csv(trace_csv, loaded.loss_trace)
+        row = trace_csv.read_text().splitlines()[1 + unfittable[0]].split(",")
+        assert row[3:5] == ["nan", "nan"]
         sites = sim.test.sites
         np.testing.assert_array_equal(
             predict(loaded, sites, sim.test.covariates).mu, predict(model, sites, sim.test.covariates).mu
@@ -233,6 +237,17 @@ class TestModelRoundTrip:
             got = predict(m, sites, x)
             for f in ("mu_lin", "mu", "z_total", "var_z", "cov"):
                 np.testing.assert_array_equal(getattr(got, f), getattr(want, f), err_msg=f)
+
+    def test_trace_columns_follow_scale_record(self, fitted, tmp_path):
+        """One trace column per ``ScaleRecord`` field; the ``--trace`` CSV
+        header is the table's names."""
+        model, _ = fitted
+        assert len(_TRACE_COLUMNS) == len(dataclasses.fields(ScaleRecord))
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, model.loss_trace)
+        lines = path.read_text().splitlines()
+        assert lines[0].split(",") == [name for name, _ in _TRACE_COLUMNS]
+        assert len(lines) == 1 + len(model.loss_trace)
 
     def test_failed_save_leaves_file_unchanged(self, fitted, tmp_path):
         """A model that cannot be written (a non-finite coefficient) raises
@@ -394,6 +409,20 @@ class TestDatasetCsv:
         with pytest.raises(CsvFormatError, match="cov_1..cov_K"):
             read_dataset_csv(path, "poisson")
 
+    @pytest.mark.parametrize("header", ["x,y,offset,response", "x,y,response,response", "x,y,cov_1,offset"])
+    def test_header_outside_grammar(self, tmp_path, header):
+        path = tmp_path / "s.csv"
+        path.write_text(f"{header}\n0.1,0.2,1,0.5\n")
+        with pytest.raises(CsvFormatError, match=r"line 1: .*cov_1\.\.cov_K"):
+            read_dataset_csv(path, "poisson")
+
+    def test_header_spaces_accepted(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text(" x , y ,response\n0.1,0.2,3\n")
+        back = read_dataset_csv(path, "poisson")
+        np.testing.assert_array_equal(back.sites, [[0.1, 0.2]])
+        np.testing.assert_array_equal(back.response, [3.0])
+
 
 class TestSitesCsv:
     def test_sites_without_response(self, tmp_path):
@@ -402,6 +431,14 @@ class TestSitesCsv:
         sites, cov, off = read_sites_csv(path, 2)
         assert sites.shape == (2, 2)
         assert cov.shape == (2, 2)
+        assert off is None
+
+    def test_sites_only_has_no_covariates(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("x,y\n0.1,0.2\n0.3,0.4\n0.5,0.6\n")
+        sites, cov, off = read_sites_csv(path, 0)
+        np.testing.assert_array_equal(sites, [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+        assert cov.shape == (3, 0)
         assert off is None
 
     def test_sites_with_response_ignored(self, tmp_path):
