@@ -117,7 +117,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
-    sites, covariates, offset = read_sites_csv(args.sites, model.n_covariates)
+    sites, covariates, offset = read_sites_csv(args.sites)
     pred = predict(model, sites, covariates, offset)
     rows = np.column_stack([sites, pred.mu_lin, pred.mu, pred.z_total, pred.var_z, pred.cov]).tolist()
     write_rows_csv(args.out, ["x", "y", "mu_lin", "mu", "z_total", "var_z", "cov"], rows)
@@ -131,7 +131,7 @@ def _band_names(edges: tuple[float, ...]) -> list[str]:
 
 def _cmd_decompose(args) -> int:
     model = load_model(args.model)
-    sites, _, _ = read_sites_csv(args.sites, 0)
+    sites, _, _ = read_sites_csv(args.sites)
     edges = _parse_floats(args.bands, "--bands")
     bands = decompose(model, sites, edges)
     names = _band_names(bands.band_edges)

@@ -82,9 +82,9 @@ class FitConfig:
     that the lattice placement meets only approximately, see
     :func:`geometry.center_count`).
     ``initial_bandwidth=None`` starts at the training bounding-box diagonal.
-    ``aggregation_weight_power`` controls the kernel power used when experts
-    are combined (1 is the literal aggregation rule; 2 matches the power used
-    inside the local fits and is exposed for sensitivity analysis).
+    A center whose effective weight falls below ``min_effective_weight`` gets
+    no expert. Experts are combined by the paper's one aggregation rule, a
+    product of Gaussians with precision ``k / s2`` (see :mod:`experts`).
     """
 
     train_fraction: float = 0.75
@@ -97,10 +97,9 @@ class FitConfig:
     min_effective_weight: float = 1e-8
     irls_max_iter: int = 50
     irls_tol: float = 1e-8
-    aggregation_weight_power: int = 1
 
     def __post_init__(self):
-        for name in ("patience", "rng_seed", "max_scales", "irls_max_iter", "aggregation_weight_power"):
+        for name in ("patience", "rng_seed", "max_scales", "irls_max_iter"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -126,8 +125,6 @@ class FitConfig:
             raise ValueError("irls_max_iter must be a positive integer")
         if not self.irls_tol > 0.0:
             raise ValueError("irls_tol must be positive")
-        if self.aggregation_weight_power not in (1, 2):
-            raise ValueError("aggregation_weight_power must be 1 or 2")
 
 
 @dataclass(frozen=True)
@@ -140,14 +137,6 @@ class HvSplit:
     def __post_init__(self):
         object.__setattr__(self, "train_idx", np.asarray(self.train_idx, dtype=np.intp))
         object.__setattr__(self, "valid_idx", np.asarray(self.valid_idx, dtype=np.intp))
-
-    @property
-    def n_train(self) -> int:
-        return len(self.train_idx)
-
-    @property
-    def n_valid(self) -> int:
-        return len(self.valid_idx)
 
 
 def make_split(n: int, cfg: FitConfig) -> HvSplit:

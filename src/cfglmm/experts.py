@@ -8,14 +8,15 @@ where ``k_i = exp(-d_i / h)`` is the kernel weight of training site ``i``:
     raw variance  s2_c = sum(p (t - m_c)^2) / sum(p)        (floored)
     shrunken mean mu_c = m_c * tau2 / (tau2 + s2_c / sum(k^2))
 
-``tau2`` is the population variance of the raw means across active centers, so
-the shrinkage realizes a zero-mean Gaussian prior on the local means shared by
-the whole scale. Centers whose total effective precision falls below
-``cfg.min_effective_weight`` are kept but marked inactive.
+A center whose total effective precision ``sum(p)`` falls below
+``cfg.min_effective_weight`` gets no expert: the layer holds only the experts
+it evaluates. ``tau2`` is the population variance of their raw means, so the
+shrinkage realizes a zero-mean Gaussian prior on the local means shared by the
+whole scale.
 
-Evaluation combines the active experts as a weighted product of Gaussian
-densities: precision ``q_c = k_c(s)^power / s2_c``, variance ``1 / sum(q)``,
-mean ``sum(q mu) / sum(q)``.
+Evaluation combines the experts as a weighted product of Gaussian densities:
+precision ``q_c = k_c(s) / s2_c``, variance ``1 / sum(q)``, mean
+``sum(q mu) / sum(q)``.
 """
 
 from __future__ import annotations
@@ -48,14 +49,12 @@ class ScaleLayer:
     centers: np.ndarray
     mu: np.ndarray
     sigma2: np.ndarray
-    active: np.ndarray
     tau2: float
-    weight_power: int = 1
     raw_mean: np.ndarray | None = None  # pre-shrinkage means; not persisted
 
     @property
     def n_active(self) -> int:
-        return int(self.active.sum())
+        return len(self.centers)
 
 
 @dataclass(frozen=True)
@@ -92,30 +91,24 @@ def fit_layer(targets, site_weights, sites, centers: CenterSet, cfg: FitConfig) 
     sums = np.empty((len(cen), 4))
     # kernel squared in one pass: exp(-d/h)^2 = exp(-2d/h)
     _map_kernel_blocks([(cen, pts, -2.0 / h, rhs, sums)])
-    sum_sq_kernel, sum_prec, spt, spt2 = sums.T  # sums of k^2, p, p t and p t^2
+    keep = np.flatnonzero(sums[:, 1] >= cfg.min_effective_weight)  # column 1: sum(p)
+    if not len(keep):
+        raise LayerUnfittableError("layer unfittable at this bandwidth")
+    sum_sq_kernel, sum_prec, spt, spt2 = sums[keep].T  # sums of k^2, p, p t and p t^2
     with np.errstate(invalid="ignore", divide="ignore"):
         raw_mean = spt / sum_prec
         # weighted second moment minus squared mean; cancellation error is
         # far below sigma2_floor at working-target scales
-        raw_var = np.maximum(spt2 / sum_prec - raw_mean * raw_mean, 0.0)
-
-    active = sum_prec >= cfg.min_effective_weight
-    if not active.any():
-        raise LayerUnfittableError("layer unfittable at this bandwidth")
-    raw_mean[~active] = 0.0
-    sigma2 = np.maximum(np.where(active, raw_var, SIGMA2_FLOOR), SIGMA2_FLOOR)
-    tau2 = max(float(np.var(raw_mean[active])), SIGMA2_FLOOR)
-    with np.errstate(invalid="ignore", divide="ignore"):
+        sigma2 = np.maximum(spt2 / sum_prec - raw_mean * raw_mean, SIGMA2_FLOOR)
+        tau2 = max(float(np.var(raw_mean)), SIGMA2_FLOOR)
         shrink = tau2 / (tau2 + sigma2 / sum_sq_kernel)
-    mu = np.where(active & np.isfinite(shrink), raw_mean * shrink, 0.0)
+    mu = np.where(np.isfinite(shrink), raw_mean * shrink, 0.0)
     return ScaleLayer(
         bandwidth=h,
-        centers=cen.copy(),
+        centers=cen[keep],
         mu=mu,
         sigma2=sigma2,
-        active=active,
         tau2=tau2,
-        weight_power=cfg.aggregation_weight_power,
         raw_mean=raw_mean,
     )
 
@@ -124,7 +117,7 @@ def evaluate_layer(layer: ScaleLayer, sites) -> LayerEvaluation:
     """Product-of-experts mean and variance of one layer at the query sites.
 
     This is ``evaluate_stack([layer], sites)``: one kernel of the sites against
-    the layer's active experts (see :func:`_evaluate_group`), run in row blocks
+    the layer's experts (see :func:`_evaluate_group`), run in row blocks
     cut from the kernel's shape alone (see :func:`geometry._map_kernel_blocks`),
     so the result does not depend on the number of CPUs. Raises
     :class:`~cfglmm.data.ValidationError` for a non-finite site.
@@ -142,7 +135,7 @@ def evaluate_stack(layers, sites) -> Iterator[LayerEvaluation]:
     :func:`geometry._map_kernel_blocks` call, whose queue holds the row blocks
     of each layer evaluated alone, largest block first, so neither a small
     layer nor the tail of a layer leaves a worker idle. Layers of a group whose
-    active centers are equal share one distance pass per row block; each still
+    centers are equal share one distance pass per row block; each still
     gets the same distances, scale, ``exp`` and products, so every row has the
     bits of a one-layer group. Raises :class:`~cfglmm.data.ValidationError`
     for a non-finite site.
@@ -158,28 +151,23 @@ def evaluate_stack(layers, sites) -> Iterator[LayerEvaluation]:
 def _evaluate_group(layers: list[ScaleLayer], pts: np.ndarray) -> list[LayerEvaluation]:
     """The layers' evaluations, their row blocks in one queue of the pool.
 
-    Each layer is one kernel: ``k^power`` of the sites against its active
-    experts, times ``[1/s2, mu/s2]``, gives ``sum(q)`` and ``sum(q mu)`` in an
-    ``(n, 2)`` array. That array becomes the evaluation in place: variance
-    ``1 / sum(q)`` over the first column, mean ``sum(q mu) / sum(q)`` over the
-    second.
+    Each layer is one kernel: ``k`` of the sites against its experts, times
+    ``[1/s2, mu/s2]``, gives ``sum(q)`` and ``sum(q mu)`` in an ``(n, 2)``
+    array. That array becomes the evaluation in place: variance ``1 / sum(q)``
+    over the first column, mean ``sum(q mu) / sum(q)`` over the second.
     """
     kernels = []
     for layer in layers:
-        act = layer.active
-        if not act.any():
-            raise ValueError("layer has no active expert")
-        cen = np.compress(act, layer.centers, axis=0)  # rows: 4x faster than centers[act]
-        sigma2 = layer.sigma2[act]
-        rhs = np.column_stack([1.0 / sigma2, layer.mu[act] / sigma2])
-        kernels.append((pts, cen, -layer.weight_power / layer.bandwidth, rhs, np.empty((len(pts), 2))))
+        if not len(layer.centers):
+            raise ValueError("layer has no expert")
+        rhs = np.column_stack([1.0 / layer.sigma2, layer.mu / layer.sigma2])
+        kernels.append((pts, layer.centers, -1 / layer.bandwidth, rhs, np.empty((len(pts), 2))))
     _map_kernel_blocks(kernels)
     evaluations = []
     for layer, (_, cen, scale, _, sums) in zip(layers, kernels):
         sq, sq_mu = sums.T
         # near-total kernel underflow: 1/sq overflows or loses all precision
         far = np.flatnonzero(sq < 1e-280)
-        act = layer.active
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             mean = np.divide(sq_mu, sq, out=sq_mu)
             variance = np.divide(1.0, sq, out=sq)
@@ -187,11 +175,11 @@ def _evaluate_group(layers: list[ScaleLayer], pts: np.ndarray) -> list[LayerEval
                 # Kernel underflow at a far-away site: shift log precisions so the
                 # dominant expert still contributes; variance is capped, not inf.
                 di = np.hypot(pts[i, 0] - cen[:, 0], pts[i, 1] - cen[:, 1])
-                logq = di * scale - np.log(layer.sigma2[act])
+                logq = di * scale - np.log(layer.sigma2)
                 top = logq.max()
                 qs = np.exp(logq - top)
                 ssq = qs.sum()
-                mean[i] = (qs @ layer.mu[act]) / ssq
+                mean[i] = (qs @ layer.mu) / ssq
                 variance[i] = min(np.exp(-top) / ssq, _VARIANCE_CAP)
         evaluations.append(LayerEvaluation(mean, variance))
     return evaluations
@@ -203,15 +191,9 @@ def layer_basis_expansion(layer: ScaleLayer, sites) -> tuple[np.ndarray, np.ndar
     Returns ``(basis, coeffs)`` with one column per expert such that
     ``basis @ coeffs`` reproduces ``evaluate_layer(layer, sites).mean``. The
     basis is the kernel weight scaled by the aggregated variance at the site;
-    the coefficient is ``mu_c / sigma2_c``. Inactive experts get zero columns.
+    the coefficient is ``mu_c / sigma2_c``.
     """
     pts = as_sites(sites)
     ev = evaluate_layer(layer, pts)
-    d = pairwise_distances(pts, layer.centers)
-    k = np.exp(-d / layer.bandwidth)
-    if layer.weight_power == 2:
-        np.square(k, out=k)
-    basis = ev.variance[:, None] * k
-    basis[:, ~layer.active] = 0.0
-    coeffs = np.where(layer.active, layer.mu / layer.sigma2, 0.0)
-    return basis, coeffs
+    basis = ev.variance[:, None] * np.exp(-pairwise_distances(pts, layer.centers) / layer.bandwidth)
+    return basis, layer.mu / layer.sigma2

@@ -178,7 +178,6 @@ class GlmFit:
     beta: np.ndarray
     deviance: float
     converged: bool
-    n_iter: int
     deviance_trace: tuple[float, ...]
 
 
@@ -218,8 +217,7 @@ def fit_glm(d: Dataset, cfg: FitConfig = FitConfig(), subset=None) -> GlmFit:
     dev = np.inf
     converged = False
     trace = []
-    n_iter = 0
-    for n_iter in range(1, cfg.irls_max_iter + 1):
+    for _ in range(cfg.irls_max_iter):
         ws = working_state(family, y, mu_lin)
         candidate = wls_beta(design, ws.eta_hat - off, ws.weights)
         if beta is not None:
@@ -235,4 +233,4 @@ def fit_glm(d: Dataset, cfg: FitConfig = FitConfig(), subset=None) -> GlmFit:
             break
         beta, dev = candidate, new_dev
         mu_lin = design @ beta + off
-    return GlmFit(beta, dev, converged, n_iter, tuple(trace))
+    return GlmFit(beta, dev, converged, tuple(trace))

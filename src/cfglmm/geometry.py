@@ -4,9 +4,9 @@ Also home of the one engine of the dense kernel passes (local-expert fits,
 layer evaluations, the simulator's smooth): callers hand
 :func:`_map_kernel_blocks` their kernels as data, whose row blocks go into one
 queue of the worker pool, each block one :func:`_kernel_block`. Kernels with
-the same ``query`` object and equal ``anchors`` (layers with equal active
-centers, the bandwidth groups of a multiscale draw) share one distance pass per
-row block, at the cost of one more block buffer per worker.
+the same ``query`` object and equal ``anchors`` (layers with equal centers,
+the bandwidth groups of a multiscale draw) share one distance pass per row
+block, at the cost of one more block buffer per worker.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .data import Dataset, FitConfig, HvSplit, ValidationError, check_finite_inputs, make_split
+from .data import Dataset, FitConfig, HvSplit, check_finite_inputs, make_split
 from .experts import ScaleLayer
 from .learner import CfModel, ScaleRecord
 from .families import get_family
@@ -54,10 +54,9 @@ def save_model(model: CfModel, path) -> None:
             {
                 "bandwidth": layer.bandwidth,
                 "tau2": layer.tau2,
-                "weight_power": layer.weight_power,
                 "experts": [
-                    [*c, m, s2, a]
-                    for c, m, s2, a in zip(*(v.tolist() for v in (layer.centers, layer.mu, layer.sigma2, layer.active)))
+                    [*c, m, s2, True]
+                    for c, m, s2 in zip(*(v.tolist() for v in (layer.centers, layer.mu, layer.sigma2)))
                 ],
             }
             for layer in model.layers
@@ -129,7 +128,14 @@ def _trace_record(row) -> ScaleRecord:
     return ScaleRecord(*(read(v, f"loss_trace {name}") for (name, read), v in zip(_TRACE_COLUMNS, row)))
 
 
+def _power_one(value, what: str) -> None:
+    """Older files hold the kernel power of the aggregation rule; only 1 remains."""
+    if type(value) is not int or value != 1:
+        raise ModelFormatError(f"{what} must be 1, got {value!r}")
+
+
 def _layer(entry, index: int) -> ScaleLayer:
+    """A layer of the rows flagged active; older files may hold rows flagged 0."""
     if not isinstance(entry, dict):
         raise ModelFormatError("model layer is not a JSON object")
     shape_error = "layer experts must be rows of [x, y, mu, sigma2, active]"
@@ -147,17 +153,14 @@ def _layer(entry, index: int) -> ScaleLayer:
         raise ModelFormatError("expert active flag must be 0 or 1")
     if not experts[:, 4].any():
         raise ModelFormatError(f"model layer {index} has no active expert")
-    weight_power = entry.get("weight_power", 1)
-    if type(weight_power) is not int or weight_power not in (1, 2):
-        raise ModelFormatError(f"layer weight_power must be 1 or 2, got {weight_power!r}")
+    _power_one(entry.get("weight_power", 1), "layer weight_power")
+    experts = experts[experts[:, 4] != 0.0]
     return ScaleLayer(
         bandwidth=_positive(_require(entry, "bandwidth", None), "layer bandwidth"),
         centers=experts[:, 0:2].copy(),
         mu=experts[:, 2].copy(),
         sigma2=experts[:, 3].copy(),
-        active=experts[:, 4] != 0.0,
         tau2=_positive(_require(entry, "tau2", None), "layer tau2"),
-        weight_power=weight_power,
     )
 
 
@@ -184,6 +187,7 @@ def load_model(path) -> CfModel:
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None
     cfg_doc = _require(doc, "config", dict)
+    _power_one(cfg_doc.pop("aggregation_weight_power", 1), "config aggregation_weight_power")
     try:
         config = FitConfig(**cfg_doc)
     except (TypeError, ValueError) as exc:
@@ -264,18 +268,12 @@ def read_dataset_csv(path, family_tag: str) -> Dataset:
     )
 
 
-def read_sites_csv(path, n_covariates: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Parse a prediction-sites CSV; requires the model's covariate columns.
-
-    A ``response`` column, if present, is ignored.
+def read_sites_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Parse a prediction-sites CSV: sites, every covariate column, and the
+    offset or ``None``. A ``response`` column, if present, is ignored.
     """
     columns = _read_table(path)
     sites, covariates, offset = columns["sites"], columns["covariates"], columns.get("offset")
-    if covariates.shape[1] < n_covariates:
-        raise ValidationError(
-            f"{path}: missing covariate column: model expects cov_1..cov_{n_covariates}"
-        )
-    covariates = covariates[:, :n_covariates]
     check_finite_inputs(sites, covariates, offset)
     return sites, covariates, offset
 

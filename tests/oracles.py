@@ -230,23 +230,22 @@ def ref_fit_layer(targets, site_weights, sites, centers, cfg, chunk_doubles=_CHU
             raw_var[sl] = np.maximum((k2 @ t_sq) / sp - m * m, 0.0)
         raw_mean[sl] = m
 
-    active = sum_prec >= cfg.min_effective_weight
-    if not active.any():
+    # the centers with enough weight, in placement order, get an expert
+    keep = [c for c in range(n_centers) if sum_prec[c] >= cfg.min_effective_weight]
+    if not keep:
         raise LayerUnfittableError("layer unfittable at this bandwidth")
-    raw_mean[~active] = 0.0
-    sigma2 = np.maximum(np.where(active, raw_var, SIGMA2_FLOOR), SIGMA2_FLOOR)
-    tau2 = max(float(np.var(raw_mean[active])), SIGMA2_FLOOR)
+    raw_mean = raw_mean[keep]
+    sigma2 = np.maximum(raw_var[keep], SIGMA2_FLOOR)
+    tau2 = max(float(np.var(raw_mean)), SIGMA2_FLOOR)
     with np.errstate(invalid="ignore", divide="ignore"):
-        shrink = tau2 / (tau2 + sigma2 / sum_sq_kernel)
-    mu = np.where(active & np.isfinite(shrink), raw_mean * shrink, 0.0)
+        shrink = tau2 / (tau2 + sigma2 / sum_sq_kernel[keep])
+    mu = np.where(np.isfinite(shrink), raw_mean * shrink, 0.0)
     return ScaleLayer(
         bandwidth=h,
-        centers=cen.copy(),
+        centers=cen[keep],
         mu=mu,
         sigma2=sigma2,
-        active=active,
         tau2=tau2,
-        weight_power=cfg.aggregation_weight_power,
         raw_mean=raw_mean,
     )
 
@@ -257,16 +256,13 @@ def ref_evaluate_layer(layer, sites, chunk_doubles=_CHUNK_DOUBLES) -> LayerEvalu
     rows were cut into cache-sized blocks (the chunk width is a parameter, as
     in ``ref_fit_layer``)."""
     pts = as_sites(sites)
-    act = layer.active
-    if not act.any():
-        raise ValueError("layer has no active expert")
-    cen = layer.centers[act]
-    mu = layer.mu[act]
-    sigma2 = layer.sigma2[act]
+    cen, mu, sigma2 = layer.centers, layer.mu, layer.sigma2
+    if not len(cen):
+        raise ValueError("layer has no expert")
     n = len(pts)
     mean = np.empty(n)
     variance = np.empty(n)
-    log_scale = layer.weight_power / layer.bandwidth
+    log_scale = 1.0 / layer.bandwidth
     for sl in _ref_chunks(n, chunk_doubles // max(len(cen), 1)):
         q = pairwise_distances(pts[sl], cen)
         q *= -log_scale
@@ -326,7 +322,8 @@ def ref_band_values(model, sites, band_edges) -> np.ndarray:
 
 def ref_model_doc(model) -> dict:
     """The JSON document ``save_model`` writes for a model, built value by
-    value with ``float()`` and ``bool()`` as the indented writer did."""
+    value with ``float()`` as the indented writer did; every expert row is
+    flagged active."""
 
     def loss_doc(loss: float) -> float | None:
         return float(loss) if math.isfinite(loss) else None
@@ -344,10 +341,9 @@ def ref_model_doc(model) -> dict:
             {
                 "bandwidth": layer.bandwidth,
                 "tau2": layer.tau2,
-                "weight_power": layer.weight_power,
                 "experts": [
-                    [float(cx), float(cy), float(m), float(s2), bool(a)]
-                    for (cx, cy), m, s2, a in zip(layer.centers, layer.mu, layer.sigma2, layer.active)
+                    [float(cx), float(cy), float(m), float(s2), True]
+                    for (cx, cy), m, s2 in zip(layer.centers, layer.mu, layer.sigma2)
                 ],
             }
             for layer in model.layers

@@ -201,7 +201,6 @@ def test_c07_product_of_experts_oracle():
             centers=rng.random((3, 2)) * 2.0,
             mu=rng.normal(scale=2.0, size=3),
             sigma2=rng.uniform(0.1, 3.0, 3),
-            active=np.ones(3, dtype=bool),
             tau2=1.0,
         )
         site = rng.random(2) * 2.0

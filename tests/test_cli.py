@@ -195,7 +195,7 @@ class TestPredictCommand:
         assert main(["predict", "--model", model_path, "--sites", f"{sim_prefix}_test.csv",
                      "--out", out]) == 0
         model = load_model(model_path)
-        sites, covariates, offset = read_sites_csv(f"{sim_prefix}_test.csv", model.n_covariates)
+        sites, covariates, offset = read_sites_csv(f"{sim_prefix}_test.csv")
         pred = predict(model, sites, covariates, offset)
         _assert_written(out, {
             "x": sites[:, 0], "y": sites[:, 1], "mu_lin": pred.mu_lin, "mu": pred.mu,
@@ -231,7 +231,22 @@ class TestPredictCommand:
         code = main(["predict", "--model", model_path, "--sites", str(sites), "--out",
                      str(tmp_path / "p.csv")])
         assert code == 3
-        assert "missing covariate" in capsys.readouterr().err
+        assert "covariate column mismatch: model expects 2, got 1" in capsys.readouterr().err
+
+    def test_extra_covariate_column_exit_3(self, fitted_files, tmp_path, capsys):
+        """A sites file with a column the model does not have is refused, not
+        predicted without it."""
+        sim_prefix, model_path, _ = fitted_files
+        rows = _read_csv(f"{sim_prefix}_test.csv")
+        sites = tmp_path / "sites.csv"
+        sites.write_text("x,y,cov_1,cov_2,cov_3\n" + "".join(
+            f"{r['x']},{r['y']},{r['cov_1']},{r['cov_2']},123.0\n" for r in rows
+        ))
+        out = tmp_path / "p.csv"
+        code = main(["predict", "--model", model_path, "--sites", str(sites), "--out", str(out)])
+        assert code == 3
+        assert "covariate column mismatch: model expects 2, got 3" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_corrupt_model_json_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -282,10 +297,12 @@ class TestPredictCommand:
             lambda doc: doc.update(n_covariates=-1, beta=[]),
             lambda doc: doc.__setitem__("n_covariates", True),
             lambda doc: doc["layers"][0].__setitem__("weight_power", 2.0),
+            lambda doc: doc["layers"][0].__setitem__("weight_power", 2),
+            lambda doc: doc["config"].__setitem__("aggregation_weight_power", 2),
         ],
         ids=["null_trace_scale", "null_expert_mu", "zero_sigma2", "active_2",
              "float_rng_seed", "bool_patience", "negative_n_sites", "negative_n_covariates",
-             "bool_n_covariates", "float_weight_power"],
+             "bool_n_covariates", "float_weight_power", "weight_power_2", "aggregation_weight_power_2"],
     )
     def test_schema_fault_exit_3(self, fitted_files, tmp_path, capsys, corrupt):
         sim_prefix, model_path, _ = fitted_files
@@ -318,7 +335,7 @@ class TestDecomposeCommand:
         out = str(tmp_path / "bands.csv")
         assert main(["decompose", "--model", model_path, "--sites", f"{sim_prefix}_test.csv",
                      "--bands", "0.5,0.2", "--out", out]) == 0
-        sites, _, _ = read_sites_csv(f"{sim_prefix}_test.csv", 0)
+        sites, _, _ = read_sites_csv(f"{sim_prefix}_test.csv")
         bands = decompose(load_model(model_path), sites, (0.5, 0.2))
         names = ["band_h_ge_0.5", "band_h_0.2_to_0.5", "band_h_lt_0.2"]
         values = bands.band_values

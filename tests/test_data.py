@@ -22,13 +22,13 @@ def _poisson_dataset(n=10, family="poisson"):
 class TestMakeSplit:
     def test_sizes_n100(self):
         split = make_split(100, FitConfig(rng_seed=3))
-        assert split.n_train == 75
-        assert split.n_valid == 25
+        assert len(split.train_idx) == 75
+        assert len(split.valid_idx) == 25
 
     def test_sizes_boundary_n4(self):
         split = make_split(4, FitConfig(rng_seed=3))
-        assert split.n_train == 3
-        assert split.n_valid == 1
+        assert len(split.train_idx) == 3
+        assert len(split.valid_idx) == 1
 
     def test_same_seed_identical(self):
         a = make_split(57, FitConfig(rng_seed=11))
@@ -49,9 +49,9 @@ class TestMakeSplit:
         split = make_split(n, FitConfig(rng_seed=seed, train_fraction=frac))
         merged = np.concatenate([split.train_idx, split.valid_idx])
         assert sorted(merged) == list(range(n))
-        assert split.n_train >= 1 and split.n_valid >= 1
+        assert len(split.train_idx) >= 1 and len(split.valid_idx) >= 1
         expected = min(max(round_half_away(frac * n), 1), n - 1)
-        assert split.n_train == expected
+        assert len(split.train_idx) == expected
 
 
 class TestRounding:
@@ -125,12 +125,12 @@ class TestFitConfig:
             {"initial_bandwidth": -1.0},
             {"max_scales": 0},
             {"irls_tol": 0.0},
-            {"aggregation_weight_power": 3},
+            {"irls_max_iter": 0},
             {"rng_seed": 1.5},
             {"patience": True},
             {"max_scales": 2.5},
             {"irls_max_iter": 10.0},
-            {"aggregation_weight_power": True},
+            {"min_effective_weight": -1.0},
             {"center_density": math.nan},
             {"min_effective_weight": math.nan},
             {"irls_tol": math.nan},

@@ -30,16 +30,13 @@ def _worker_pool(n: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(n, "cfglmm-chunk", initializer=geometry._pin_worker, initargs=([], itertools.count()))
 
 
-def _layer(centers, mu, sigma2, bandwidth, power=1):
-    mu = np.asarray(mu, dtype=float)
+def _layer(centers, mu, sigma2, bandwidth):
     return ScaleLayer(
         bandwidth=bandwidth,
         centers=np.asarray(centers, dtype=float),
-        mu=mu,
+        mu=np.asarray(mu, dtype=float),
         sigma2=np.asarray(sigma2, dtype=float),
-        active=np.ones(len(mu), dtype=bool),
         tau2=1.0,
-        weight_power=power,
     )
 
 
@@ -97,12 +94,27 @@ class TestFitLayer:
             fit_layer([1.0, 2.0, 3.0], np.zeros(3), sites, centers, FitConfig())
 
     def test_negligible_weight_center_inactive(self):
+        """A center whose weight underflows gets no expert."""
         sites = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1]])
         centers = CenterSet(np.array([[0.05, 0.05], [500.0, 500.0]]), bandwidth=0.5)
         layer = fit_layer([1.0, 2.0, 3.0], np.ones(3), sites, centers, FitConfig())
-        assert layer.active[0]
-        assert not layer.active[1]
-        assert layer.mu[1] == 0.0
+        np.testing.assert_array_equal(layer.centers, [[0.05, 0.05]])
+        assert len(layer.mu) == len(layer.sigma2) == len(layer.raw_mean) == layer.n_active == 1
+
+    def test_min_effective_weight_keeps_heavy_centers_in_order(self):
+        """Above some centers' weight, ``min_effective_weight`` leaves exactly
+        the oracle's centers with enough weight, in placement order, and each
+        kept expert has the oracle's values."""
+        targets, weights, sites, centers = _fit_inputs(21, 400, 60)
+        k2 = np.exp(-2.0 * np.hypot(*(centers.centers[:, None, :] - sites[None, :, :]).transpose(2, 0, 1)) / 0.05)
+        weight = k2 @ weights
+        cfg = FitConfig(min_effective_weight=float(np.median(weight)))
+        heavy = centers.centers[weight >= cfg.min_effective_weight]
+        assert 0 < len(heavy) < len(centers.centers) - 1  # drops more than the far center
+        got = fit_layer(targets, weights, sites, centers, cfg)
+        want = ref_fit_layer(targets, weights, sites, centers, cfg)
+        np.testing.assert_array_equal(got.centers, heavy)
+        _assert_layers_close(got, want, targets)
 
     def test_permutation_invariance(self, rng):
         sites = rng.random((40, 2))
@@ -139,8 +151,8 @@ class TestFitLayer:
 
 def _fit_inputs(seed: int, n_pts: int, n_centers: int, wide: bool = False):
     """Working-target inputs with some zero site weights and, given more than
-    one center, one far-off center that ends up inactive. ``wide``: site
-    weights log-uniform over 1e-3 to 1e3, as working weights spread."""
+    one center, one far-off center at (50, 50) that gets no expert. ``wide``:
+    site weights log-uniform over 1e-3 to 1e3, as working weights spread."""
     rng = np.random.default_rng(seed)
     sites = rng.random((n_pts, 2))
     targets = rng.normal(size=n_pts)
@@ -153,19 +165,19 @@ def _fit_inputs(seed: int, n_pts: int, n_centers: int, wide: bool = False):
 
 
 def _assert_layers_equal(got: ScaleLayer, want: ScaleLayer):
-    for field in ("centers", "mu", "sigma2", "active", "raw_mean"):
+    for field in ("centers", "mu", "sigma2", "raw_mean"):
         np.testing.assert_array_equal(getattr(got, field), getattr(want, field), err_msg=field)
     assert got.tau2 == want.tau2
     assert got.bandwidth == want.bandwidth
-    assert len(got.mu) == 1 or not got.active.all()
+    assert (got.centers != 50.0).all()  # the far-off center got no expert
 
 
 def _assert_layers_close(got: ScaleLayer, want: ScaleLayer, targets):
     """The tolerance of ``fit_layer`` against the serial chunk loop: ``mu`` and
     ``raw_mean`` within ``rtol=1e-12, atol=1e-12 * max|t|``, ``sigma2`` and
-    ``tau2`` within ``rtol=1e-12``, ``active`` identical.
+    ``tau2`` within ``rtol=1e-12``, ``centers`` identical.
 
-    It holds where every active center averages over many sites, as in these
+    It holds where every kept center averages over many sites, as in these
     inputs (bandwidth 0.05 over 2500 unit-square sites), with site weights
     spread over 1e-3 to 1e3 or even 1e-6 to 1e6 (``sigma2`` within 5e-14).
     Where a few sites dominate a center (bandwidth 0.01 over 3000 sites) the
@@ -176,10 +188,9 @@ def _assert_layers_close(got: ScaleLayer, want: ScaleLayer, targets):
         np.testing.assert_allclose(getattr(got, field), getattr(want, field), rtol=1e-12, atol=atol, err_msg=field)
     np.testing.assert_allclose(got.sigma2, want.sigma2, rtol=1e-12, atol=0.0)
     assert got.tau2 == pytest.approx(want.tau2, rel=1e-12, abs=0.0)
-    np.testing.assert_array_equal(got.active, want.active)
     np.testing.assert_array_equal(got.centers, want.centers)
     assert got.bandwidth == want.bandwidth
-    assert len(got.mu) == 1 or not got.active.all()
+    assert (got.centers != 50.0).all()  # the far-off center got no expert
 
 
 def _on_one_worker(monkeypatch, fn, *args):
@@ -279,17 +290,19 @@ class TestEvaluateLayer:
             assert ev.variance[i] <= (layer.sigma2 / w).min() * (1 + 1e-12)
 
     def test_inactive_experts_ignored(self):
-        layer = ScaleLayer(
-            bandwidth=1.0,
-            centers=np.array([[0.0, 0.0], [5.0, 5.0]]),
-            mu=np.array([1.0, 100.0]),
-            sigma2=np.array([0.5, 0.5]),
-            active=np.array([True, False]),
-            tau2=1.0,
-        )
-        ev = evaluate_layer(layer, [[0.0, 0.0]])
-        assert ev.mean[0] == pytest.approx(1.0)
-        assert ev.variance[0] == pytest.approx(0.5)
+        """A center without enough weight leaves no trace in the layer: its fit
+        evaluates bit for bit like the fit without that center."""
+        sites = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1]])
+        fit = [
+            fit_layer([1.0, 2.0, 3.0], np.ones(3), sites, CenterSet(np.array(cen), 0.5), FitConfig())
+            for cen in ([[0.05, 0.05], [500.0, 500.0]], [[0.05, 0.05]])
+        ]
+        query = [[0.0, 0.0], [0.3, 0.2], [500.0, 500.0]]
+        _assert_evaluations_equal(evaluate_layer(fit[0], query), evaluate_layer(fit[1], query))
+
+    def test_layer_without_expert_rejected(self):
+        with pytest.raises(ValueError, match="no expert"):
+            evaluate_layer(_layer(np.empty((0, 2)), [], [], bandwidth=1.0), [[0.0, 0.0]])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("entry", ["evaluate_layer", "evaluate_stack", "layer_basis_expansion"])
@@ -335,34 +348,34 @@ def _record_blocks(monkeypatch) -> list[tuple[int, slice, str, bool]]:
     return calls
 
 
-def _eval_inputs(seed: int, n_sites: int, n_experts: int, wide: bool = False, power: int = 1):
-    """A layer with one inactive expert, and query sites whose last row is a
-    far-away "dead" site where every kernel weight underflows. ``wide``:
-    expert variances log-uniform over 1e-4 to 1e4."""
+def _eval_inputs(seed: int, n_sites: int, n_experts: int, wide: bool = False):
+    """A layer of ``n_experts - 1`` experts (drawn for ``n_experts``, the
+    middle one dropped), and query sites whose last row is a far-away "dead"
+    site where every kernel weight underflows. ``wide``: expert variances
+    log-uniform over 1e-4 to 1e4."""
     rng = np.random.default_rng(seed)
     cen, mu = rng.random((n_experts, 2)), rng.normal(size=n_experts)
     sigma2 = 10.0 ** rng.uniform(-4.0, 4.0, n_experts) if wide else rng.uniform(0.1, 2.0, n_experts)
-    layer = _layer(cen, mu, sigma2, 0.05, power)
-    layer.active[n_experts // 2] = False
+    layer = _layer(*(np.delete(a, n_experts // 2, axis=0) for a in (cen, mu, sigma2)), 0.05)
     sites = rng.random((n_sites, 2))
     sites[-1] = (50.0, 50.0)
     return layer, sites
 
 
 def _shared_layers(seed: int, n_experts: int = 300) -> list[ScaleLayer]:
-    """Layers on copies of one set of centers, at weight_power 1 and 2 and
-    several bandwidths, so they share one distance pass; between them a layer
-    on other centers, and last one on the same centers with an inactive
-    expert, whose active centers differ, so it is not shared."""
+    """Layers on copies of one set of centers at four bandwidths, so they share
+    one distance pass under four kernel scales; between them a layer on other
+    centers, and last one on the same centers less one, which differ, so it is
+    not shared."""
     rng = np.random.default_rng(seed)
     cen = rng.random((n_experts, 2))
 
-    def make(h, power, centers=cen):
-        return _layer(centers.copy(), rng.normal(size=n_experts), rng.uniform(0.1, 2.0, n_experts), h, power)
+    def make(h, centers=cen):
+        k = len(centers)
+        return _layer(centers.copy(), rng.normal(size=k), rng.uniform(0.1, 2.0, k), h)
 
-    layers = [make(0.3, 1), make(0.1, 2), make(0.05, 1), make(0.2, 1, rng.random((n_experts, 2))), make(0.02, 2)]
-    layers.append(make(0.1, 1))
-    layers[-1].active[3] = False
+    layers = [make(0.3), make(0.15), make(0.05), make(0.2, rng.random((n_experts, 2))), make(0.02)]
+    layers.append(make(0.1, np.delete(cen, 3, axis=0)))
     return layers
 
 
@@ -373,9 +386,9 @@ def _assert_evaluations_equal(got, want):
 
 def _assert_evaluations_close(got, want, layer):
     """The tolerance of ``evaluate_layer`` against the serial chunk loop: mean
-    within ``rtol=1e-12, atol=1e-12 * max|mu_active|``, variance within
+    within ``rtol=1e-12, atol=1e-12 * max|mu|``, variance within
     ``rtol=1e-12``."""
-    atol = 1e-12 * np.abs(layer.mu[layer.active]).max()
+    atol = 1e-12 * np.abs(layer.mu).max()
     np.testing.assert_allclose(got.mean, want.mean, rtol=1e-12, atol=atol)
     np.testing.assert_allclose(got.variance, want.variance, rtol=1e-12, atol=0.0)
 
@@ -388,7 +401,7 @@ class TestEvaluateLayerBitwise:
     def test_chunks_match_serial(self, n_chunks, last, monkeypatch):
         n_experts, width = 300, 37
         layer, sites = _eval_inputs(n_chunks, (n_chunks - 1) * width + last, n_experts)
-        chunk_doubles = width * (n_experts - 1)  # one expert inactive
+        chunk_doubles = width * (n_experts - 1)  # one expert dropped
         monkeypatch.setattr(geometry, "_BLOCK_DOUBLES", 8 * (n_experts - 1))  # 8-row blocks
         calls = _record_blocks(monkeypatch)
         got = evaluate_layer(layer, sites)
@@ -441,7 +454,7 @@ class TestEvaluateLayerBitwise:
 
     @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_equal_centers_share_one_distance_pass(self, workers, monkeypatch):
-        """Layers with equal active centers share one distance pass per row
+        """Layers with equal centers share one distance pass per row
         block, and each still has the bits of a direct call, the far site's
         underflow fix-up included; every layer's blocks are those of a direct
         call, each in the running thread's own buffers."""
@@ -468,7 +481,7 @@ class TestEvaluateLayerBitwise:
         finally:
             pool.shutdown(wait=True)
         # three groups: the four layers on one set of centers, the layer on
-        # others, the layer with an inactive expert
+        # others, the layer on those centers less one
         blocks = {c: _row_blocks(len(sites), c) for c in (300, 299)}
         assert sorted(passes) == sorted((b.stop - b.start, c) for c in (300, 300, 299) for b in blocks[c])
         assert sorted((c[0], c[1].start) for c in calls) == sorted((k, b.start) for k in cols for b in blocks[k])
@@ -601,7 +614,7 @@ class TestKernelBlocks:
     @pytest.mark.parametrize("case", BLOCK_CASES.values(), ids=BLOCK_CASES.keys())
     def test_evaluate_layer_matches_chunk_loop(self, case, monkeypatch):
         width, n_chunks, last = case
-        n_experts = 301  # 300 active
+        n_experts = 301  # 300 kept
         monkeypatch.setattr(geometry, "_BLOCK_DOUBLES", 8 * (n_experts - 1))
         layer, sites = _eval_inputs(width + n_chunks, (n_chunks - 1) * width + last, n_experts)
         got = evaluate_layer(layer, sites)
@@ -610,19 +623,18 @@ class TestKernelBlocks:
         _assert_evaluations_close(got, want, layer)
         assert np.isfinite(got.variance[-1]) and got.mean[-1] != 0.0  # the dead site
 
-    @pytest.mark.parametrize("n_sites,n_experts,wide,power", [
-        pytest.param(2000, 3750, False, 1, id="2000-3750"),
-        pytest.param(50_001, 7, False, 1, id="50001-7"),
-        pytest.param(3, 5000, False, 1, id="3-5000"),
-        pytest.param(9001, 1066, False, 1, id="9001-1066"),
-        pytest.param(2000, 3750, True, 1, id="wide-power1"),
-        pytest.param(2000, 3750, True, 2, id="wide-power2"),
+    @pytest.mark.parametrize("n_sites,n_experts,wide", [
+        pytest.param(2000, 3750, False, id="2000-3750"),
+        pytest.param(50_001, 7, False, id="50001-7"),
+        pytest.param(3, 5000, False, id="3-5000"),
+        pytest.param(9001, 1066, False, id="9001-1066"),
+        pytest.param(2000, 3750, True, id="wide"),
     ])
-    def test_default_sizes_match_chunk_loop(self, n_sites, n_experts, wide, power):
+    def test_default_sizes_match_chunk_loop(self, n_sites, n_experts, wide):
         """At the default constants, the oracle's chunks and the blocks both
         of the default sizes; ``wide`` spreads the expert variances over
         eight decades."""
-        layer, sites = _eval_inputs(n_sites, n_sites, n_experts, wide, power)
+        layer, sites = _eval_inputs(n_sites, n_sites, n_experts, wide)
         _assert_evaluations_close(evaluate_layer(layer, sites), ref_evaluate_layer(layer, sites), layer)
 
     def test_more_workers_than_cores(self, monkeypatch):
@@ -667,9 +679,8 @@ class TestBasisExpansion:
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
     k=st.integers(min_value=1, max_value=6),
-    power=st.sampled_from([1, 2]),
 )
-def test_poe_oracle_property(seed, k, power):
+def test_poe_oracle_property(seed, k):
     """evaluate_layer against the quadrature oracle across random layers."""
     rng = np.random.default_rng(seed)
     layer = _layer(
@@ -677,12 +688,11 @@ def test_poe_oracle_property(seed, k, power):
         rng.normal(scale=2.0, size=k),
         rng.uniform(0.1, 3.0, k),
         bandwidth=float(rng.uniform(0.2, 2.0)),
-        power=power,
     )
     site = rng.random(2) * 2.0
     ev = evaluate_layer(layer, [site])
     d = np.hypot(*(site - layer.centers).T)
-    w = np.exp(-d / layer.bandwidth) ** power
+    w = np.exp(-d / layer.bandwidth)
     mean, var = grid_poe_moments(layer.mu, layer.sigma2, w)
     assert ev.mean[0] == pytest.approx(mean, rel=1e-9, abs=1e-9)
     assert ev.variance[0] == pytest.approx(var, rel=1e-9)

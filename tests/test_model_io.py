@@ -28,6 +28,10 @@ from cfglmm.experts import ScaleLayer
 from cfglmm.learner import CfModel, ScaleRecord
 from cfglmm.simulate import SimScenario, gen_poisson
 
+# A model file of an earlier writer whose layers still held inactive experts,
+# with that writer's predictions; its "about" field says how it was made.
+OLDER_WRITER_FIXTURE = Path(__file__).parent / "data" / "format1_inactive_experts.json"
+
 
 @pytest.fixture(scope="module")
 def fitted(tmp_path_factory):
@@ -83,6 +87,60 @@ class TestModelRoundTrip:
         assert loaded.config == model.config
         assert loaded.loss_trace == model.loss_trace
         np.testing.assert_array_equal(loaded.split.train_idx, model.split.train_idx)
+
+    def test_older_document_drops_inactive_rows(self, tmp_path, rng):
+        """A hand-built format-1 document as earlier writers wrote it: a row
+        flagged 0, a layer ``weight_power`` of 1 and a config
+        ``aggregation_weight_power`` of 1. It loads and predicts bit for bit
+        like the same model without the flagged row."""
+        rows = [[0.2, 0.3, 0.5, 0.8, True], [0.9, 0.1, -40.0, 0.3, False], [0.6, 0.7, 0.25, 1.5, True]]
+        doc = {
+            "format_version": 1,
+            "family": "poisson",
+            "config": {**dataclasses.asdict(FitConfig()), "aggregation_weight_power": 1},
+            "n_sites": 0,
+            "n_covariates": 1,
+            "beta": [0.3, -0.2],
+            "initial_deviance": 10.0,
+            "validation_deviance": 9.0,
+            "layers": [{"bandwidth": 0.4, "tau2": 0.5, "weight_power": 1, "experts": rows}],
+            "loss_trace": [[1, 0.4, 3, 8.0, 9.0, True]],
+        }
+        older, newer = tmp_path / "older.json", tmp_path / "newer.json"
+        older.write_text(json.dumps(doc))
+        del doc["config"]["aggregation_weight_power"], doc["layers"][0]["weight_power"], rows[1]
+        newer.write_text(json.dumps(doc))
+        got, want = load_model(older), load_model(newer)
+        assert got.config == want.config == FitConfig()
+        np.testing.assert_array_equal(got.layers[0].centers, [[0.2, 0.3], [0.6, 0.7]])
+        for f in ("centers", "mu", "sigma2"):
+            np.testing.assert_array_equal(getattr(got.layers[0], f), getattr(want.layers[0], f), err_msg=f)
+        sites, x = np.vstack([rng.random((30, 2)), [[0.9, 0.1]]]), rng.normal(size=(31, 1))
+        a, b = predict(got, sites, x), predict(want, sites, x)
+        for f in ("mu_lin", "mu", "z_total", "var_z", "cov"):
+            np.testing.assert_array_equal(getattr(a, f), getattr(b, f), err_msg=f)
+
+    def test_older_writer_fixture_loads(self, tmp_path):
+        """The committed file of the earlier writer loads with exactly its rows
+        flagged active, and predicts what that writer predicted: within 1e-12
+        relative (and 1e-12 of the field's largest value), since other BLAS
+        kernels sum in other orders."""
+        fixture = json.loads(OLDER_WRITER_FIXTURE.read_text(), parse_constant=pytest.fail)
+        entries = fixture["model"]["layers"]
+        assert sum(not row[4] for entry in entries for row in entry["experts"]) >= 3
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(fixture["model"]))
+        model = load_model(path)
+        for layer, entry in zip(model.layers, entries, strict=True):
+            active = np.array([row[:4] for row in entry["experts"] if row[4]])
+            np.testing.assert_array_equal(layer.centers, active[:, 0:2])
+            np.testing.assert_array_equal(layer.mu, active[:, 2])
+            np.testing.assert_array_equal(layer.sigma2, active[:, 3])
+            assert (layer.bandwidth, layer.tau2) == (entry["bandwidth"], entry["tau2"])
+        got = predict(model, fixture["sites"], fixture["covariates"])
+        for f, want in fixture["predict"].items():
+            want = np.array(want)
+            np.testing.assert_allclose(getattr(got, f), want, rtol=1e-12, atol=1e-12 * np.abs(want).max(), err_msg=f)
 
     def test_version_check(self, fitted, tmp_path):
         model, _ = fitted
@@ -203,6 +261,8 @@ class TestModelRoundTrip:
             (("layers", 0, "weight_power"), 2.0, "weight_power"),
             (("format_version",), True, "format_version"),
             (("family",), "gamma", "family"),
+            (("layers", 0, "weight_power"), 2, "layer weight_power must be 1"),
+            (("config", "aggregation_weight_power"), 2, "config aggregation_weight_power must be 1"),
         ],
     )
     def test_schema_fault_rejected(self, fitted, tmp_path, path, value, match):
@@ -277,22 +337,18 @@ class TestModelRoundTrip:
 
 @st.composite
 def scale_layers(draw):
-    """A layer of 1-6 experts with arbitrary doubles, at least one active."""
+    """A layer of 1-6 experts with arbitrary doubles."""
     k = draw(st.integers(1, 6))
 
     def column(lo, hi):
         return np.array(draw(st.lists(st.floats(lo, hi), min_size=k, max_size=k)))
 
-    active = np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)))
-    active[draw(st.integers(0, k - 1))] = True
     return ScaleLayer(
         bandwidth=draw(st.floats(1e-3, 10.0)),
         centers=np.column_stack([column(-2.0, 2.0), column(-2.0, 2.0)]),
         mu=column(-50.0, 50.0),
         sigma2=column(1e-10, 1e3),
-        active=active,
         tau2=draw(st.floats(1e-10, 1e3)),
-        weight_power=draw(st.sampled_from([1, 2])),
     )
 
 
@@ -332,8 +388,8 @@ class TestRoundTripProperty:
         np.testing.assert_array_equal(loaded.beta, model.beta)
         assert len(loaded.layers) == len(model.layers)
         for a, b in zip(loaded.layers, model.layers):
-            assert (a.bandwidth, a.tau2, a.weight_power) == (b.bandwidth, b.tau2, b.weight_power)
-            for f in ("centers", "mu", "sigma2", "active"):
+            assert (a.bandwidth, a.tau2) == (b.bandwidth, b.tau2)
+            for f in ("centers", "mu", "sigma2"):
                 np.testing.assert_array_equal(getattr(a, f), getattr(b, f))
         rng = np.random.default_rng(len(layers))
         sites = np.vstack([rng.uniform(-2.0, 2.0, (40, 2)), [[50.0, 50.0]]])
@@ -428,7 +484,7 @@ class TestSitesCsv:
     def test_sites_without_response(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("x,y,cov_1,cov_2\n0.1,0.2,1.0,2.0\n0.3,0.4,3.0,4.0\n")
-        sites, cov, off = read_sites_csv(path, 2)
+        sites, cov, off = read_sites_csv(path)
         assert sites.shape == (2, 2)
         assert cov.shape == (2, 2)
         assert off is None
@@ -436,7 +492,7 @@ class TestSitesCsv:
     def test_sites_only_has_no_covariates(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("x,y\n0.1,0.2\n0.3,0.4\n0.5,0.6\n")
-        sites, cov, off = read_sites_csv(path, 0)
+        sites, cov, off = read_sites_csv(path)
         np.testing.assert_array_equal(sites, [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
         assert cov.shape == (3, 0)
         assert off is None
@@ -444,11 +500,34 @@ class TestSitesCsv:
     def test_sites_with_response_ignored(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("x,y,response,cov_1\n0.1,0.2,9.0,1.0\n")
-        sites, cov, _ = read_sites_csv(path, 1)
+        sites, cov, _ = read_sites_csv(path)
         assert cov[0, 0] == 1.0
 
-    def test_missing_covariate_column(self, tmp_path):
+    def test_missing_covariate_column(self, fitted, tmp_path):
+        """The reader returns the file's one column; ``predict`` refuses it for
+        a model of two."""
+        model, _ = fitted
         path = tmp_path / "s.csv"
         path.write_text("x,y,cov_1\n0.1,0.2,1.0\n")
-        with pytest.raises(ValidationError, match="missing covariate column"):
-            read_sites_csv(path, 2)
+        sites, cov, off = read_sites_csv(path)
+        assert cov.shape == (1, 1)
+        with pytest.raises(ValueError, match="model expects 2, got 1"):
+            predict(model, sites, cov, off)
+
+    def test_every_covariate_column_returned(self, fitted, tmp_path):
+        """An extra ``cov_3`` is returned, and ``predict`` refuses it for a
+        model of two."""
+        model, _ = fitted
+        path = tmp_path / "s.csv"
+        path.write_text("x,y,cov_1,cov_2,cov_3\n0.1,0.2,1.0,2.0,123.0\n")
+        sites, cov, off = read_sites_csv(path)
+        np.testing.assert_array_equal(cov, [[1.0, 2.0, 123.0]])
+        with pytest.raises(ValueError, match="model expects 2, got 3"):
+            predict(model, sites, cov, off)
+
+    @pytest.mark.parametrize("column", ["cov_1", "offset"])
+    def test_non_finite_value_rejected(self, tmp_path, column):
+        path = tmp_path / "s.csv"
+        path.write_text(f"x,y,{column}\n0.1,0.2,1.0\n0.3,0.4,nan\n")
+        with pytest.raises(ValidationError, match="non-finite"):
+            read_sites_csv(path)

@@ -52,13 +52,11 @@ def _bare_model(family, beta, layers=(), n_cov=None):
 
 
 def _toy_layer(bandwidth, centers, mu, sigma2):
-    mu = np.asarray(mu, dtype=float)
     return ScaleLayer(
         bandwidth=bandwidth,
         centers=np.asarray(centers, dtype=float),
-        mu=mu,
+        mu=np.asarray(mu, dtype=float),
         sigma2=np.asarray(sigma2, dtype=float),
-        active=np.ones(len(mu), dtype=bool),
         tau2=1.0,
     )
 
@@ -146,16 +144,15 @@ FIELDS = ("mu_lin", "mu", "z_total", "var_z", "cov")
 
 def _stack_model(rng, sizes=(3, 10, 40, 120, 400, 25), n_cov=2, active_share=0.9):
     """Poisson model whose layers differ in size, the last one not the smallest,
-    so largest-first submission differs from layer order."""
+    so largest-first submission differs from layer order. Each layer keeps
+    about ``active_share`` of the ``k`` experts drawn for it, the first always."""
     layers = []
     h = 0.8
     for k in sizes:
-        active = rng.random(k) < active_share
-        active[0] = True
-        layers.append(ScaleLayer(
-            bandwidth=h, centers=rng.random((k, 2)), mu=rng.normal(size=k),
-            sigma2=rng.uniform(0.05, 2.0, k), active=active, tau2=1.0,
-        ))
+        keep = rng.random(k) < active_share
+        keep[0] = True
+        centers, mu, sigma2 = rng.random((k, 2)), rng.normal(size=k), rng.uniform(0.05, 2.0, k)
+        layers.append(ScaleLayer(bandwidth=h, centers=centers[keep], mu=mu[keep], sigma2=sigma2[keep], tau2=1.0))
         h *= 0.6
     return _bare_model(POISSON, 0.3 * rng.normal(size=n_cov + 1), layers)
 
