@@ -30,7 +30,7 @@ from .families import (
     wls_beta,
     working_state,
 )
-from .geometry import CenterSet, bbox_diagonal, center_count, kernel_weight, place_centers
+from .geometry import bbox_diagonal, center_count, place_centers
 from .learner import CfModel, ScaleRecord, accepted_scale_count, fit_cf
 from .model_io import load_model, read_dataset_csv, save_model, write_dataset_csv
 from .prediction import (
@@ -51,10 +51,8 @@ __all__ = [
     "ValidationError",
     "make_split",
     "validate_dataset",
-    "CenterSet",
     "bbox_diagonal",
     "center_count",
-    "kernel_weight",
     "place_centers",
     "ScaleLayer",
     "LayerUnfittableError",

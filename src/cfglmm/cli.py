@@ -57,11 +57,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit a model to a dataset CSV")
     p_fit.add_argument("--data", required=True)
     p_fit.add_argument("--family", required=True, choices=FAMILY_TAGS)
-    p_fit.add_argument("--seed", type=int, default=0)
-    p_fit.add_argument("--train-frac", type=float, default=0.75)
-    p_fit.add_argument("--decay", type=float, default=0.9)
-    p_fit.add_argument("--patience", type=int, default=5)
-    p_fit.add_argument("--initial-bandwidth", type=float, default=None)
+    p_fit.add_argument("--seed", type=int, default=FitConfig.rng_seed)
+    p_fit.add_argument("--train-frac", type=float, default=FitConfig.train_fraction)
+    p_fit.add_argument("--decay", type=float, default=FitConfig.bandwidth_decay)
+    p_fit.add_argument("--patience", type=int, default=FitConfig.patience)
+    p_fit.add_argument("--initial-bandwidth", type=float, default=FitConfig.initial_bandwidth)
     p_fit.add_argument("--out", default="model.cfg.json")
     p_fit.add_argument("--trace", default=None)
 
@@ -78,10 +78,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="write synthetic train/test/truth CSVs")
     p_sim.add_argument("--family", default="poisson", choices=("poisson", "bernoulli"))
-    p_sim.add_argument("--n", type=int, default=2000)
-    p_sim.add_argument("--beta0", type=float, default=0.5)
+    p_sim.add_argument("--n", type=int, default=SimScenario.n_train)
+    p_sim.add_argument("--beta0", type=float, default=SimScenario.beta0)
     p_sim.add_argument("--multiscale", default=None)
-    p_sim.add_argument("--test", type=int, default=2000)
+    p_sim.add_argument("--test", type=int, default=SimScenario.n_test)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--out", required=True, help="output file prefix")
 
@@ -89,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--suite", required=True, choices=("prediction", "multiscale", "timing", "binomial"))
     p_bench.add_argument("--trials", type=int, default=20)
     p_bench.add_argument("--sizes", default="500,1000,2000")
-    p_bench.add_argument("--beta0", type=float, default=0.5)
+    p_bench.add_argument("--beta0", type=float, default=SimScenario.beta0)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--out", required=True, help="output directory")
     return parser

@@ -79,6 +79,8 @@ class TrialResult:
 
 @dataclass(frozen=True)
 class ExperimentReport:
+    """The trials of one scenario and, per metric, their quantiles at ``QUANTILE_LABELS``."""
+
     scenario: SimScenario
     trials: tuple[TrialResult, ...]
     quantiles: dict

@@ -1,8 +1,10 @@
 """One scale of the latent process: local moment fits and their Gaussian product.
 
-A scale layer holds local experts, one per center. Each expert is fit against
-a working target with effective precisions ``p_i = site_weight_i * k_i^2``
-where ``k_i = exp(-d_i / h)`` is the kernel weight of training site ``i``:
+A scale layer holds local experts, one per center, at the bandwidth ``h``
+that :func:`fit_layer` is given for the scale's placed centers. Each expert is
+fit against a working target with effective precisions
+``p_i = site_weight_i * k_i^2`` where ``k_i = exp(-d_i / h)`` is the kernel
+weight of training site ``i``:
 
     raw mean      m_c  = sum(p t) / sum(p)
     raw variance  s2_c = sum(p (t - m_c)^2) / sum(p)        (floored)
@@ -12,7 +14,8 @@ A center whose total effective precision ``sum(p)`` falls below
 ``cfg.min_effective_weight`` gets no expert: the layer holds only the experts
 it evaluates. ``tau2`` is the population variance of their raw means, so the
 shrinkage realizes a zero-mean Gaussian prior on the local means shared by the
-whole scale.
+whole scale. The raw means are intermediate: a layer keeps only
+``bandwidth``, ``centers``, ``mu``, ``sigma2`` and ``tau2``, as its model file does.
 
 Evaluation combines the experts as a weighted product of Gaussian densities:
 precision ``q_c = k_c(s) / s2_c``, variance ``1 / sum(q)``, mean
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FitConfig, ValidationError, as_sites, check_finite_inputs
-from .geometry import CenterSet, _map_kernel_blocks, pairwise_distances
+from .geometry import _map_kernel_blocks, pairwise_distances
 
 SIGMA2_FLOOR = 1e-10
 
@@ -43,14 +46,14 @@ class LayerUnfittableError(RuntimeError):
 
 @dataclass(frozen=True)
 class ScaleLayer:
-    """All local experts sharing one bandwidth, stored as parallel arrays."""
+    """All local experts sharing one bandwidth, stored as parallel arrays:
+    the five values a model file holds per layer."""
 
     bandwidth: float
     centers: np.ndarray
     mu: np.ndarray
     sigma2: np.ndarray
     tau2: float
-    raw_mean: np.ndarray | None = None  # pre-shrinkage means; not persisted
 
     @property
     def n_active(self) -> int:
@@ -65,32 +68,36 @@ class LayerEvaluation:
     variance: np.ndarray
 
 
-def fit_layer(targets, site_weights, sites, centers: CenterSet, cfg: FitConfig) -> ScaleLayer:
-    """Fit every local expert of one scale against a weighted working target.
+def fit_layer(targets, site_weights, sites, centers, bandwidth: float, cfg: FitConfig) -> ScaleLayer:
+    """Fit the local experts at ``centers``, a ``(k, 2)`` array such as
+    :func:`geometry.place_centers` returns, at one ``bandwidth`` against a
+    weighted working target.
 
-    Raises :class:`~cfglmm.data.ValidationError` for a non-finite target,
-    site weight, site or center.
+    Raises ``ValueError`` for a bandwidth that is not positive, and
+    :class:`~cfglmm.data.ValidationError` for a non-finite target, site
+    weight, site or center.
     """
+    if not bandwidth > 0.0:  # so that NaN fails it
+        raise ValueError("bandwidth must be positive")
     t = np.asarray(targets, dtype=float).ravel()
     sw = np.asarray(site_weights, dtype=float).ravel()
     pts = as_sites(sites)
+    cen = as_sites(centers)
     if not len(t) == len(sw) == len(pts):
         raise ValueError("targets, site_weights, and sites must have equal length")
     check_finite_inputs(pts)
-    check_finite_inputs(centers.centers)
+    check_finite_inputs(cen)
     if not np.isfinite(t).all():
         raise ValidationError("non-finite target")
     if not np.isfinite(sw).all():
         raise ValidationError("non-finite site weight")
     if (sw < 0).any():
         raise ValueError("site_weights must be nonnegative")
-    h = centers.bandwidth
-    cen = centers.centers
 
     rhs = np.column_stack([np.ones(len(t)), sw, sw * t, sw * t * t])
     sums = np.empty((len(cen), 4))
     # kernel squared in one pass: exp(-d/h)^2 = exp(-2d/h)
-    _map_kernel_blocks([(cen, pts, -2.0 / h, rhs, sums)])
+    _map_kernel_blocks([(cen, pts, -2.0 / bandwidth, rhs, sums)])
     keep = np.flatnonzero(sums[:, 1] >= cfg.min_effective_weight)  # column 1: sum(p)
     if not len(keep):
         raise LayerUnfittableError("layer unfittable at this bandwidth")
@@ -103,14 +110,7 @@ def fit_layer(targets, site_weights, sites, centers: CenterSet, cfg: FitConfig) 
         tau2 = max(float(np.var(raw_mean)), SIGMA2_FLOOR)
         shrink = tau2 / (tau2 + sigma2 / sum_sq_kernel)
     mu = np.where(np.isfinite(shrink), raw_mean * shrink, 0.0)
-    return ScaleLayer(
-        bandwidth=h,
-        centers=cen[keep],
-        mu=mu,
-        sigma2=sigma2,
-        tau2=tau2,
-        raw_mean=raw_mean,
-    )
+    return ScaleLayer(bandwidth=bandwidth, centers=cen[keep], mu=mu, sigma2=sigma2, tau2=tau2)
 
 
 def evaluate_layer(layer: ScaleLayer, sites) -> LayerEvaluation:

@@ -95,6 +95,7 @@ _FAMILIES = {f.tag: f for f in (GAUSSIAN, POISSON, BERNOULLI)}
 
 
 def get_family(tag: str) -> Family:
+    """The family of a tag: ``"gaussian"``, ``"poisson"`` or ``"bernoulli"``."""
     try:
         return _FAMILIES[tag]
     except KeyError:
@@ -220,12 +221,12 @@ def fit_glm(d: Dataset, cfg: FitConfig = FitConfig(), subset=None) -> GlmFit:
     for _ in range(cfg.irls_max_iter):
         ws = working_state(family, y, mu_lin)
         candidate = wls_beta(design, ws.eta_hat - off, ws.weights)
-        if beta is not None:
-            halvings = 0
-            while dev_at(candidate) > dev and halvings < 10:
-                candidate = 0.5 * (candidate + beta)
-                halvings += 1
         new_dev = dev_at(candidate)
+        halvings = 0
+        while new_dev > dev and halvings < 10:  # never at the first step, where dev is inf
+            candidate = 0.5 * (candidate + beta)
+            new_dev = dev_at(candidate)
+            halvings += 1
         trace.append(new_dev)
         if beta is not None and np.max(np.abs(candidate - beta)) < cfg.irls_tol:
             beta, dev = candidate, new_dev

@@ -1,4 +1,7 @@
-"""Planar geometry: bounding box, exponential kernel, and lattice center placement.
+"""Planar geometry: bounding box, center counts, and lattice center placement.
+
+Placement returns the centers as a plain ``(k, 2)`` array; the bandwidth of
+a scale is an argument of the layer fit, not of its centers.
 
 Also home of the one engine of the dense kernel passes (local-expert fits,
 layer evaluations, the simulator's smooth): callers hand
@@ -17,7 +20,6 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -152,22 +154,6 @@ def _kernel_block(group, sl: slice, d: np.ndarray, k: np.ndarray) -> None:
             np.matmul(k, rhs[:, j : j + 2], out=out[sl, j : j + 2])
 
 
-@dataclass(frozen=True)
-class CenterSet:
-    """Local-model centers sharing one bandwidth."""
-
-    centers: np.ndarray
-    bandwidth: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "centers", as_sites(self.centers))
-        if not self.bandwidth > 0.0:  # so that NaN fails it
-            raise ValueError("bandwidth must be positive")
-
-    def __len__(self) -> int:
-        return len(self.centers)
-
-
 def bbox_diagonal(sites) -> float:
     """Diagonal length of the axis-aligned bounding box of the sites."""
     pts = as_sites(sites)
@@ -189,17 +175,6 @@ def center_count(diagonal: float, bandwidth: float, density: float) -> int:
     if not 0.0 <= diagonal < math.inf:
         raise ValueError("diagonal must be finite and nonnegative")
     return max(1, round_half_away(density * diagonal * diagonal / (bandwidth * bandwidth)))
-
-
-def kernel_weight(distance, bandwidth: float):
-    """Exponential distance decay ``exp(-d/h)``; scalar in, scalar out."""
-    if not bandwidth > 0.0:  # so that NaN fails it
-        raise ValueError("bandwidth must be positive")
-    d = np.asarray(distance, dtype=float)
-    if not (d >= 0).all():
-        raise ValueError("distance must be nonnegative")
-    w = np.exp(-d / bandwidth)
-    return float(w) if np.isscalar(distance) else w
 
 
 def pairwise_distances(a, b, out: np.ndarray | None = None) -> np.ndarray:
@@ -245,8 +220,9 @@ def _assign_nearest(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return cKDTree(centers).query(points)[1]
 
 
-def place_centers(sites, n_centers: int, bandwidth: float) -> CenterSet:
-    """Place about ``n_centers`` local centers on a lattice over the sites.
+def place_centers(sites, n_centers: int) -> np.ndarray:
+    """Place about ``n_centers`` local centers on a lattice over the sites,
+    returned as a ``(k, 2)`` array.
 
     Duplicate coordinates are collapsed to distinct sites weighted by their
     counts; when ``n_centers`` reaches the number of distinct sites, the
@@ -267,14 +243,14 @@ def place_centers(sites, n_centers: int, bandwidth: float) -> CenterSet:
     if len(pts) == 0:
         raise ValueError("place_centers requires at least one site")
     check_finite_inputs(pts)
-    if n_centers < 1:
+    if not n_centers >= 1:  # so that NaN fails it
         raise ValueError("n_centers must be at least 1")
-    return _place_distinct(*np.unique(pts, axis=0, return_counts=True), n_centers, bandwidth)
+    return _place_distinct(*np.unique(pts, axis=0, return_counts=True), n_centers)
 
 
-def _place_distinct(uniq: np.ndarray, weights: np.ndarray, n_centers: int, bandwidth: float) -> CenterSet:
+def _place_distinct(uniq: np.ndarray, weights: np.ndarray, n_centers: int) -> np.ndarray:
     """:func:`place_centers` on the sorted distinct sites, weighted by their counts."""
     if n_centers >= len(uniq):
-        return CenterSet(uniq.copy(), bandwidth)
+        return uniq.copy()
     seeds = _lattice_means(uniq, weights, n_centers)
-    return CenterSet(_cell_means(uniq, weights, _assign_nearest(uniq, seeds)), bandwidth)
+    return _cell_means(uniq, weights, _assign_nearest(uniq, seeds))

@@ -148,8 +148,8 @@ def fit_cf(
         ws = working_state(family, y, xb + cum_offset)
         resid = ws.eta_hat - xb - cum_offset
         try:
-            centers = _place_distinct(uniq, counts, n_centers, bandwidth)
-            layer = fit_layer(resid[tr], ws.weights[tr], train_pts, centers, cfg)
+            centers = _place_distinct(uniq, counts, n_centers)
+            layer = fit_layer(resid[tr], ws.weights[tr], train_pts, centers, bandwidth, cfg)
         except LayerUnfittableError:
             record = ScaleRecord(scale, bandwidth, n_centers, math.nan, math.nan, False)
         else:

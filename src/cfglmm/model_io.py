@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .data import Dataset, FitConfig, HvSplit, check_finite_inputs, make_split
+from .data import Dataset, FitConfig, HvSplit, make_split
 from .experts import ScaleLayer
 from .learner import CfModel, ScaleRecord
 from .families import get_family
@@ -41,6 +41,7 @@ class ModelFormatError(ValueError):
 
 
 def save_model(model: CfModel, path) -> None:
+    """Write a model as one line of strict JSON that :func:`load_model` reads back bit for bit."""
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "family": model.family.tag,
@@ -270,15 +271,16 @@ def read_dataset_csv(path, family_tag: str) -> Dataset:
 
 def read_sites_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Parse a prediction-sites CSV: sites, every covariate column, and the
-    offset or ``None``. A ``response`` column, if present, is ignored.
+    offset or ``None``, unchecked: :func:`~cfglmm.prediction.predict` and
+    :func:`~cfglmm.prediction.decompose` check the values they read. A
+    ``response`` column, if present, is ignored.
     """
     columns = _read_table(path)
-    sites, covariates, offset = columns["sites"], columns["covariates"], columns.get("offset")
-    check_finite_inputs(sites, covariates, offset)
-    return sites, covariates, offset
+    return columns["sites"], columns["covariates"], columns.get("offset")
 
 
 def write_dataset_csv(path, dataset: Dataset) -> None:
+    """Write a dataset CSV that :func:`read_dataset_csv` reads; an all-zero offset is left out."""
     header = ["x", "y", "response"]
     columns = [dataset.sites, dataset.response]
     if np.any(dataset.offset != 0.0):

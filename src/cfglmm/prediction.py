@@ -117,7 +117,6 @@ def decompose(model: CfModel, sites, band_edges) -> ScaleBandDecomposition:
     if any(a <= b for a, b in zip(edges, edges[1:])):
         raise ValueError("band edges must be strictly descending")
     pts = as_sites(sites)
-    check_finite_inputs(pts)
     n_bands = len(edges) + 1
     values = np.zeros((len(pts), n_bands))
     occupied = np.zeros(n_bands, dtype=bool)

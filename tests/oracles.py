@@ -79,8 +79,8 @@ def direct_gaussian_cfsm(d: Dataset, cfg: FitConfig):
         resid = y - design @ beta - cum_offset
         n_centers = min(center_count(diagonal, bandwidth, cfg.center_density), len(tr))
         try:
-            centers = place_centers(train_pts, n_centers, bandwidth)
-            layer = fit_layer(resid[tr], np.ones(len(tr)), train_pts, centers, cfg)
+            centers = place_centers(train_pts, n_centers)
+            layer = fit_layer(resid[tr], np.ones(len(tr)), train_pts, centers, bandwidth, cfg)
         except LayerUnfittableError:
             trace.append((scale, bandwidth, n_centers, np.nan, np.nan, False))
             rejections += 1
@@ -198,7 +198,7 @@ def ref_smooth(query, anchors, bandwidth, noise, chunk_doubles=_SMOOTH_CHUNK_DOU
     return out if noise.ndim == 2 else out[:, 0]
 
 
-def ref_fit_layer(targets, site_weights, sites, centers, cfg, chunk_doubles=_CHUNK_DOUBLES) -> ScaleLayer:
+def ref_fit_layer(targets, site_weights, sites, centers, bandwidth, cfg, chunk_doubles=_CHUNK_DOUBLES) -> ScaleLayer:
     t = np.asarray(targets, dtype=float).ravel()
     sw = np.asarray(site_weights, dtype=float).ravel()
     pts = as_sites(sites)
@@ -206,8 +206,8 @@ def ref_fit_layer(targets, site_weights, sites, centers, cfg, chunk_doubles=_CHU
         raise ValueError("targets, site_weights, and sites must have equal length")
     if (sw < 0).any():
         raise ValueError("site_weights must be nonnegative")
-    h = centers.bandwidth
-    cen = centers.centers
+    h = bandwidth
+    cen = as_sites(centers)
     n_centers = len(cen)
 
     raw_mean = np.zeros(n_centers)
@@ -240,14 +240,7 @@ def ref_fit_layer(targets, site_weights, sites, centers, cfg, chunk_doubles=_CHU
     with np.errstate(invalid="ignore", divide="ignore"):
         shrink = tau2 / (tau2 + sigma2 / sum_sq_kernel[keep])
     mu = np.where(np.isfinite(shrink), raw_mean * shrink, 0.0)
-    return ScaleLayer(
-        bandwidth=h,
-        centers=cen[keep],
-        mu=mu,
-        sigma2=sigma2,
-        tau2=tau2,
-        raw_mean=raw_mean,
-    )
+    return ScaleLayer(bandwidth=h, centers=cen[keep], mu=mu, sigma2=sigma2, tau2=tau2)
 
 
 def ref_evaluate_layer(layer, sites, chunk_doubles=_CHUNK_DOUBLES) -> LayerEvaluation:

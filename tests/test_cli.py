@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import filecmp
 import json
 from pathlib import Path
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from cfglmm.cli import main
-from cfglmm import SimScenario, decompose, generate, load_model, predict, run_experiment
+from cfglmm import FitConfig, SimScenario, decompose, generate, load_model, predict, run_experiment
 from cfglmm.model_io import read_sites_csv
 
 
@@ -42,6 +43,16 @@ def sim_files(tmp_path_factory):
     )
     assert code == 0
     return prefix
+
+
+def _nan_covariate_sites(sim_prefix, tmp_path) -> str:
+    """The test sites CSV with ``nan`` in ``cov_1`` of its first row."""
+    header, first, *rest = Path(f"{sim_prefix}_test.csv").read_text().splitlines(keepends=True)
+    cells = first.split(",")
+    cells[header.split(",").index("cov_1")] = "nan"
+    path = tmp_path / "nan_cov.csv"
+    path.write_text("".join([header, ",".join(cells), *rest]))
+    return str(path)
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +179,11 @@ class TestFitCommand:
         assert "initial_bandwidth" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_defaults_are_fit_config_defaults(self, sim_files, tmp_path):
+        out = tmp_path / "m.json"
+        assert main(["fit", "--data", f"{sim_files}_train.csv", "--family", "poisson", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"] == dataclasses.asdict(FitConfig())
+
     def test_deterministic_model_file(self, sim_files, tmp_path):
         a = str(tmp_path / "a.json")
         b = str(tmp_path / "b.json")
@@ -246,6 +262,15 @@ class TestPredictCommand:
         code = main(["predict", "--model", model_path, "--sites", str(sites), "--out", str(out)])
         assert code == 3
         assert "covariate column mismatch: model expects 2, got 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_covariate_exit_3(self, fitted_files, tmp_path, capsys):
+        sim_prefix, model_path, _ = fitted_files
+        out = tmp_path / "p.csv"
+        code = main(["predict", "--model", model_path, "--sites", _nan_covariate_sites(sim_prefix, tmp_path),
+                     "--out", str(out)])
+        assert code == 3
+        assert "error: non-finite covariate" in capsys.readouterr().err
         assert not out.exists()
 
     def test_corrupt_model_json_exit_2(self, tmp_path, capsys):
@@ -344,6 +369,16 @@ class TestDecomposeCommand:
         columns["z_total"] = values.sum(axis=1)
         _assert_written(out, columns)
         _assert_written(str(tmp_path / "bands_band_sds.csv"), {"band": names, "sd": bands.band_sds})
+
+    def test_unread_covariate_may_be_nan(self, fitted_files, tmp_path):
+        """``decompose`` reads no covariate: a ``nan`` in ``cov_1`` gives the
+        bands of the clean file."""
+        sim_prefix, model_path, _ = fitted_files
+        for name, sites in (("clean", f"{sim_prefix}_test.csv"), ("nan", _nan_covariate_sites(sim_prefix, tmp_path))):
+            assert main(["decompose", "--model", model_path, "--sites", sites, "--bands", "0.5,0.2",
+                         "--out", str(tmp_path / f"{name}.csv")]) == 0
+        for suffix in (".csv", "_band_sds.csv"):
+            assert filecmp.cmp(tmp_path / f"clean{suffix}", tmp_path / f"nan{suffix}", shallow=False)
 
     def test_band_sd_side_file(self, fitted_files, tmp_path):
         sim_prefix, model_path, _ = fitted_files

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from oracles import grid_poe_moments, ref_evaluate_layer, ref_fit_layer
 
 from cfglmm import (
-    CenterSet,
     FitConfig,
     LayerUnfittableError,
     ValidationError,
@@ -42,18 +41,23 @@ def _layer(centers, mu, sigma2, bandwidth):
 
 class TestFitLayer:
     def test_constant_targets_single_center(self):
+        """Raw mean 3.3 and floored variance and ``tau2``, so ``mu = 3.3 *
+        sum(k^2) / (sum(k^2) + 1)``."""
         sites = np.array([[0.1, 0.1], [0.4, 0.9], [0.8, 0.2]])
-        centers = CenterSet(np.array([[0.5, 0.5]]), bandwidth=1.0)
-        layer = fit_layer([3.3, 3.3, 3.3], np.ones(3), sites, centers, FitConfig())
-        assert layer.raw_mean[0] == pytest.approx(3.3, rel=1e-14)
+        layer = fit_layer([3.3, 3.3, 3.3], np.ones(3), sites, [[0.5, 0.5]], 1.0, FitConfig())
+        sum_k2 = np.exp(-2.0 * np.hypot(*(sites - 0.5).T)).sum()
         assert layer.sigma2[0] == SIGMA2_FLOOR
+        assert layer.tau2 == SIGMA2_FLOOR
+        assert layer.mu[0] == pytest.approx(3.3 * sum_k2 / (sum_k2 + 1.0), rel=1e-14)
 
     def test_two_coincident_sites_sample_moments(self):
+        """Raw mean 1 and variance 1 from two sites at the center (``sum(k^2) =
+        2``); one expert floors ``tau2``."""
         sites = np.array([[0.5, 0.5], [0.5, 0.5]])
-        centers = CenterSet(np.array([[0.5, 0.5]]), bandwidth=2.0)
-        layer = fit_layer([0.0, 2.0], np.ones(2), sites, centers, FitConfig())
-        assert layer.raw_mean[0] == pytest.approx(1.0)
+        layer = fit_layer([0.0, 2.0], np.ones(2), sites, [[0.5, 0.5]], 2.0, FitConfig())
         assert layer.sigma2[0] == pytest.approx(1.0)
+        assert layer.tau2 == SIGMA2_FLOOR
+        assert layer.mu[0] == pytest.approx(1.0 * SIGMA2_FLOOR / (SIGMA2_FLOOR + 1.0 / 2.0), rel=1e-12)
 
     def test_shrinkage_matches_scalar_oracle(self, rng):
         """Independent per-center recomputation of the shrunken means, 12 dp."""
@@ -62,7 +66,7 @@ class TestFitLayer:
         weights = rng.uniform(0.2, 2.0, 25)
         h = 0.6
         centers = np.array([[0.2, 0.3], [0.8, 0.7]])
-        layer = fit_layer(targets, weights, sites, CenterSet(centers, h), FitConfig())
+        layer = fit_layer(targets, weights, sites, centers, h, FitConfig())
 
         raw_means, raw_vars, sum_k2 = [], [], []
         for c in centers:
@@ -89,30 +93,29 @@ class TestFitLayer:
 
     def test_all_inactive_raises(self):
         sites = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        centers = CenterSet(np.array([[0.5, 0.5]]), bandwidth=1.0)
         with pytest.raises(LayerUnfittableError, match="unfittable"):
-            fit_layer([1.0, 2.0, 3.0], np.zeros(3), sites, centers, FitConfig())
+            fit_layer([1.0, 2.0, 3.0], np.zeros(3), sites, [[0.5, 0.5]], 1.0, FitConfig())
 
     def test_negligible_weight_center_inactive(self):
         """A center whose weight underflows gets no expert."""
         sites = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1]])
-        centers = CenterSet(np.array([[0.05, 0.05], [500.0, 500.0]]), bandwidth=0.5)
-        layer = fit_layer([1.0, 2.0, 3.0], np.ones(3), sites, centers, FitConfig())
+        centers = np.array([[0.05, 0.05], [500.0, 500.0]])
+        layer = fit_layer([1.0, 2.0, 3.0], np.ones(3), sites, centers, 0.5, FitConfig())
         np.testing.assert_array_equal(layer.centers, [[0.05, 0.05]])
-        assert len(layer.mu) == len(layer.sigma2) == len(layer.raw_mean) == layer.n_active == 1
+        assert len(layer.mu) == len(layer.sigma2) == layer.n_active == 1
 
     def test_min_effective_weight_keeps_heavy_centers_in_order(self):
         """Above some centers' weight, ``min_effective_weight`` leaves exactly
         the oracle's centers with enough weight, in placement order, and each
         kept expert has the oracle's values."""
-        targets, weights, sites, centers = _fit_inputs(21, 400, 60)
-        k2 = np.exp(-2.0 * np.hypot(*(centers.centers[:, None, :] - sites[None, :, :]).transpose(2, 0, 1)) / 0.05)
+        targets, weights, sites, centers, h = _fit_inputs(21, 400, 60)
+        k2 = np.exp(-2.0 * np.hypot(*(centers[:, None, :] - sites[None, :, :]).transpose(2, 0, 1)) / h)
         weight = k2 @ weights
         cfg = FitConfig(min_effective_weight=float(np.median(weight)))
-        heavy = centers.centers[weight >= cfg.min_effective_weight]
-        assert 0 < len(heavy) < len(centers.centers) - 1  # drops more than the far center
-        got = fit_layer(targets, weights, sites, centers, cfg)
-        want = ref_fit_layer(targets, weights, sites, centers, cfg)
+        heavy = centers[weight >= cfg.min_effective_weight]
+        assert 0 < len(heavy) < len(centers) - 1  # drops more than the far center
+        got = fit_layer(targets, weights, sites, centers, h, cfg)
+        want = ref_fit_layer(targets, weights, sites, centers, h, cfg)
         np.testing.assert_array_equal(got.centers, heavy)
         _assert_layers_close(got, want, targets)
 
@@ -121,9 +124,9 @@ class TestFitLayer:
         targets = rng.normal(size=40)
         weights = rng.uniform(0.1, 3.0, 40)
         perm = rng.permutation(40)
-        centers = CenterSet(rng.random((3, 2)), bandwidth=0.4)
-        a = fit_layer(targets, weights, sites, centers, FitConfig())
-        b = fit_layer(targets[perm], weights[perm], sites[perm], centers, FitConfig())
+        centers = rng.random((3, 2))
+        a = fit_layer(targets, weights, sites, centers, 0.4, FitConfig())
+        b = fit_layer(targets[perm], weights[perm], sites[perm], centers, 0.4, FitConfig())
         np.testing.assert_allclose(a.mu, b.mu, rtol=1e-10)
         np.testing.assert_allclose(a.sigma2, b.sigma2, rtol=1e-10)
 
@@ -132,26 +135,33 @@ class TestFitLayer:
     def test_non_finite_input_rejected(self, arg, bad):
         """A NaN target used to zero every mean, a NaN weight to raise
         ``LayerUnfittableError``, and an inf site to drop out of the fit."""
-        targets, weights, sites, centers = _fit_inputs(3, 50, 4)
-        cen = centers.centers.copy()
-        {"target": targets, "site weight": weights, "site": sites, "center": cen}[arg].flat[7] = bad
+        targets, weights, sites, centers, h = _fit_inputs(3, 50, 4)
+        {"target": targets, "site weight": weights, "site": sites, "center": centers}[arg].flat[7] = bad
         with pytest.raises(ValidationError, match="non-finite"):
-            fit_layer(targets, weights, sites, CenterSet(cen, centers.bandwidth), FitConfig())
+            fit_layer(targets, weights, sites, centers, h, FitConfig())
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+    def test_nonpositive_bandwidth_rejected(self, bandwidth):
+        targets, weights, sites, centers, _ = _fit_inputs(3, 50, 4)
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            fit_layer(targets, weights, sites, centers, bandwidth, FitConfig())
 
     def test_weight_scaling_invariance(self, rng):
         sites = rng.random((30, 2))
         targets = rng.normal(size=30)
         weights = rng.uniform(0.5, 2.0, 30)
-        centers = CenterSet(rng.random((2, 2)), bandwidth=0.5)
-        a = fit_layer(targets, weights, sites, centers, FitConfig())
-        b = fit_layer(targets, 4.0 * weights, sites, centers, FitConfig())
-        np.testing.assert_allclose(a.raw_mean, b.raw_mean, rtol=1e-12)
+        centers = rng.random((2, 2))
+        a = fit_layer(targets, weights, sites, centers, 0.5, FitConfig())
+        b = fit_layer(targets, 4.0 * weights, sites, centers, 0.5, FitConfig())
+        np.testing.assert_allclose(a.mu, b.mu, rtol=1e-12)
         np.testing.assert_allclose(a.sigma2, b.sigma2, rtol=1e-12)
+        assert a.tau2 == pytest.approx(b.tau2, rel=1e-12)
 
 
 def _fit_inputs(seed: int, n_pts: int, n_centers: int, wide: bool = False):
-    """Working-target inputs with some zero site weights and, given more than
-    one center, one far-off center at (50, 50) that gets no expert. ``wide``:
+    """Working-target inputs ``(targets, weights, sites, centers, bandwidth)``
+    with some zero site weights and, given more than one center, one far-off
+    center at (50, 50) that gets no expert. ``wide``:
     site weights log-uniform over 1e-3 to 1e3, as working weights spread."""
     rng = np.random.default_rng(seed)
     sites = rng.random((n_pts, 2))
@@ -161,11 +171,11 @@ def _fit_inputs(seed: int, n_pts: int, n_centers: int, wide: bool = False):
     cen = rng.random((n_centers, 2))
     if n_centers > 1:
         cen[-1] = (50.0, 50.0)
-    return targets, weights, sites, CenterSet(cen, bandwidth=0.05)
+    return targets, weights, sites, cen, 0.05
 
 
 def _assert_layers_equal(got: ScaleLayer, want: ScaleLayer):
-    for field in ("centers", "mu", "sigma2", "raw_mean"):
+    for field in ("centers", "mu", "sigma2"):
         np.testing.assert_array_equal(getattr(got, field), getattr(want, field), err_msg=field)
     assert got.tau2 == want.tau2
     assert got.bandwidth == want.bandwidth
@@ -173,9 +183,9 @@ def _assert_layers_equal(got: ScaleLayer, want: ScaleLayer):
 
 
 def _assert_layers_close(got: ScaleLayer, want: ScaleLayer, targets):
-    """The tolerance of ``fit_layer`` against the serial chunk loop: ``mu`` and
-    ``raw_mean`` within ``rtol=1e-12, atol=1e-12 * max|t|``, ``sigma2`` and
-    ``tau2`` within ``rtol=1e-12``, ``centers`` identical.
+    """The tolerance of ``fit_layer`` against the serial chunk loop: ``mu``
+    within ``rtol=1e-12, atol=1e-12 * max|t|``, ``sigma2`` and ``tau2``
+    within ``rtol=1e-12``, ``centers`` identical.
 
     It holds where every kept center averages over many sites, as in these
     inputs (bandwidth 0.05 over 2500 unit-square sites), with site weights
@@ -184,8 +194,7 @@ def _assert_layers_close(got: ScaleLayer, want: ScaleLayer, targets):
     ``m2 - m*m`` cancellation in both loops takes ``sigma2`` up to 4e-12 from
     the oracle at 1e-3 to 1e3 weights, and 4e-11 at 1e-6 to 1e6."""
     atol = 1e-12 * np.abs(targets).max()
-    for field in ("mu", "raw_mean"):
-        np.testing.assert_allclose(getattr(got, field), getattr(want, field), rtol=1e-12, atol=atol, err_msg=field)
+    np.testing.assert_allclose(got.mu, want.mu, rtol=1e-12, atol=atol)
     np.testing.assert_allclose(got.sigma2, want.sigma2, rtol=1e-12, atol=0.0)
     assert got.tau2 == pytest.approx(want.tau2, rel=1e-12, abs=0.0)
     np.testing.assert_array_equal(got.centers, want.centers)
@@ -294,7 +303,7 @@ class TestEvaluateLayer:
         evaluates bit for bit like the fit without that center."""
         sites = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1]])
         fit = [
-            fit_layer([1.0, 2.0, 3.0], np.ones(3), sites, CenterSet(np.array(cen), 0.5), FitConfig())
+            fit_layer([1.0, 2.0, 3.0], np.ones(3), sites, cen, 0.5, FitConfig())
             for cen in ([[0.05, 0.05], [500.0, 500.0]], [[0.05, 0.05]])
         ]
         query = [[0.0, 0.0], [0.3, 0.2], [500.0, 500.0]]

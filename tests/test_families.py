@@ -20,8 +20,10 @@ from cfglmm import (
     wls_beta,
     working_state,
 )
+from cfglmm import families
+from cfglmm.evaluate import trial_seed
 from cfglmm.families import add_intercept
-from cfglmm.simulate import SimScenario, gen_poisson
+from cfglmm.simulate import SimScenario, gen_poisson, generate
 
 
 def _scalar_loop_deviance(tag, y, mu):
@@ -229,6 +231,25 @@ class TestFitGlm:
         fit = fit_glm(d)
         trace = np.asarray(fit.deviance_trace)
         assert np.all(np.diff(trace) <= 1e-9)
+
+    @pytest.mark.parametrize(
+        "family,seed,calls", [("poisson", 7, 6 + 1), ("bernoulli", 8, 5)], ids=["poisson", "bernoulli"]
+    )
+    def test_one_deviance_per_candidate(self, family, seed, calls, monkeypatch):
+        """Each candidate's deviance is computed once: one call per iteration
+        plus one per step halving (the Poisson fit halves one step), never
+        twice in a row for the same candidate."""
+        d = generate(SimScenario(family=family, n_train=5000, n_test=0), trial_seed(seed, 0)).train
+        args = []
+
+        def spy(fam, y, mu, subset=None):
+            args.append(mu.copy())
+            return deviance(fam, y, mu, subset)
+
+        monkeypatch.setattr(families, "deviance", spy)
+        fit_glm(d)
+        assert len(args) == calls
+        assert not any(np.array_equal(a, b) for a, b in zip(args, args[1:]))
 
     def test_bernoulli_separated_does_not_blow_up(self):
         # perfectly separated toy data; step halving must keep it finite

@@ -11,9 +11,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from oracles import ref_lattice_means, ref_pairwise_distances
 
-from cfglmm import CenterSet, ValidationError, bbox_diagonal, center_count, kernel_weight, place_centers
+from cfglmm import ValidationError, bbox_diagonal, center_count, place_centers
 from cfglmm import geometry
-from cfglmm.geometry import _assign_nearest, _chunks, _lattice_means, _pin_worker, pairwise_distances
+from cfglmm.geometry import _assign_nearest, _chunks, _lattice_means, _map_kernel_blocks, _pin_worker, pairwise_distances
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
@@ -58,10 +58,7 @@ class TestCenterCount:
 
 # Each guard is written ``not x > 0`` (or ``not x >= 0``) so that NaN fails it.
 NAN_GUARDS = {
-    "CenterSet": lambda: CenterSet(UNIT_SQUARE, math.nan),
-    "place_centers": lambda: place_centers(UNIT_SQUARE, 2, math.nan),
-    "kernel_weight_bandwidth": lambda: kernel_weight(1.0, math.nan),
-    "kernel_weight_distance": lambda: kernel_weight(math.nan, 1.0),
+    "place_centers": lambda: place_centers(UNIT_SQUARE, math.nan),
     "center_count_bandwidth": lambda: center_count(1.0, math.nan, 1.5),
     "center_count_diagonal": lambda: center_count(math.nan, 1.0, 1.5),
     "center_count_inf_diagonal": lambda: center_count(math.inf, 1.0, 1.5),
@@ -74,7 +71,17 @@ def test_nan_fails_the_guards(call):
         call()
 
 
+def kernel_weight(distance: float, bandwidth: float) -> float:
+    """``exp(-d/h)`` as the kernel engine builds it: the one entry of a
+    one-by-one kernel whose points lie ``distance`` apart, times 1."""
+    out = np.empty((1, 1))
+    _map_kernel_blocks([(np.array([[distance, 0.0]]), np.zeros((1, 2)), -1 / bandwidth, np.ones((1, 1)), out)])
+    return float(out[0, 0])
+
+
 class TestKernelWeight:
+    """The exponential kernel of every dense pass."""
+
     def test_zero_distance(self):
         assert kernel_weight(0.0, 2.0) == 1.0
 
@@ -116,8 +123,8 @@ def _brute_force_two_clusters(points):
 
 class TestPlaceCenters:
     def test_single_center_is_centroid(self):
-        cs = place_centers(UNIT_SQUARE, 1, bandwidth=1.0)
-        np.testing.assert_allclose(cs.centers, [[0.5, 0.5]])
+        cen = place_centers(UNIT_SQUARE, 1)
+        np.testing.assert_allclose(cen, [[0.5, 0.5]])
 
     def test_two_well_separated_clouds(self, rng):
         clouds = np.vstack(
@@ -127,34 +134,34 @@ class TestPlaceCenters:
             ]
         )
         expected = _brute_force_two_clusters(clouds)
-        cs = place_centers(clouds, 2, bandwidth=1.0)
-        got = sorted(tuple(c) for c in cs.centers)
+        cen = place_centers(clouds, 2)
+        got = sorted(tuple(c) for c in cen)
         np.testing.assert_allclose(got, expected, atol=1e-9)
 
     def test_centers_equal_sites_when_c_matches(self):
-        cs = place_centers(UNIT_SQUARE, 4, bandwidth=1.0)
-        got = sorted(tuple(c) for c in cs.centers)
+        cen = place_centers(UNIT_SQUARE, 4)
+        got = sorted(tuple(c) for c in cen)
         want = sorted(tuple(s) for s in UNIT_SQUARE)
         np.testing.assert_allclose(got, want)
 
     def test_c_beyond_distinct_sites(self):
         doubled = np.vstack([UNIT_SQUARE, UNIT_SQUARE])
-        cs = place_centers(doubled, 7, bandwidth=1.0)
-        assert len(cs) == 4
+        cen = place_centers(doubled, 7)
+        assert len(cen) == 4
 
     def test_deterministic(self, rng):
         pts = rng.random((40, 2))
-        a = place_centers(pts, 6, bandwidth=0.5)
-        b = place_centers(pts, 6, bandwidth=0.5)
-        np.testing.assert_array_equal(a.centers, b.centers)
+        a = place_centers(pts, 6)
+        b = place_centers(pts, 6)
+        np.testing.assert_array_equal(a, b)
 
     def test_permutation_invariance(self, rng):
         pts = rng.random((30, 2))
         shuffled = pts[rng.permutation(30)]
-        a = place_centers(pts, 5, bandwidth=0.5)
-        b = place_centers(shuffled, 5, bandwidth=0.5)
+        a = place_centers(pts, 5)
+        b = place_centers(shuffled, 5)
         np.testing.assert_allclose(
-            sorted(tuple(c) for c in a.centers), sorted(tuple(c) for c in b.centers)
+            sorted(tuple(c) for c in a), sorted(tuple(c) for c in b)
         )
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
@@ -163,13 +170,13 @@ class TestPlaceCenters:
         pts = UNIT_SQUARE.astype(float)
         pts[2, 1] = bad
         with pytest.raises(ValidationError, match="non-finite"):
-            place_centers(pts, 2, bandwidth=1.0)
+            place_centers(pts, 2)
 
     def test_centers_inside_bounding_box(self, rng):
         pts = rng.random((60, 2)) * [3.0, 2.0]
-        cs = place_centers(pts, 10, bandwidth=0.5)
-        assert (cs.centers >= pts.min(axis=0) - 1e-12).all()
-        assert (cs.centers <= pts.max(axis=0) + 1e-12).all()
+        cen = place_centers(pts, 10)
+        assert (cen >= pts.min(axis=0) - 1e-12).all()
+        assert (cen <= pts.max(axis=0) + 1e-12).all()
 
 
 def _disk(center, radius, n, rng):
@@ -186,47 +193,47 @@ class TestLatticePlacement:
         hubs = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.1, 0.9]])
         pts = np.vstack([_disk(h, 0.05, 60, rng) for h in hubs])
         for k in (4, 9, 16, 40, 100):
-            cs = place_centers(pts, k, bandwidth=0.1)
-            to_hub = np.hypot(*(cs.centers[:, None, :] - hubs[None, :, :]).transpose(2, 0, 1)).min(axis=1)
+            cen = place_centers(pts, k)
+            to_hub = np.hypot(*(cen[:, None, :] - hubs[None, :, :]).transpose(2, 0, 1)).min(axis=1)
             assert (to_hub <= 0.05).all(), k  # no center in the empty space between clusters
-            assert len(cs) >= min(k, len(hubs))
+            assert len(cen) >= min(k, len(hubs))
 
     def test_ten_to_one_domain(self, rng):
         pts = rng.random((4000, 2)) * [10.0, 1.0]
-        cs = place_centers(pts, 40, bandwidth=0.5)
-        assert len(cs) == 40
+        cen = place_centers(pts, 40)
+        assert len(cen) == 40
         # a 20 x 2 grid of 0.5 x 0.5 cells: no site is far from a center,
         # while a square grid of the same count (7 x 6 cells of 1.4 x 0.17)
         # would leave sites 0.7 away
-        nearest = pairwise_distances(pts, cs.centers).min(axis=1)
+        nearest = pairwise_distances(pts, cen).min(axis=1)
         assert nearest.max() < 0.45
-        assert np.ptp(cs.centers[:, 0]) > 9.0
+        assert np.ptp(cen[:, 0]) > 9.0
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_collinear_sites(self, axis):
         line = np.zeros((101, 2))
         line[:, axis] = np.linspace(0.0, 1.0, 101)
         line[:, 1 - axis] = 0.3
-        cs = place_centers(line, 5, bandwidth=0.2)
-        assert len(cs) == 5
-        np.testing.assert_allclose(cs.centers[:, 1 - axis], 0.3, rtol=1e-12)
-        np.testing.assert_allclose(np.sort(cs.centers[:, axis]), [0.1, 0.3, 0.5, 0.7, 0.9], atol=0.01)
+        cen = place_centers(line, 5)
+        assert len(cen) == 5
+        np.testing.assert_allclose(cen[:, 1 - axis], 0.3, rtol=1e-12)
+        np.testing.assert_allclose(np.sort(cen[:, axis]), [0.1, 0.3, 0.5, 0.7, 0.9], atol=0.01)
 
     def test_duplicate_rows_weigh_in(self):
         heavy = np.vstack([UNIT_SQUARE, [[1.0, 1.0]] * 3])
         # (1, 1) counts four times; without the copies the centroid is (0.5, 0.5)
-        np.testing.assert_allclose(place_centers(heavy, 1, bandwidth=1.0).centers, [[5.0 / 7.0, 5.0 / 7.0]])
+        np.testing.assert_allclose(place_centers(heavy, 1), [[5.0 / 7.0, 5.0 / 7.0]])
         # two cells, one above the other: the top one is pulled toward its heavy corner
-        cs = place_centers(heavy, 2, bandwidth=1.0)
-        np.testing.assert_allclose(cs.centers, [[0.5, 0.0], [0.8, 1.0]])
+        cen = place_centers(heavy, 2)
+        np.testing.assert_allclose(cen, [[0.5, 0.0], [0.8, 1.0]])
 
     def test_deterministic_and_order_free(self, rng):
         pts = np.vstack([rng.random((300, 2)), rng.random((20, 2))])
         pts = np.vstack([pts, pts[:50]])  # repeated rows
         for k in (1, 2, 7, 30, 150):
-            want = place_centers(pts, k, bandwidth=0.1).centers
+            want = place_centers(pts, k)
             for _ in range(3):
-                got = place_centers(pts[rng.permutation(len(pts))], k, bandwidth=0.1).centers
+                got = place_centers(pts[rng.permutation(len(pts))], k)
                 np.testing.assert_array_equal(got, want)
 
     @given(
@@ -240,18 +247,18 @@ class TestLatticePlacement:
         n_distinct = len(np.unique(pts, axis=0))
         span = np.ptp(pts, axis=0)
         nx = min(k, max(1, math.floor(math.sqrt(k * span[0] / span[1]) + 0.5)))
-        cs = place_centers(pts, k, bandwidth=0.1)
-        assert 1 <= len(cs) <= min(n_distinct, nx * math.ceil(k / nx))
-        assert len(cs) <= k + nx - 1  # the bound center_count documents
-        assert len(np.unique(cs.centers, axis=0)) == len(cs)
+        cen = place_centers(pts, k)
+        assert 1 <= len(cen) <= min(n_distinct, nx * math.ceil(k / nx))
+        assert len(cen) <= k + nx - 1  # the bound center_count documents
+        assert len(np.unique(cen, axis=0)) == len(cen)
 
     @pytest.mark.parametrize("k", [1, 4, 9, 36, 100])
     def test_never_more_centers_than_asked_on_a_full_grid(self, k):
         # a square box and a square count: the grid has exactly k cells
         pts = np.random.default_rng(k).random((2000, 2))
         pts[:2] = [[0.0, 0.0], [1.0, 1.0]]
-        cs = place_centers(pts, k, bandwidth=0.1)
-        assert len(cs) == k
+        cen = place_centers(pts, k)
+        assert len(cen) == k
 
 
 class TestPairwiseDistances:

@@ -66,6 +66,20 @@ class TestModelRoundTrip:
         np.testing.assert_array_equal(loaded.beta, model.beta)
         assert len(loaded.layers) == len(model.layers)
 
+    def test_layers_equal_loaded_copy(self, fitted, tmp_path):
+        """A fitted layer holds exactly what its model file holds: each field
+        of each layer equals the loaded copy's, type and bits."""
+        model, _ = fitted
+        path = tmp_path / "model.cfg.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert len(model.layers) >= 1
+        for fit, back in zip(model.layers, loaded.layers, strict=True):
+            for field in dataclasses.fields(ScaleLayer):
+                a, b = getattr(fit, field.name), getattr(back, field.name)
+                assert type(a) is type(b), field.name
+                np.testing.assert_array_equal(a, b, err_msg=field.name, strict=True)
+
     def test_split_rebuilt_from_seed(self, fitted, tmp_path):
         model, _ = fitted
         path = tmp_path / "m.json"
@@ -525,9 +539,15 @@ class TestSitesCsv:
         with pytest.raises(ValueError, match="model expects 2, got 3"):
             predict(model, sites, cov, off)
 
-    @pytest.mark.parametrize("column", ["cov_1", "offset"])
-    def test_non_finite_value_rejected(self, tmp_path, column):
+    @pytest.mark.parametrize("column,what", [("cov_1", "covariate"), ("offset", "offset")], ids=["cov_1", "offset"])
+    def test_non_finite_value_rejected(self, fitted, tmp_path, column, what):
+        """The reader returns a ``nan`` as it is (``decompose`` reads no
+        covariate or offset); ``predict`` refuses it."""
+        model, _ = fitted
+        values = {"cov_1": "1.0", "cov_2": "2.0", "offset": "0.5", column: "nan"}
         path = tmp_path / "s.csv"
-        path.write_text(f"x,y,{column}\n0.1,0.2,1.0\n0.3,0.4,nan\n")
-        with pytest.raises(ValidationError, match="non-finite"):
-            read_sites_csv(path)
+        path.write_text("x,y,offset,cov_1,cov_2\n0.1,0.2,0.5,1.0,2.0\n0.3,0.4,{offset},{cov_1},{cov_2}\n".format(**values))
+        sites, cov, off = read_sites_csv(path)
+        assert np.isnan(cov[1, 0] if column == "cov_1" else off[1])
+        with pytest.raises(ValidationError, match=f"non-finite {what}"):
+            predict(model, sites, cov, off)

@@ -1,4 +1,5 @@
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,18 @@ def test_all_names_resolve():
     missing = [name for name in cfglmm.__all__ if not hasattr(cfglmm, name)]
     assert missing == []
     assert len(set(cfglmm.__all__)) == len(cfglmm.__all__)
+
+
+def test_public_names_documented():
+    """Every public function and class has a docstring of its own, not the
+    signature that ``dataclass`` writes for a class without one."""
+    undocumented = [
+        name
+        for name in cfglmm.__all__
+        if (inspect.isfunction(obj := getattr(cfglmm, name)) or inspect.isclass(obj))
+        and (not obj.__doc__ or obj.__doc__.startswith(f"{obj.__name__}("))
+    ]
+    assert undocumented == []
 
 
 @pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
