@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import FAMILY_TAGS, FitConfig, ValidationError
-from .evaluate import QUANTILE_LABELS, run_experiment, timing_curve
+from .evaluate import QUANTILE_LABELS, run_experiment, timing_curve, trial_row
 from .experts import LayerUnfittableError
 from .families import CollinearityError
 from .learner import fit_cf
@@ -38,6 +38,13 @@ EXIT_VALIDATION = 3
 EXIT_FIT = 4
 
 DEFAULT_BANDS = (1.9, 0.5)
+
+# the scenario of each trial suite of ``benchmark``, minus its size and ``beta0``
+_SUITES = {
+    "prediction": dict(family="poisson", n_test=2000),
+    "binomial": dict(family="bernoulli", n_test=2000),
+    "multiscale": dict(family="poisson", n_test=0, multiscale=(3.0, 0.8, 0.3)),
+}
 
 
 def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
@@ -86,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", required=True, help="output file prefix")
 
     p_bench = sub.add_parser("benchmark", help="run a Monte Carlo suite")
-    p_bench.add_argument("--suite", required=True, choices=("prediction", "multiscale", "timing", "binomial"))
+    p_bench.add_argument("--suite", required=True, choices=(*_SUITES, "timing"))
     p_bench.add_argument("--trials", type=int, default=20)
     p_bench.add_argument("--sizes", default="500,1000,2000")
     p_bench.add_argument("--beta0", type=float, default=SimScenario.beta0)
@@ -173,44 +180,6 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _report_rows(report, size: int):
-    """One dict per trial: the scalar fields of ``TrialResult`` as they are,
-    its tuple fields spread over ``beta{j}``, ``beta{j}_glm`` and
-    ``corr_band_{b}`` columns."""
-    rows = []
-    for t in report.trials:
-        row = {"n": size, **vars(t)}
-        row.update((f"beta{j}", b) for j, b in enumerate(row.pop("beta_hat")))
-        row.update((f"beta{j}_glm", b) for j, b in enumerate(row.pop("beta_hat_glm")))
-        row.update((f"corr_band_{b}", c) for b, c in enumerate(row.pop("scale_correlations") or ()))
-        rows.append(row)
-    return rows
-
-
-def _write_report(out_dir: Path, suite: str, all_rows, quantile_blocks) -> None:
-    header = sorted({k for row in all_rows for k in row})
-    # stable leading columns
-    lead = [c for c in ("n", "trial", "seed", "error") if c in header]
-    header = lead + [c for c in header if c not in lead]
-    write_rows_csv(
-        out_dir / f"{suite}_trials.csv",
-        header,
-        [[row.get(c, "") for c in header] for row in all_rows],
-    )
-    write_rows_csv(
-        out_dir / f"{suite}_summary.csv",
-        ["n", "metric", *QUANTILE_LABELS],
-        quantile_blocks,
-    )
-    long_rows = [
-        [row["n"], row["trial"], key, value]
-        for row in all_rows
-        for key, value in row.items()
-        if isinstance(value, float) and np.isfinite(value)
-    ]
-    write_rows_csv(out_dir / f"{suite}_long.csv", ["n", "trial", "metric", "value"], long_rows)
-
-
 def _cmd_benchmark(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -224,23 +193,25 @@ def _cmd_benchmark(args) -> int:
             print(f"n={n}: {s:.2f} s")
         return EXIT_OK
 
-    all_rows = []
-    quantile_blocks = []
+    # one row per trial; the summary and long tables read its metric columns
+    rows, summary, long_rows = [], [], []
     for size in sizes:
-        if args.suite == "multiscale":
-            scenario = SimScenario(
-                family="poisson", beta0=args.beta0, n_train=size, n_test=0,
-                multiscale=(3.0, 0.8, 0.3),
-            )
-            report = run_experiment(scenario, args.trials, args.seed, band_edges=DEFAULT_BANDS)
-        else:
-            family = "bernoulli" if args.suite == "binomial" else "poisson"
-            scenario = SimScenario(family=family, beta0=args.beta0, n_train=size, n_test=2000)
-            report = run_experiment(scenario, args.trials, args.seed)
-        all_rows.extend(_report_rows(report, size))
-        for metric, qs in report.quantiles.items():
-            quantile_blocks.append([size, metric, *[float(q) for q in qs]])
-    _write_report(out_dir, args.suite, all_rows, quantile_blocks)
+        scenario = SimScenario(beta0=args.beta0, n_train=size, **_SUITES[args.suite])
+        report = run_experiment(scenario, args.trials, args.seed, band_edges=DEFAULT_BANDS)
+        size_rows = [{"n": size, **trial_row(t)} for t in report.trials]
+        rows += size_rows
+        summary += [[size, metric, *qs] for metric, qs in report.quantiles.items()]
+        long_rows += [
+            [size, row["trial"], metric, value]
+            for row in size_rows
+            for metric, value in row.items()
+            if metric in report.quantiles and np.isfinite(value)
+        ]
+    lead = ["n", "trial", "seed", "error"]  # every row has them; the rest sorted
+    header = lead + sorted({k for row in rows for k in row} - set(lead))
+    write_rows_csv(out_dir / f"{args.suite}_trials.csv", header, [[row.get(c, "") for c in header] for row in rows])
+    write_rows_csv(out_dir / f"{args.suite}_summary.csv", ["n", "metric", *QUANTILE_LABELS], summary)
+    write_rows_csv(out_dir / f"{args.suite}_long.csv", ["n", "trial", "metric", "value"], long_rows)
     return EXIT_OK
 
 

@@ -79,11 +79,23 @@ class TrialResult:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """The trials of one scenario and, per metric, their quantiles at ``QUANTILE_LABELS``."""
+    """The trials of one scenario and, per metric column of their rows (see
+    :func:`trial_row`), its quantiles at ``QUANTILE_LABELS``."""
 
     scenario: SimScenario
     trials: tuple[TrialResult, ...]
     quantiles: dict
+
+
+def trial_row(trial: TrialResult) -> dict:
+    """The columns of one trial: its scalar fields as they are, its tuple
+    fields spread over ``beta{j}``, ``beta{j}_glm`` and ``corr_band_{b}``.
+    The int and float columns but ``trial`` and ``seed`` are its metrics."""
+    row = dict(vars(trial))
+    row.update((f"beta{j}", b) for j, b in enumerate(row.pop("beta_hat")))
+    row.update((f"beta{j}_glm", b) for j, b in enumerate(row.pop("beta_hat_glm")))
+    row.update((f"corr_band_{b}", c) for b, c in enumerate(row.pop("scale_correlations") or ()))
+    return row
 
 
 def _midpoint_edges(bandwidths) -> tuple[float, ...]:
@@ -170,19 +182,13 @@ def run_experiment(
             trials.append(run_trial(scenario, s, config=config, band_edges=band_edges, trial=i))
         except Exception as exc:  # noqa: BLE001 - trial isolation is the contract
             trials.append(TrialResult(trial=i, seed=s, error=f"{type(exc).__name__}: {exc}"))
-    ok = [t for t in trials if t.error is None]
-    quantiles = {}
-    for name in ("rmse_in", "rmse_out", "rmse_in_glm", "rmse_out_glm", "fit_seconds"):
-        quantiles[name] = _quantiles([getattr(t, name) for t in ok])
-    quantiles["accepted_scales"] = _quantiles([t.accepted_scales for t in ok])
-    if ok and len(ok[0].beta_hat) > 1:
-        quantiles["beta1"] = _quantiles([t.beta_hat[1] for t in ok])
-        quantiles["beta1_glm"] = _quantiles([t.beta_hat_glm[1] for t in ok])
-    if ok and ok[0].scale_correlations is not None:
-        for b in range(len(ok[0].scale_correlations)):
-            quantiles[f"corr_band_{b}"] = _quantiles(
-                [t.scale_correlations[b] for t in ok if t.scale_correlations is not None]
-            )
+    ok = [trial_row(t) for t in trials if t.error is None]
+    columns = ok[0] if ok else trial_row(trials[0])  # with no success, the TrialResult defaults
+    quantiles = {
+        name: _quantiles([row[name] for row in ok])
+        for name, value in columns.items()
+        if name not in ("trial", "seed") and isinstance(value, (int, float))
+    }
     return ExperimentReport(scenario, tuple(trials), quantiles)
 
 

@@ -33,10 +33,9 @@ class CollinearityError(RuntimeError):
 
 @dataclass(frozen=True)
 class Family:
-    """Response-distribution descriptor bundling link and deviance callables."""
+    """Response-distribution descriptor bundling inverse-link, variance and deviance callables."""
 
     tag: str
-    link: Callable
     inv_link: Callable
     link_deriv: Callable
     variance_fn: Callable
@@ -63,7 +62,6 @@ def _bernoulli_unit_dev(y, mu):
 
 GAUSSIAN = Family(
     tag="gaussian",
-    link=lambda mu: mu,
     inv_link=lambda eta: eta,
     link_deriv=lambda mu: np.ones_like(np.asarray(mu, dtype=float)),
     variance_fn=lambda mu: np.ones_like(np.asarray(mu, dtype=float)),
@@ -72,9 +70,7 @@ GAUSSIAN = Family(
 
 POISSON = Family(
     tag="poisson",
-    link=np.log,
     inv_link=lambda eta: np.exp(np.minimum(eta, 709.0)),  # overflow-safe; clamped after
-
     link_deriv=lambda mu: 1.0 / mu,
     variance_fn=lambda mu: mu,
     unit_deviance=_poisson_unit_dev,
@@ -83,7 +79,6 @@ POISSON = Family(
 
 BERNOULLI = Family(
     tag="bernoulli",
-    link=lambda mu: np.log(mu / (1.0 - mu)),
     inv_link=expit,
     link_deriv=lambda mu: 1.0 / (mu * (1.0 - mu)),
     variance_fn=lambda mu: mu * (1.0 - mu),
@@ -187,7 +182,8 @@ def _initial_mu_lin(family: Family, y: np.ndarray) -> np.ndarray:
         return y.copy()
     if family.tag == "poisson":
         return np.log(family.clamp_mu(y + 0.5))
-    return family.link((y + 0.5) / 2.0)
+    mu = (y + 0.5) / 2.0
+    return np.log(mu / (1.0 - mu))
 
 
 def fit_glm(d: Dataset, cfg: FitConfig = FitConfig(), subset=None) -> GlmFit:

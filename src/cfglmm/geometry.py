@@ -155,10 +155,12 @@ def _kernel_block(group, sl: slice, d: np.ndarray, k: np.ndarray) -> None:
 
 
 def bbox_diagonal(sites) -> float:
-    """Diagonal length of the axis-aligned bounding box of the sites."""
+    """Diagonal length of the axis-aligned bounding box of the sites. Raises
+    :class:`~cfglmm.data.ValidationError` for a non-finite site."""
     pts = as_sites(sites)
     if len(pts) == 0:
         raise ValueError("bbox_diagonal requires at least one site")
+    check_finite_inputs(pts)
     span = pts.max(axis=0) - pts.min(axis=0)
     return float(np.hypot(span[0], span[1]))
 

@@ -39,8 +39,7 @@ class ScaleRecord:
     """One attempted scale: geometry, losses, and the accept/reject outcome.
 
     ``n_centers`` is the number of centers placed, which can differ from
-    :func:`geometry.center_count` (see there); for an unfittable layer it is
-    the count asked.
+    :func:`geometry.center_count` (see there).
     """
 
     scale: int
@@ -147,11 +146,11 @@ def fit_cf(
         xb = design @ beta
         ws = working_state(family, y, xb + cum_offset)
         resid = ws.eta_hat - xb - cum_offset
+        centers = _place_distinct(uniq, counts, n_centers)
         try:
-            centers = _place_distinct(uniq, counts, n_centers)
             layer = fit_layer(resid[tr], ws.weights[tr], train_pts, centers, bandwidth, cfg)
         except LayerUnfittableError:
-            record = ScaleRecord(scale, bandwidth, n_centers, math.nan, math.nan, False)
+            record = ScaleRecord(scale, bandwidth, len(centers), math.nan, math.nan, False)
         else:
             ev = evaluate_layer(layer, d.sites)
             beta_new = wls_beta(design, ws.eta_hat - cum_offset - ev.mean, ws.weights, subset=tr)

@@ -78,11 +78,11 @@ def direct_gaussian_cfsm(d: Dataset, cfg: FitConfig):
     while scale <= cfg.max_scales:
         resid = y - design @ beta - cum_offset
         n_centers = min(center_count(diagonal, bandwidth, cfg.center_density), len(tr))
+        centers = place_centers(train_pts, n_centers)
         try:
-            centers = place_centers(train_pts, n_centers)
             layer = fit_layer(resid[tr], np.ones(len(tr)), train_pts, centers, bandwidth, cfg)
         except LayerUnfittableError:
-            trace.append((scale, bandwidth, n_centers, np.nan, np.nan, False))
+            trace.append((scale, bandwidth, len(centers), np.nan, np.nan, False))
             rejections += 1
             if rejections >= cfg.patience:
                 break

@@ -494,6 +494,36 @@ class TestBenchmarkCommand:
                 k: "%.12g" % v if isinstance(v, float) else str(v) for k, v in want.items()
             }
 
+    @pytest.mark.parametrize("suite", ["prediction", "binomial", "multiscale"])
+    def test_summary_and_long_read_the_trial_metrics(self, tmp_path, suite):
+        """The summary has one row per metric column of the trials CSV (each
+        column but ``n``, ``trial``, ``seed`` and ``error``); the long CSV
+        holds each column's finite values, and both give the same quantiles."""
+        out = tmp_path / "bench"
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["benchmark", "--suite", suite, "--trials", "2", "--sizes", "150",
+                         "--seed", "1", "--out", str(out)]) == 0
+        trials = _read_csv(out / f"{suite}_trials.csv")
+        summary = {row["metric"]: row for row in _read_csv(out / f"{suite}_summary.csv")}
+        long_rows = _read_csv(out / f"{suite}_long.csv")
+        metrics = set(trials[0]) - {"n", "trial", "seed", "error"}
+        assert set(summary) == metrics
+        assert {"accepted_scales", "beta0", "beta2_glm"} <= metrics
+        assert {row["metric"] for row in long_rows} == {
+            m for m, row in summary.items() if row["median"] != "nan"
+        }
+        for metric in metrics:
+            column = [float(row[metric]) for row in trials if row[metric] not in ("", "nan")]
+            assert [float(row["value"]) for row in long_rows if row["metric"] == metric] == column
+            median = float(summary[metric]["median"])
+            if column:
+                assert median == pytest.approx(float(np.median(column)), rel=1e-11, abs=1e-11)
+            else:
+                assert np.isnan(median)
+
 
 class TestArgumentParsing:
     def test_no_command_exit_2(self, capsys):

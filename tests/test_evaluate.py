@@ -19,7 +19,7 @@ from cfglmm import (
     scale_correlations,
     timing_curve,
 )
-from cfglmm.evaluate import run_trial, trial_seed
+from cfglmm.evaluate import QUANTILE_LABELS, TrialResult, run_trial, trial_row, trial_seed
 from cfglmm.families import add_intercept
 from cfglmm.simulate import gen_poisson, generate
 
@@ -134,6 +134,36 @@ class TestRunExperiment:
         assert report.quantiles["rmse_out"][0] == pytest.approx(min(outs))
         assert report.quantiles["rmse_out"][4] == pytest.approx(max(outs))
 
+    def test_quantiles_of_every_metric_column(self, small_report):
+        """One quantile entry per metric column of the trial rows, in row
+        order, each the quantiles of that column over the successful trials."""
+        _, report = small_report
+        rows = [trial_row(t) for t in report.trials if t.error is None]
+        assert len(rows) >= 2
+        assert list(report.quantiles) == [
+            "rmse_in", "rmse_out", "rmse_in_glm", "rmse_out_glm", "fit_seconds", "accepted_scales",
+            "beta0", "beta1", "beta2", "beta0_glm", "beta1_glm", "beta2_glm",
+        ]
+        for name, qs in report.quantiles.items():
+            want = np.quantile([row[name] for row in rows], [0.0, 0.25, 0.5, 0.75, 1.0])
+            assert len(qs) == len(QUANTILE_LABELS)
+            np.testing.assert_array_equal(qs, want)
+
+    def test_all_failed_keeps_nan_rows(self, monkeypatch):
+        """With no successful trial, each metric of the ``TrialResult``
+        defaults keeps a row of NaN quantiles."""
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(evaluate_mod, "fit_cf", broken)
+        report = run_experiment(SimScenario(beta0=0.5, n_train=150, n_test=50), 2, seed=77)
+        assert all(t.error for t in report.trials)
+        assert list(report.quantiles) == [
+            "rmse_in", "rmse_out", "rmse_in_glm", "rmse_out_glm", "fit_seconds", "accepted_scales",
+        ]
+        assert all(len(qs) == len(QUANTILE_LABELS) and np.isnan(qs).all() for qs in report.quantiles.values())
+
     def test_trial_failure_recorded_not_fatal(self, monkeypatch):
         scn = SimScenario(beta0=0.5, n_train=150, n_test=50)
         real = evaluate_mod.fit_cf
@@ -161,6 +191,30 @@ class TestRunExperiment:
         assert result.scale_correlations is not None
         assert len(result.scale_correlations) == 3
         assert all(-1.0 <= c <= 1.0 for c in result.scale_correlations)
+
+
+class TestTrialRow:
+    def test_spreads_tuple_fields_keeps_scalars(self):
+        t = TrialResult(
+            trial=3, seed=9, rmse_in=0.5, rmse_out=0.25, rmse_in_glm=0.75, rmse_out_glm=1.5,
+            beta_hat=(1.0, 2.0), beta_hat_glm=(3.0, 4.0), fit_seconds=0.125, accepted_scales=2,
+            scale_correlations=(0.1, 0.2, 0.3),
+        )
+        assert trial_row(t) == {
+            "trial": 3, "seed": 9, "rmse_in": 0.5, "rmse_out": 0.25, "rmse_in_glm": 0.75,
+            "rmse_out_glm": 1.5, "fit_seconds": 0.125, "accepted_scales": 2, "error": None,
+            "beta0": 1.0, "beta1": 2.0, "beta0_glm": 3.0, "beta1_glm": 4.0,
+            "corr_band_0": 0.1, "corr_band_1": 0.2, "corr_band_2": 0.3,
+        }
+        assert t.beta_hat == (1.0, 2.0) and t.scale_correlations == (0.1, 0.2, 0.3)  # not consumed
+
+    def test_failed_trial_has_only_scalars(self):
+        row = trial_row(TrialResult(trial=1, seed=4, error="RuntimeError: boom"))
+        assert list(row) == [
+            "trial", "seed", "rmse_in", "rmse_out", "rmse_in_glm", "rmse_out_glm", "fit_seconds",
+            "accepted_scales", "error",
+        ]
+        assert row["error"] == "RuntimeError: boom" and math.isnan(row["rmse_out"])
 
 
 class TestInSampleFromCache:

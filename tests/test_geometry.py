@@ -32,6 +32,11 @@ class TestBboxDiagonal:
         with pytest.raises(Exception):
             bbox_diagonal(np.empty((0, 2)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_site_errors(self, bad):
+        with pytest.raises(ValidationError, match="non-finite coordinate"):
+            bbox_diagonal([[0.0, 0.0], [bad, 1.0]])
+
 
 class TestCenterCount:
     def test_equal_diag_and_bandwidth(self):

@@ -97,6 +97,24 @@ class TestFitCf:
         assert model.validation_deviance >= 0.97 * model.initial_deviance
         assert model.validation_deviance <= model.initial_deviance
 
+    def test_n_centers_is_the_count_placed(self, monkeypatch):
+        """Every trace row records the number of centers placement returned,
+        for an unfittable scale too."""
+        from cfglmm import learner
+
+        placed = []
+        real = learner._place_distinct
+
+        def spy(*args):
+            placed.append(len(real(*args)))
+            return real(*args)
+
+        monkeypatch.setattr(learner, "_place_distinct", spy)
+        sim = gen_poisson(SimScenario(beta0=0.5, n_train=200, n_test=10), seed=8)
+        model = fit_cf(sim.train, FitConfig(rng_seed=8, min_effective_weight=50.0))
+        assert any(np.isnan(r.valid_loss) for r in model.loss_trace)
+        assert [r.n_centers for r in model.loss_trace] == placed
+
     def test_patience_bounds_trailing_rejections(self, poisson_fit):
         model, _ = poisson_fit
         trailing = 0
