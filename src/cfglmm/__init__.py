@@ -6,7 +6,7 @@ kernel-weighted local Gaussian experts, grown coarse to fine and accepted
 only when it lowers a holdout validation deviance.
 """
 
-from .data import Dataset, FitConfig, HvSplit, ValidationError, make_split, validate_dataset
+from .data import Dataset, FitConfig, HvSplit, ValidationError, make_split
 from .evaluate import (
     ExperimentReport,
     TrialResult,
@@ -50,7 +50,6 @@ __all__ = [
     "HvSplit",
     "ValidationError",
     "make_split",
-    "validate_dataset",
     "bbox_diagonal",
     "center_count",
     "place_centers",

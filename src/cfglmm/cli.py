@@ -43,7 +43,7 @@ DEFAULT_BANDS = (1.9, 0.5)
 _SUITES = {
     "prediction": dict(family="poisson", n_test=2000),
     "binomial": dict(family="bernoulli", n_test=2000),
-    "multiscale": dict(family="poisson", n_test=0, multiscale=(3.0, 0.8, 0.3)),
+    "multiscale": dict(family="poisson", n_test=2000, multiscale=(3.0, 0.8, 0.3)),
 }
 
 

@@ -1,4 +1,4 @@
-"""Core data containers, fit configuration, and the holdout train/validation split."""
+"""Core data containers, each checked once when built, fit configuration, and the holdout split."""
 
 from __future__ import annotations
 
@@ -31,12 +31,34 @@ def round_half_away(x: float) -> int:
     return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
 
 
+def as_int(name: str, value) -> int:
+    """``value`` as a plain int (model files hold plain JSON ints); a bool or a
+    non-integer raises ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def as_design_inputs(covariates, offset, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Float copies of the covariates, ``(rows, k)``, and of the offset, a vector
+    (``n`` zeros when ``None``); an empty 1-D covariate vector is ``(n, 0)``."""
+    x = np.array(covariates, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None] if x.size else x.reshape(n, 0)
+    if x.ndim != 2:
+        raise ValidationError(f"covariates must be a 1-D or 2-D array, got shape {x.shape}")
+    off = np.zeros(n) if offset is None else np.array(offset, dtype=float).ravel()
+    return x, off
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable spatial regression dataset.
+    """Spatial regression dataset, copied, checked and made read-only when built.
 
-    ``covariates`` carries no intercept column; the intercept is implicit.
-    ``offset`` is on the linear-predictor scale and defaults to all zeros.
+    A malformed dataset raises :class:`ValidationError` here, so code that
+    takes a ``Dataset`` does not check it again. ``covariates`` carries no
+    intercept column; ``offset`` is on the linear-predictor scale, all zeros
+    by default.
     """
 
     sites: np.ndarray
@@ -46,21 +68,29 @@ class Dataset:
     offset: np.ndarray = None
 
     def __post_init__(self):
-        pts = as_sites(self.sites)
-        y = np.asarray(self.response, dtype=float).ravel()
-        x = np.asarray(self.covariates, dtype=float)
-        if x.ndim == 1:
-            x = x[:, None]
-        if x.size == 0:
-            x = x.reshape(len(y), 0)
-        off = self.offset
-        off = np.zeros(len(y)) if off is None else np.asarray(off, dtype=float).ravel()
-        for name, value in (
-            ("sites", pts),
-            ("response", y),
-            ("covariates", x),
-            ("offset", off),
-        ):
+        pts = as_sites(np.array(self.sites, dtype=float))
+        y = np.array(self.response, dtype=float).ravel()
+        n = len(y)
+        x, off = as_design_inputs(self.covariates, self.offset, n)
+        if n < 1:
+            raise ValidationError("dataset is empty")
+        if len(pts) != n:
+            raise ValidationError(f"length mismatch: {len(pts)} sites vs {n} responses")
+        if len(x) != n:
+            raise ValidationError(f"length mismatch: {len(x)} covariate rows vs {n} responses")
+        if len(off) != n:
+            raise ValidationError(f"length mismatch: {len(off)} offset values vs {n} responses")
+        check_finite_inputs(pts, x, off)
+        if not np.isfinite(y).all():
+            raise ValidationError("non-finite response")
+        if self.family_tag not in FAMILY_TAGS:
+            raise ValidationError(f"unknown family tag {self.family_tag!r}")
+        if self.family_tag == "poisson" and ((y < 0).any() or (y != np.floor(y)).any()):
+            raise ValidationError("poisson response must be nonnegative integers")
+        if self.family_tag == "bernoulli" and not np.isin(y, (0.0, 1.0)).all():
+            raise ValidationError("response outside {0,1}")
+        for name, value in (("sites", pts), ("response", y), ("covariates", x), ("offset", off)):
+            value.flags.writeable = False
             object.__setattr__(self, name, value)
 
     @property
@@ -100,10 +130,7 @@ class FitConfig:
 
     def __post_init__(self):
         for name in ("patience", "rng_seed", "max_scales", "irls_max_iter"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))  # model files hold plain JSON ints
+            object.__setattr__(self, name, as_int(name, getattr(self, name)))
         # the float checks read ``not x > 0`` so that NaN fails them
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
@@ -163,27 +190,3 @@ def check_finite_inputs(sites, covariates=None, offset=None) -> None:
         raise ValidationError("non-finite covariate")
     if offset is not None and not np.isfinite(offset).all():
         raise ValidationError("non-finite offset")
-
-
-def validate_dataset(d: Dataset) -> None:
-    """Check every Dataset invariant once; downstream code assumes them."""
-    n = d.n_sites
-    if n < 1:
-        raise ValidationError("dataset is empty")
-    if len(d.sites) != n:
-        raise ValidationError(f"length mismatch: {len(d.sites)} sites vs {n} responses")
-    if len(d.covariates) != n:
-        raise ValidationError(f"length mismatch: {len(d.covariates)} covariate rows vs {n} responses")
-    if len(d.offset) != n:
-        raise ValidationError(f"length mismatch: {len(d.offset)} offset values vs {n} responses")
-    check_finite_inputs(d.sites, d.covariates, d.offset)
-    if not np.isfinite(d.response).all():
-        raise ValidationError("non-finite response")
-    if d.family_tag not in FAMILY_TAGS:
-        raise ValidationError(f"unknown family tag {d.family_tag!r}")
-    if d.family_tag == "poisson":
-        if (d.response < 0).any() or (d.response != np.floor(d.response)).any():
-            raise ValidationError("poisson response must be nonnegative integers")
-    elif d.family_tag == "bernoulli":
-        if not np.isin(d.response, (0.0, 1.0)).all():
-            raise ValidationError("response outside {0,1}")

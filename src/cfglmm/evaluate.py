@@ -194,6 +194,8 @@ def run_experiment(
 
 def timing_curve(ns, scenario: SimScenario, seed: int = 0, repeats: int = 3) -> list[tuple[int, float]]:
     """Median fit seconds per training size (test generation excluded)."""
+    if repeats < 1:
+        raise ValueError("repeats must be at least 1")
     sizes = [int(n) for n in ns]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be ascending")

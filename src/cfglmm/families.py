@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import expit, xlogy
 
-from .data import Dataset, FitConfig, validate_dataset
+from .data import Dataset, FitConfig
 
 POISSON_MU_RANGE = (1e-10, 1e10)
 BERNOULLI_MU_RANGE = (1e-6, 1.0 - 1e-6)
@@ -97,13 +97,10 @@ def get_family(tag: str) -> Family:
         raise ValueError(f"unknown family tag {tag!r}") from None
 
 
-def deviance(family: Family, y, mu, subset=None) -> float:
-    """Total deviance of ``mu`` against ``y``, optionally over an index subset."""
+def deviance(family: Family, y, mu) -> float:
+    """Total deviance of ``mu`` against ``y``."""
     y = np.asarray(y, dtype=float)
     mu = np.asarray(mu, dtype=float)
-    if subset is not None:
-        y = y[subset]
-        mu = mu[subset]
     return float(family.unit_deviance(y, mu).sum())
 
 
@@ -139,7 +136,7 @@ def add_intercept(covariates: np.ndarray) -> np.ndarray:
     return np.column_stack([np.ones(len(x)), x])
 
 
-def wls_beta(design, target, weights, subset=None) -> np.ndarray:
+def wls_beta(design, target, weights) -> np.ndarray:
     """Weighted least squares via the normal equations with a Cholesky solve.
 
     On a singular Gram matrix, retries once with ``1e-8 * trace / p`` added to
@@ -148,10 +145,6 @@ def wls_beta(design, target, weights, subset=None) -> np.ndarray:
     x = np.asarray(design, dtype=float)
     t = np.asarray(target, dtype=float)
     w = np.asarray(weights, dtype=float)
-    if subset is not None:
-        x = x[subset]
-        t = t[subset]
-        w = w[subset]
     xw = x * w[:, None]
     gram = x.T @ xw
     rhs = xw.T @ t
@@ -186,24 +179,19 @@ def _initial_mu_lin(family: Family, y: np.ndarray) -> np.ndarray:
     return np.log(mu / (1.0 - mu))
 
 
-def fit_glm(d: Dataset, cfg: FitConfig = FitConfig(), subset=None) -> GlmFit:
+def fit_glm(d: Dataset, cfg: FitConfig = FitConfig()) -> GlmFit:
     """Fit the plain (non-spatial) GLM by IRLS.
 
     Iterates working-response WLS until ``max |dbeta| < cfg.irls_tol`` or
     ``cfg.irls_max_iter`` iterations, with step halving (up to 10) whenever a
     step increases the deviance. Non-convergence is not an error; the best
-    iterate is returned with ``converged=False``. An invalid dataset raises
-    :class:`~cfglmm.data.ValidationError`.
+    iterate is returned with ``converged=False``. ``d`` is not checked here:
+    a :class:`~cfglmm.data.Dataset` was checked when it was built.
     """
-    validate_dataset(d)
     family = get_family(d.family_tag)
     design = add_intercept(d.covariates)
     y = d.response
     off = d.offset
-    if subset is not None:
-        design = design[subset]
-        y = y[subset]
-        off = off[subset]
 
     def dev_at(b: np.ndarray) -> float:
         mu = family.clamp_mu(family.inv_link(design @ b + off))

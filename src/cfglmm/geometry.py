@@ -25,7 +25,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .data import as_sites, check_finite_inputs, round_half_away
+from .data import as_int, as_sites, check_finite_inputs, round_half_away
 
 # One pool worker per CPU this process may run on (its affinity mask, so
 # ``taskset`` limits it), each pinned to its own CPU of that mask. Threads
@@ -245,7 +245,7 @@ def place_centers(sites, n_centers: int) -> np.ndarray:
     if len(pts) == 0:
         raise ValueError("place_centers requires at least one site")
     check_finite_inputs(pts)
-    if not n_centers >= 1:  # so that NaN fails it
+    if as_int("n_centers", n_centers) < 1:
         raise ValueError("n_centers must be at least 1")
     return _place_distinct(*np.unique(pts, axis=0, return_counts=True), n_centers)
 
@@ -253,6 +253,6 @@ def place_centers(sites, n_centers: int) -> np.ndarray:
 def _place_distinct(uniq: np.ndarray, weights: np.ndarray, n_centers: int) -> np.ndarray:
     """:func:`place_centers` on the sorted distinct sites, weighted by their counts."""
     if n_centers >= len(uniq):
-        return uniq.copy()
+        return uniq
     seeds = _lattice_means(uniq, weights, n_centers)
     return _cell_means(uniq, weights, _assign_nearest(uniq, seeds))

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import Dataset, FitConfig, HvSplit, ValidationError, make_split, validate_dataset
+from .data import Dataset, FitConfig, HvSplit, ValidationError, make_split
 from .experts import LayerUnfittableError, ScaleLayer, evaluate_layer, fit_layer
 from .families import (
     Family,
@@ -103,7 +103,6 @@ def fit_cf(
     (:func:`geometry._map_kernel_blocks`); the results are the same bit for bit
     on any number of CPUs.
     """
-    validate_dataset(d)
     n = d.n_sites
     if n < MIN_FIT_SITES:
         raise ValidationError(f"dataset too small for coarse-to-fine fitting (need {MIN_FIT_SITES} sites)")
@@ -121,7 +120,7 @@ def fit_cf(
     if bandwidth <= 0.0:
         raise ValidationError("degenerate geometry: initial bandwidth is zero")
 
-    glm = fit_glm(d, cfg, subset=tr)
+    glm = fit_glm(Dataset(train_pts, y[tr], d.covariates[tr], d.family_tag, d.offset[tr]), cfg)
     beta = glm.beta
     cum_offset = d.offset.copy()
 
@@ -129,8 +128,8 @@ def fit_cf(
         mu_lin = design @ b + cum_offset + extra
         mu = family.clamp_mu(family.inv_link(mu_lin))
         return (
-            deviance(family, y, mu, subset=va),
-            deviance(family, y, mu, subset=tr),
+            deviance(family, y[va], mu[va]),
+            deviance(family, y[tr], mu[tr]),
         )
 
     best_loss, _ = valid_dev(beta)
@@ -142,18 +141,17 @@ def fit_cf(
     var_cache = np.zeros(n)
     rejections = 0
     for scale in range(1, cfg.max_scales + 1):
-        n_centers = min(center_count(diagonal, bandwidth, cfg.center_density), len(tr))
         xb = design @ beta
         ws = working_state(family, y, xb + cum_offset)
         resid = ws.eta_hat - xb - cum_offset
-        centers = _place_distinct(uniq, counts, n_centers)
+        centers = _place_distinct(uniq, counts, center_count(diagonal, bandwidth, cfg.center_density))
         try:
             layer = fit_layer(resid[tr], ws.weights[tr], train_pts, centers, bandwidth, cfg)
         except LayerUnfittableError:
             record = ScaleRecord(scale, bandwidth, len(centers), math.nan, math.nan, False)
         else:
             ev = evaluate_layer(layer, d.sites)
-            beta_new = wls_beta(design, ws.eta_hat - cum_offset - ev.mean, ws.weights, subset=tr)
+            beta_new = wls_beta(design[tr], (ws.eta_hat - cum_offset - ev.mean)[tr], ws.weights[tr])
             cand_loss, cand_train = valid_dev(beta_new, ev.mean)
             accepted = bool(np.isfinite(cand_loss) and cand_loss < best_loss)
             record = ScaleRecord(scale, bandwidth, len(centers), cand_train, cand_loss, accepted)

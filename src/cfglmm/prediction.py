@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ValidationError, as_sites, check_finite_inputs
+from .data import ValidationError, as_design_inputs, as_sites, check_finite_inputs
 from .experts import evaluate_stack
 from .families import Family, add_intercept
 from .learner import CfModel
@@ -74,18 +74,13 @@ def predict(model: CfModel, sites, covariates, offset=None) -> Predictions:
     the number of sites and for non-finite sites, covariates or offset.
     """
     pts = as_sites(sites)
-    x = np.asarray(covariates, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.size == 0:
-        x = x.reshape(len(pts), 0)
+    x, off = as_design_inputs(covariates, offset, len(pts))
     if x.shape[1] != model.n_covariates:
         raise ValueError(
             f"covariate column mismatch: model expects {model.n_covariates}, got {x.shape[1]}"
         )
     if len(x) != len(pts):
         raise ValueError("covariates and sites must have equal length")
-    off = np.zeros(len(pts)) if offset is None else np.asarray(offset, dtype=float).ravel()
     if len(off) != len(pts):
         raise ValidationError(f"length mismatch: {len(off)} offset values vs {len(pts)} sites")
     check_finite_inputs(pts, x, off)

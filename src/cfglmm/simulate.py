@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .data import Dataset, as_sites
+from .data import Dataset, as_int, as_sites
 from .geometry import _map_kernel_blocks
 
 MU_CAP = 1e8  # Poisson sampling overflow guard
@@ -126,9 +126,9 @@ def generate(scenario: SimScenario, seed: int) -> SimData:
         raise ValueError(f"unsupported simulation family {scenario.family!r}")
     if scenario.multiscale is not None and not all(0.0 < h < np.inf for h in scenario.multiscale):
         raise ValueError("multiscale bandwidths must be finite and positive")
-    if scenario.n_train < 1:
+    if as_int("n_train", scenario.n_train) < 1:
         raise ValueError(f"n_train must be at least 1, got {scenario.n_train}")
-    if scenario.n_test < 0:
+    if as_int("n_test", scenario.n_test) < 0:
         raise ValueError(f"n_test must be nonnegative, got {scenario.n_test}")
     coef = scenario.coefficients()
     if not np.isfinite(coef).all():

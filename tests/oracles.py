@@ -90,7 +90,7 @@ def direct_gaussian_cfsm(d: Dataset, cfg: FitConfig):
             scale += 1
             continue
         ev = evaluate_layer(layer, d.sites)
-        beta_new = wls_beta(design, y - cum_offset - ev.mean, np.ones(n), subset=tr)
+        beta_new = wls_beta(design[tr], (y - cum_offset - ev.mean)[tr], np.ones(len(tr)))
         valid_loss, train_loss = sq_loss(beta_new, ev.mean)
         accepted = valid_loss < best
         trace.append((scale, bandwidth, len(centers), train_loss, valid_loss, accepted))

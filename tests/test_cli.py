@@ -469,6 +469,22 @@ class TestBenchmarkCommand:
             "fit_seconds", "rmse_in", "rmse_in_glm", "rmse_out", "rmse_out_glm",
         ]
 
+    def test_multiscale_summary_scores_a_test_set(self, tmp_path):
+        """The multiscale suite draws a test set like the other suites, so its
+        out-of-sample summary rows are finite and the long CSV has every
+        summary metric (they used to be all NaN, with no long rows)."""
+        out = tmp_path / "bench"
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["benchmark", "--suite", "multiscale", "--trials", "1", "--sizes", "150",
+                         "--seed", "1", "--out", str(out)]) == 0
+        summary = {row["metric"]: row for row in _read_csv(out / "multiscale_summary.csv")}
+        assert np.isfinite(float(summary["rmse_out"]["median"]))
+        assert np.isfinite(float(summary["rmse_out_glm"]["median"]))
+        assert {row["metric"] for row in _read_csv(out / "multiscale_long.csv")} == set(summary)
+
     def test_binomial_suite_rows(self, tmp_path):
         """The trials CSV holds every field of ``run_experiment``'s trials
         (its tuple fields spread over columns) but the wall-clock time."""

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cfglmm import Dataset, FitConfig, ValidationError, make_split, validate_dataset
+from cfglmm import Dataset, FitConfig, ValidationError, make_split
 from cfglmm.data import round_half_away
 
 
@@ -63,48 +63,93 @@ class TestRounding:
 
 
 class TestValidateDataset:
+    """Building a Dataset is its one check."""
+
     def test_well_formed_poisson_ok(self):
-        validate_dataset(_poisson_dataset())
+        assert _poisson_dataset().n_sites == 10
 
     def test_bernoulli_response_outside_01(self):
         d = _poisson_dataset()
-        d = Dataset(d.sites, np.full(d.n_sites, 2.0), d.covariates, "bernoulli")
         with pytest.raises(ValidationError, match=r"outside \{0,1\}"):
-            validate_dataset(d)
+            Dataset(d.sites, np.full(d.n_sites, 2.0), d.covariates, "bernoulli")
 
     def test_nan_coordinate(self):
         d = _poisson_dataset()
         sites = d.sites.copy()
         sites[0, 0] = np.nan
         with pytest.raises(ValidationError, match="non-finite coordinate"):
-            validate_dataset(Dataset(sites, d.response, d.covariates, d.family_tag))
+            Dataset(sites, d.response, d.covariates, d.family_tag)
 
     def test_negative_poisson_response(self):
         d = _poisson_dataset()
         with pytest.raises(ValidationError, match="nonnegative integers"):
-            validate_dataset(Dataset(d.sites, d.response - 5, d.covariates, "poisson"))
+            Dataset(d.sites, d.response - 5, d.covariates, "poisson")
 
     def test_non_integer_poisson_response(self):
         d = _poisson_dataset()
         with pytest.raises(ValidationError, match="nonnegative integers"):
-            validate_dataset(Dataset(d.sites, d.response + 0.25, d.covariates, "poisson"))
+            Dataset(d.sites, d.response + 0.25, d.covariates, "poisson")
 
     def test_nan_covariate(self):
         d = _poisson_dataset()
         cov = d.covariates.copy()
         cov[3, 1] = np.inf
         with pytest.raises(ValidationError, match="non-finite covariate"):
-            validate_dataset(Dataset(d.sites, d.response, cov, d.family_tag))
+            Dataset(d.sites, d.response, cov, d.family_tag)
 
     def test_unknown_family(self):
         d = _poisson_dataset()
         with pytest.raises(ValidationError, match="unknown family"):
-            validate_dataset(Dataset(d.sites, d.response, d.covariates, "gamma"))
+            Dataset(d.sites, d.response, d.covariates, "gamma")
 
     def test_offset_defaults_to_zero(self):
         d = _poisson_dataset()
         assert np.all(d.offset == 0.0)
         assert len(d.offset) == d.n_sites
+
+    def test_inputs_are_copied(self):
+        rng = np.random.default_rng(1)
+        sites, y, x, off = rng.random((10, 2)), np.ones(10), rng.normal(size=(10, 2)), np.zeros(10)
+        d = Dataset(sites, y, x, "poisson", off)
+        sites[1, 0], y[0], x[2, 1], off[3] = np.nan, 7.5, np.inf, 1.0
+        assert np.isfinite(d.sites).all() and np.isfinite(d.covariates).all()
+        assert np.all(d.response == 1.0) and np.all(d.offset == 0.0)
+
+    def test_arrays_are_read_only(self):
+        d = _poisson_dataset()
+        for name in ("sites", "response", "covariates", "offset"):
+            array = getattr(d, name)
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = -1.0
+
+    def test_three_d_covariates(self):
+        d = _poisson_dataset()
+        with pytest.raises(ValidationError, match="1-D or 2-D"):
+            Dataset(d.sites, d.response, d.covariates[:, :, None], d.family_tag)
+
+    def test_empty_covariate_vector_is_no_column(self):
+        d = _poisson_dataset()
+        assert Dataset(d.sites, d.response, np.empty(0), d.family_tag).covariates.shape == (10, 0)
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("sites", np.zeros((11, 2)), "11 sites vs 10"),
+            ("covariates", np.zeros((9, 2)), "9 covariate rows vs 10"),
+            ("offset", np.zeros(3), "3 offset values vs 10"),
+        ],
+        ids=["sites", "covariates", "offset"],
+    )
+    def test_length_mismatch(self, field, value, message):
+        d = _poisson_dataset()
+        parts = dict(sites=d.sites, response=d.response, covariates=d.covariates, offset=d.offset)
+        with pytest.raises(ValidationError, match=message):
+            Dataset(family_tag=d.family_tag, **{**parts, field: value})
+
+    def test_empty(self):
+        with pytest.raises(ValidationError, match="dataset is empty"):
+            Dataset(np.empty((0, 2)), np.empty(0), np.empty((0, 1)), "poisson")
 
 
 class TestFitConfig:

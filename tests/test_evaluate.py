@@ -266,6 +266,11 @@ class TestTimingCurve:
         assert all(seconds > 0 for _, seconds in curve)
         assert curve[1][1] > curve[0][1]
 
+    def test_rejects_no_repeats(self):
+        """repeats=0 used to return a NaN time with a "Mean of empty slice" warning."""
+        with pytest.raises(ValueError, match="repeats must be at least 1"):
+            timing_curve([100], SimScenario(), seed=0, repeats=0)
+
     def test_rejects_unordered_sizes(self):
         with pytest.raises(ValueError, match="ascending"):
             timing_curve([500, 500], SimScenario(), seed=0)

@@ -90,13 +90,6 @@ class TestDeviance:
         saturated = np.clip(y, *family.mu_range) if family.mu_range else y
         assert deviance(family, y, saturated) <= deviance(family, y, mu)
 
-    def test_subset(self):
-        y = np.array([2.0, 4.0, 1.0])
-        mu = np.array([1.0, 4.0, 1.0])
-        assert deviance(POISSON, y, mu, subset=np.array([0])) == pytest.approx(
-            deviance(POISSON, y[:1], mu[:1])
-        )
-
 
 class TestWorkingState:
     def test_gaussian_exact(self, rng):
@@ -156,15 +149,6 @@ class TestWlsBeta:
         sw = np.sqrt(w)
         oracle, *_ = np.linalg.lstsq(design * sw[:, None], target * sw, rcond=None)
         np.testing.assert_allclose(beta, oracle, atol=1e-9)
-
-    def test_subset_rows(self, rng):
-        x = rng.normal(size=(30, 1))
-        design = add_intercept(x)
-        target = rng.normal(size=30)
-        subset = np.arange(10)
-        full = wls_beta(design[subset], target[subset], np.ones(10))
-        via_subset = wls_beta(design, target, np.ones(30), subset=subset)
-        np.testing.assert_allclose(via_subset, full, rtol=1e-14)
 
     def test_collinear_raises(self):
         x = np.ones((10, 1))
@@ -242,9 +226,9 @@ class TestFitGlm:
         d = generate(SimScenario(family=family, n_train=5000, n_test=0), trial_seed(seed, 0)).train
         args = []
 
-        def spy(fam, y, mu, subset=None):
+        def spy(fam, y, mu):
             args.append(mu.copy())
-            return deviance(fam, y, mu, subset)
+            return deviance(fam, y, mu)
 
         monkeypatch.setattr(families, "deviance", spy)
         fit_glm(d)

@@ -61,7 +61,7 @@ class TestCenterCount:
         assert center_count(diag, decay * h, 1.5) >= center_count(diag, h, 1.5)
 
 
-# Each guard is written ``not x > 0`` (or ``not x >= 0``) so that NaN fails it.
+# Each guard rejects NaN: a type check, or ``not x > 0`` (``not x >= 0``), which NaN fails.
 NAN_GUARDS = {
     "place_centers": lambda: place_centers(UNIT_SQUARE, math.nan),
     "center_count_bandwidth": lambda: center_count(1.0, math.nan, 1.5),
@@ -176,6 +176,15 @@ class TestPlaceCenters:
         pts[2, 1] = bad
         with pytest.raises(ValidationError, match="non-finite"):
             place_centers(pts, 2)
+
+    @pytest.mark.parametrize("count", [2.5, 2.0, True, "2"])
+    def test_non_integer_count_rejected(self, count):
+        """2.5 used to fail inside numpy, and True to place one center."""
+        with pytest.raises(ValueError, match="n_centers must be an integer"):
+            place_centers(UNIT_SQUARE, count)
+
+    def test_numpy_integer_count(self):
+        np.testing.assert_array_equal(place_centers(UNIT_SQUARE, np.int64(2)), place_centers(UNIT_SQUARE, 2))
 
     def test_centers_inside_bounding_box(self, rng):
         pts = rng.random((60, 2)) * [3.0, 2.0]

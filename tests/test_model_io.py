@@ -19,7 +19,6 @@ from cfglmm import (
     predict,
     read_dataset_csv,
     save_model,
-    validate_dataset,
     write_dataset_csv,
 )
 from cfglmm.model_io import _TRACE_COLUMNS, CsvFormatError, ModelFormatError, read_sites_csv, write_trace_csv
@@ -420,8 +419,7 @@ class TestDatasetCsv:
         _, sim = fitted
         path = tmp_path / "d.csv"
         write_dataset_csv(path, sim.train)
-        back = read_dataset_csv(path, "poisson")
-        validate_dataset(back)
+        back = read_dataset_csv(path, "poisson")  # building the Dataset checked it
         np.testing.assert_allclose(back.sites, sim.train.sites, rtol=1e-11)
         np.testing.assert_array_equal(back.response, sim.train.response)
         np.testing.assert_allclose(back.covariates, sim.train.covariates, rtol=1e-11)

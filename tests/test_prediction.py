@@ -132,6 +132,17 @@ class TestPredict:
         with pytest.raises(ValidationError, match=message):
             predict(model, **args)
 
+    def test_three_d_covariates_raise(self, poisson_model):
+        model, sim = poisson_model
+        with pytest.raises(ValidationError, match="1-D or 2-D"):
+            predict(model, sim.test.sites, sim.test.covariates[:, :, None])
+
+    def test_zero_sites(self, poisson_model):
+        model, _ = poisson_model
+        pred = predict(model, np.empty((0, 2)), np.empty((0, 2)))
+        for field in FIELDS:
+            assert getattr(pred, field).shape == (0,), field
+
     def test_deterministic(self, poisson_model):
         model, sim = poisson_model
         a = predict(model, sim.test.sites, sim.test.covariates)

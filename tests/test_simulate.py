@@ -10,7 +10,7 @@ from oracles import ref_smooth
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from cfglmm import SimScenario, gen_binomial, gen_poisson, generate, geometry, simulate, validate_dataset
+from cfglmm import SimScenario, gen_binomial, gen_poisson, generate, geometry, simulate
 from cfglmm.cli import main
 from cfglmm.simulate import _S_FIELD, _rng, knn_bandwidth
 
@@ -101,9 +101,8 @@ class TestGenCovariates:
 
 class TestGenPoisson:
     def test_valid_datasets(self):
+        # building each Dataset checked it
         sim = gen_poisson(SimScenario(beta0=0.5, n_train=300, n_test=100), seed=4)
-        validate_dataset(sim.train)
-        validate_dataset(sim.test)
         assert sim.train.n_sites == 300
         assert sim.test.n_sites == 100
         assert sim.truth_train.mu.shape == (300,)
@@ -153,7 +152,6 @@ class TestGenPoisson:
 class TestGenBinomial:
     def test_valid_and_binary(self):
         sim = gen_binomial(SimScenario(family="bernoulli", beta0=0.5, n_train=300, n_test=0), seed=4)
-        validate_dataset(sim.train)
         assert set(np.unique(sim.train.response)) <= {0.0, 1.0}
 
     def test_half_probability_at_origin(self):
@@ -184,6 +182,18 @@ class TestGenerate:
         scn = SimScenario(**{"n_train": 50, "n_test": 10, **kw})
         with pytest.raises(ValueError, match=field):
             generate(scn, seed=0)
+
+    @pytest.mark.parametrize(
+        "field,kw", [("n_train", {"n_train": 50.5}), ("n_test", {"n_test": 2.5}), ("n_train", {"n_train": True})]
+    )
+    def test_non_integer_size_rejected(self, field, kw):
+        """A float size used to fail inside numpy with a TypeError."""
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            generate(SimScenario(**{"n_train": 50, "n_test": 10, **kw}), seed=0)
+
+    def test_numpy_integer_sizes(self):
+        sim = generate(SimScenario(n_train=np.int64(30), n_test=np.int32(5)), seed=0)
+        assert (sim.train.n_sites, sim.test.n_sites) == (30, 5)
 
     @pytest.mark.parametrize("h", [0.0, -1.0, np.nan, np.inf])
     def test_bad_multiscale_bandwidth_rejected(self, h):
