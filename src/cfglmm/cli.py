@@ -57,6 +57,17 @@ def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
     return values
 
 
+def _sizes(text: str) -> list[int]:
+    """``--sizes``: comma-separated integers of at least 1, checked before a suite writes anything."""
+    try:
+        sizes = [int(part) for part in text.split(",") if part.strip() != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"could not parse {text!r} as comma-separated integers") from None
+    if not sizes or min(sizes) < 1:
+        raise argparse.ArgumentTypeError(f"sizes must be integers of at least 1, got {text!r}")
+    return sizes
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cfglmm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -95,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("benchmark", help="run a Monte Carlo suite")
     p_bench.add_argument("--suite", required=True, choices=(*_SUITES, "timing"))
     p_bench.add_argument("--trials", type=int, default=20)
-    p_bench.add_argument("--sizes", default="500,1000,2000")
+    p_bench.add_argument("--sizes", type=_sizes, default="500,1000,2000")
     p_bench.add_argument("--beta0", type=float, default=SimScenario.beta0)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--out", required=True, help="output directory")
@@ -183,11 +194,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_benchmark(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    sizes = [int(v) for v in _parse_floats(args.sizes, "--sizes")]
 
     if args.suite == "timing":
         scenario = SimScenario(family="poisson", beta0=args.beta0)
-        curve = timing_curve(sizes, scenario, seed=args.seed)
+        curve = timing_curve(args.sizes, scenario, seed=args.seed)
         write_rows_csv(out_dir / "timing.csv", ["n", "seconds"], [[n, s] for n, s in curve])
         for n, s in curve:
             print(f"n={n}: {s:.2f} s")
@@ -195,7 +205,7 @@ def _cmd_benchmark(args) -> int:
 
     # one row per trial; the summary and long tables read its metric columns
     rows, summary, long_rows = [], [], []
-    for size in sizes:
+    for size in args.sizes:
         scenario = SimScenario(beta0=args.beta0, n_train=size, **_SUITES[args.suite])
         report = run_experiment(scenario, args.trials, args.seed, band_edges=DEFAULT_BANDS)
         size_rows = [{"n": size, **trial_row(t)} for t in report.trials]

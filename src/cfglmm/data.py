@@ -17,13 +17,34 @@ class ValidationError(ValueError):
 
 
 def as_sites(sites) -> np.ndarray:
-    """Coerce planar coordinates to a float (n, 2) array."""
-    pts = np.asarray(sites, dtype=float)
-    if pts.ndim == 1 and pts.shape == (2,):
+    """A float ``(n, 2)`` copy of planar coordinates (or of one pair); raises
+    :class:`ValidationError` for another shape or a non-finite coordinate."""
+    pts = np.array(sites, dtype=float)
+    if pts.shape == (2,):
         pts = pts[None, :]
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValidationError(f"sites must be an (n, 2) array, got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValidationError("non-finite coordinate")
     return pts
+
+
+def as_vector(what: str, values, n: int, per: str = "sites") -> np.ndarray:
+    """A raveled float copy of ``n`` values, one per site (or per ``per``);
+    raises :class:`ValidationError` for another length or a non-finite value."""
+    v = np.array(values, dtype=float).ravel()
+    if len(v) != n:
+        raise ValidationError(f"length mismatch: {len(v)} {what} values vs {n} {per}")
+    if not np.isfinite(v).all():
+        raise ValidationError(f"non-finite {what}")
+    return v
+
+
+def freeze(obj, **arrays) -> None:
+    """Make each array read-only and set it as a field of the frozen dataclass ``obj``."""
+    for name, value in arrays.items():
+        value.flags.writeable = False
+        object.__setattr__(obj, name, value)
 
 
 def round_half_away(x: float) -> int:
@@ -40,15 +61,18 @@ def as_int(name: str, value) -> int:
 
 
 def as_design_inputs(covariates, offset, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Float copies of the covariates, ``(rows, k)``, and of the offset, a vector
-    (``n`` zeros when ``None``); an empty 1-D covariate vector is ``(n, 0)``."""
+    """Float copies of the ``(n, k)`` covariates (an empty 1-D vector is ``(n, 0)``)
+    and the offset (zeros for ``None``) of ``n`` sites, checked like :func:`as_vector`."""
     x = np.array(covariates, dtype=float)
     if x.ndim == 1:
         x = x[:, None] if x.size else x.reshape(n, 0)
     if x.ndim != 2:
         raise ValidationError(f"covariates must be a 1-D or 2-D array, got shape {x.shape}")
-    off = np.zeros(n) if offset is None else np.array(offset, dtype=float).ravel()
-    return x, off
+    if len(x) != n:
+        raise ValidationError(f"length mismatch: {len(x)} covariate rows vs {n} sites")
+    if not np.isfinite(x).all():
+        raise ValidationError("non-finite covariate")
+    return x, np.zeros(n) if offset is None else as_vector("offset", offset, n)
 
 
 @dataclass(frozen=True)
@@ -68,30 +92,18 @@ class Dataset:
     offset: np.ndarray = None
 
     def __post_init__(self):
-        pts = as_sites(np.array(self.sites, dtype=float))
-        y = np.array(self.response, dtype=float).ravel()
-        n = len(y)
-        x, off = as_design_inputs(self.covariates, self.offset, n)
-        if n < 1:
+        pts = as_sites(self.sites)
+        if not len(pts):
             raise ValidationError("dataset is empty")
-        if len(pts) != n:
-            raise ValidationError(f"length mismatch: {len(pts)} sites vs {n} responses")
-        if len(x) != n:
-            raise ValidationError(f"length mismatch: {len(x)} covariate rows vs {n} responses")
-        if len(off) != n:
-            raise ValidationError(f"length mismatch: {len(off)} offset values vs {n} responses")
-        check_finite_inputs(pts, x, off)
-        if not np.isfinite(y).all():
-            raise ValidationError("non-finite response")
+        y = as_vector("response", self.response, len(pts))
+        x, off = as_design_inputs(self.covariates, self.offset, len(pts))
         if self.family_tag not in FAMILY_TAGS:
             raise ValidationError(f"unknown family tag {self.family_tag!r}")
         if self.family_tag == "poisson" and ((y < 0).any() or (y != np.floor(y)).any()):
             raise ValidationError("poisson response must be nonnegative integers")
         if self.family_tag == "bernoulli" and not np.isin(y, (0.0, 1.0)).all():
             raise ValidationError("response outside {0,1}")
-        for name, value in (("sites", pts), ("response", y), ("covariates", x), ("offset", off)):
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
+        freeze(self, sites=pts, response=y, covariates=x, offset=off)
 
     @property
     def n_sites(self) -> int:
@@ -112,8 +124,9 @@ class FitConfig:
     that the lattice placement meets only approximately, see
     :func:`geometry.center_count`).
     ``initial_bandwidth=None`` starts at the training bounding-box diagonal.
-    A center whose effective weight falls below ``min_effective_weight`` gets
-    no expert. Experts are combined by the paper's one aggregation rule, a
+    A center whose effective weight falls below ``min_effective_weight``, or
+    is zero (which a ``min_effective_weight`` of 0 would admit), gets no
+    expert. Experts are combined by the paper's one aggregation rule, a
     product of Gaussians with precision ``k / s2`` (see :mod:`experts`).
     """
 
@@ -181,12 +194,3 @@ def make_split(n: int, cfg: FitConfig) -> HvSplit:
     perm = rng.permutation(n)
     return HvSplit(np.sort(perm[:n_train]), np.sort(perm[n_train:]))
 
-
-def check_finite_inputs(sites, covariates=None, offset=None) -> None:
-    """Reject non-finite sites, covariates or offset (datasets and prediction inputs)."""
-    if not np.isfinite(sites).all():
-        raise ValidationError("non-finite coordinate")
-    if covariates is not None and not np.isfinite(covariates).all():
-        raise ValidationError("non-finite covariate")
-    if offset is not None and not np.isfinite(offset).all():
-        raise ValidationError("non-finite offset")

@@ -11,10 +11,10 @@ weight of training site ``i``:
     shrunken mean mu_c = m_c * tau2 / (tau2 + s2_c / sum(k^2))
 
 A center whose total effective precision ``sum(p)`` falls below
-``cfg.min_effective_weight`` gets no expert: the layer holds only the experts
-it evaluates. ``tau2`` is the population variance of their raw means, so the
-shrinkage realizes a zero-mean Gaussian prior on the local means shared by the
-whole scale. The raw means are intermediate: a layer keeps only
+``cfg.min_effective_weight``, or is zero, gets no expert: the layer holds only
+the experts it evaluates. ``tau2`` is the population variance of their raw
+means, so the shrinkage realizes a zero-mean Gaussian prior on the local means
+shared by the whole scale. The raw means are intermediate: a layer keeps only
 ``bandwidth``, ``centers``, ``mu``, ``sigma2`` and ``tau2``, as its model file does.
 
 Evaluation combines the experts as a weighted product of Gaussian densities:
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FitConfig, ValidationError, as_sites, check_finite_inputs
+from .data import FitConfig, ValidationError, as_sites, as_vector, freeze
 from .geometry import _map_kernel_blocks, pairwise_distances
 
 SIGMA2_FLOOR = 1e-10
@@ -47,13 +47,25 @@ class LayerUnfittableError(RuntimeError):
 @dataclass(frozen=True)
 class ScaleLayer:
     """All local experts sharing one bandwidth, stored as parallel arrays:
-    the five values a model file holds per layer."""
+    the five values a model file holds per layer, copied and made read-only
+    when built. A layer without an expert, with a non-finite center or mu, or
+    without finite positive sigma2, bandwidth and tau2 raises ValidationError."""
 
     bandwidth: float
     centers: np.ndarray
     mu: np.ndarray
     sigma2: np.ndarray
     tau2: float
+
+    def __post_init__(self):
+        cen = as_sites(self.centers)
+        if not len(cen):
+            raise ValidationError("layer has no expert")
+        mu = as_vector("mu", self.mu, len(cen), per="centers")
+        sigma2 = as_vector("sigma2", self.sigma2, len(cen), per="centers")
+        if not ((sigma2 > 0.0).all() and 0.0 < self.bandwidth < np.inf and 0.0 < self.tau2 < np.inf):
+            raise ValidationError("layer sigma2, bandwidth and tau2 must be finite and positive")
+        freeze(self, centers=cen, mu=mu, sigma2=sigma2)
 
     @property
     def n_active(self) -> int:
@@ -73,24 +85,16 @@ def fit_layer(targets, site_weights, sites, centers, bandwidth: float, cfg: FitC
     :func:`geometry.place_centers` returns, at one ``bandwidth`` against a
     weighted working target.
 
-    Raises ``ValueError`` for a bandwidth that is not positive, and
-    :class:`~cfglmm.data.ValidationError` for a non-finite target, site
-    weight, site or center.
+    Raises ``ValueError`` for a bandwidth that is not positive or a negative
+    site weight, and :class:`~cfglmm.data.ValidationError` for a non-finite
+    input or targets or site weights of another length than the sites.
     """
     if not bandwidth > 0.0:  # so that NaN fails it
         raise ValueError("bandwidth must be positive")
-    t = np.asarray(targets, dtype=float).ravel()
-    sw = np.asarray(site_weights, dtype=float).ravel()
     pts = as_sites(sites)
     cen = as_sites(centers)
-    if not len(t) == len(sw) == len(pts):
-        raise ValueError("targets, site_weights, and sites must have equal length")
-    check_finite_inputs(pts)
-    check_finite_inputs(cen)
-    if not np.isfinite(t).all():
-        raise ValidationError("non-finite target")
-    if not np.isfinite(sw).all():
-        raise ValidationError("non-finite site weight")
+    t = as_vector("target", targets, len(pts))
+    sw = as_vector("site weight", site_weights, len(pts))
     if (sw < 0).any():
         raise ValueError("site_weights must be nonnegative")
 
@@ -98,7 +102,7 @@ def fit_layer(targets, site_weights, sites, centers, bandwidth: float, cfg: FitC
     sums = np.empty((len(cen), 4))
     # kernel squared in one pass: exp(-d/h)^2 = exp(-2d/h)
     _map_kernel_blocks([(cen, pts, -2.0 / bandwidth, rhs, sums)])
-    keep = np.flatnonzero(sums[:, 1] >= cfg.min_effective_weight)  # column 1: sum(p)
+    keep = np.flatnonzero((sums[:, 1] >= cfg.min_effective_weight) & (sums[:, 1] > 0.0))  # column 1: sum(p)
     if not len(keep):
         raise LayerUnfittableError("layer unfittable at this bandwidth")
     sum_sq_kernel, sum_prec, spt, spt2 = sums[keep].T  # sums of k^2, p, p t and p t^2
@@ -141,7 +145,6 @@ def evaluate_stack(layers, sites) -> Iterator[LayerEvaluation]:
     for a non-finite site.
     """
     pts = as_sites(sites)
-    check_finite_inputs(pts)
     layers = list(layers)
     per_group = max(1, _RESULTS_DOUBLES // max(2 * len(pts), 1))
     starts = range(0, len(layers), per_group)
@@ -158,8 +161,6 @@ def _evaluate_group(layers: list[ScaleLayer], pts: np.ndarray) -> list[LayerEval
     """
     kernels = []
     for layer in layers:
-        if not len(layer.centers):
-            raise ValueError("layer has no expert")
         rhs = np.column_stack([1.0 / layer.sigma2, layer.mu / layer.sigma2])
         kernels.append((pts, layer.centers, -1 / layer.bandwidth, rhs, np.empty((len(pts), 2))))
     _map_kernel_blocks(kernels)

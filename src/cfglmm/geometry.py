@@ -25,7 +25,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .data import as_int, as_sites, check_finite_inputs, round_half_away
+from .data import as_int, as_sites, round_half_away
 
 # One pool worker per CPU this process may run on (its affinity mask, so
 # ``taskset`` limits it), each pinned to its own CPU of that mask. Threads
@@ -160,7 +160,6 @@ def bbox_diagonal(sites) -> float:
     pts = as_sites(sites)
     if len(pts) == 0:
         raise ValueError("bbox_diagonal requires at least one site")
-    check_finite_inputs(pts)
     span = pts.max(axis=0) - pts.min(axis=0)
     return float(np.hypot(span[0], span[1]))
 
@@ -182,13 +181,13 @@ def center_count(diagonal: float, bandwidth: float, density: float) -> int:
 def pairwise_distances(a, b, out: np.ndarray | None = None) -> np.ndarray:
     """Exact Euclidean distances between two point sets, shape (len(a), len(b)).
 
-    Computed from coordinate differences, ``sqrt(dx*dx + dy*dy)`` (not the
-    expanded-square identity), so that coincident points give exactly zero.
-    Callers cut large products into row blocks. ``out``, when given, is a
-    C-contiguous float64 array of the result's shape that receives the
-    distances.
+    ``a`` and ``b`` are ``(n, 2)`` float arrays that the caller has checked
+    (:func:`~cfglmm.data.as_sites`), used as given. Computed from coordinate
+    differences, ``sqrt(dx*dx + dy*dy)``, so that coincident points give
+    exactly zero. ``out``, when given, is a C-contiguous float64 array of the
+    result's shape that receives the distances.
     """
-    return cdist(as_sites(a), as_sites(b), out=out)
+    return cdist(a, b, out=out)
 
 
 def _cell_means(pts: np.ndarray, weights: np.ndarray, cell: np.ndarray) -> np.ndarray:
@@ -244,7 +243,6 @@ def place_centers(sites, n_centers: int) -> np.ndarray:
     pts = as_sites(sites)
     if len(pts) == 0:
         raise ValueError("place_centers requires at least one site")
-    check_finite_inputs(pts)
     if as_int("n_centers", n_centers) < 1:
         raise ValueError("n_centers must be at least 1")
     return _place_distinct(*np.unique(pts, axis=0, return_counts=True), n_centers)

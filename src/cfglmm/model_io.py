@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .data import Dataset, FitConfig, HvSplit, make_split
+from .data import Dataset, FitConfig, HvSplit, ValidationError, make_split
 from .experts import ScaleLayer
 from .learner import CfModel, ScaleRecord
 from .families import get_family
@@ -146,23 +146,17 @@ def _layer(entry, index: int) -> ScaleLayer:
         raise ModelFormatError(shape_error) from None
     if experts.ndim != 2 or experts.shape[1] != 5:
         raise ModelFormatError(shape_error)
-    if not np.isfinite(experts).all():
-        raise ModelFormatError("layer experts must be finite")
-    if not (experts[:, 3] > 0.0).all():
-        raise ModelFormatError("expert sigma2 must be positive")
     if not np.isin(experts[:, 4], (0.0, 1.0)).all():
         raise ModelFormatError("expert active flag must be 0 or 1")
     if not experts[:, 4].any():
         raise ModelFormatError(f"model layer {index} has no active expert")
     _power_one(entry.get("weight_power", 1), "layer weight_power")
-    experts = experts[experts[:, 4] != 0.0]
-    return ScaleLayer(
-        bandwidth=_positive(_require(entry, "bandwidth", None), "layer bandwidth"),
-        centers=experts[:, 0:2].copy(),
-        mu=experts[:, 2].copy(),
-        sigma2=experts[:, 3].copy(),
-        tau2=_positive(_require(entry, "tau2", None), "layer tau2"),
-    )
+    active = experts[experts[:, 4] != 0.0]
+    bandwidth, tau2 = (_number(_require(entry, key, None), f"layer {key}") for key in ("bandwidth", "tau2"))
+    try:
+        return ScaleLayer(bandwidth, active[:, 0:2], active[:, 2], active[:, 3], tau2)
+    except ValidationError as exc:
+        raise ModelFormatError(f"model layer {index}: {exc}") from None
 
 
 def _require(doc: dict, key: str, kind) -> object:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ValidationError, as_design_inputs, as_sites, check_finite_inputs
+from .data import ValidationError, as_design_inputs, as_sites
 from .experts import evaluate_stack
 from .families import Family, add_intercept
 from .learner import CfModel
@@ -70,20 +70,14 @@ def predict(model: CfModel, sites, covariates, offset=None) -> Predictions:
 
     Layer variances are summed site-wise (layers are treated as independent);
     the uncertainty covers the latent process only, not the coefficients.
-    Raises :class:`ValidationError` for an offset whose length differs from
-    the number of sites and for non-finite sites, covariates or offset.
+    Raises :class:`ValidationError` for covariates or an offset whose rows
+    differ from the sites, covariate columns that differ from the model's, and
+    non-finite sites, covariates or offset.
     """
     pts = as_sites(sites)
     x, off = as_design_inputs(covariates, offset, len(pts))
     if x.shape[1] != model.n_covariates:
-        raise ValueError(
-            f"covariate column mismatch: model expects {model.n_covariates}, got {x.shape[1]}"
-        )
-    if len(x) != len(pts):
-        raise ValueError("covariates and sites must have equal length")
-    if len(off) != len(pts):
-        raise ValidationError(f"length mismatch: {len(off)} offset values vs {len(pts)} sites")
-    check_finite_inputs(pts, x, off)
+        raise ValidationError(f"covariate column mismatch: model expects {model.n_covariates}, got {x.shape[1]}")
 
     z_total = np.zeros(len(pts))
     var_z = np.zeros(len(pts))
@@ -104,7 +98,8 @@ def band_index(bandwidth: float, band_edges) -> int:
 def decompose(model: CfModel, sites, band_edges) -> ScaleBandDecomposition:
     """Split the latent process into bandwidth bands at the query sites.
 
-    Raises :class:`ValidationError` for non-finite sites.
+    Raises :class:`ValidationError` for non-finite sites. At zero sites
+    ``band_values`` has no rows and every band's standard deviation is NaN.
     """
     edges = tuple(float(e) for e in band_edges)
     if any(not e > 0 for e in edges):  # NaN fails too
@@ -121,4 +116,5 @@ def decompose(model: CfModel, sites, band_edges) -> ScaleBandDecomposition:
         occupied[b] = True
     for b in np.flatnonzero(~occupied):
         warnings.warn(f"band {b} contains no accepted layer; its component is zero", stacklevel=2)
-    return ScaleBandDecomposition(edges, values, values.std(axis=0))
+    sds = values.std(axis=0) if len(pts) else np.full(n_bands, np.nan)  # no spread over no sites
+    return ScaleBandDecomposition(edges, values, sds)

@@ -315,6 +315,7 @@ class TestPredictCommand:
             lambda doc: doc["loss_trace"][0].__setitem__(0, None),
             lambda doc: doc["layers"][0]["experts"][0].__setitem__(2, None),
             lambda doc: doc["layers"][0]["experts"][0].__setitem__(3, 0.0),
+            lambda doc: doc["layers"][0]["experts"][0].__setitem__(3, float("nan")),
             lambda doc: doc["layers"][0]["experts"][0].__setitem__(4, 2),
             lambda doc: doc["config"].__setitem__("rng_seed", 1.5),
             lambda doc: doc["config"].__setitem__("patience", True),
@@ -325,7 +326,7 @@ class TestPredictCommand:
             lambda doc: doc["layers"][0].__setitem__("weight_power", 2),
             lambda doc: doc["config"].__setitem__("aggregation_weight_power", 2),
         ],
-        ids=["null_trace_scale", "null_expert_mu", "zero_sigma2", "active_2",
+        ids=["null_trace_scale", "null_expert_mu", "zero_sigma2", "nan_sigma2", "active_2",
              "float_rng_seed", "bool_patience", "negative_n_sites", "negative_n_covariates",
              "bool_n_covariates", "float_weight_power", "weight_power_2", "aggregation_weight_power_2"],
     )
@@ -434,6 +435,16 @@ class TestDecomposeCommand:
 
 
 class TestBenchmarkCommand:
+    @pytest.mark.parametrize("suite", ["prediction", "binomial", "multiscale", "timing"])
+    @pytest.mark.parametrize("sizes", ["100.5", "0", "-5"])
+    def test_unusable_sizes_exit_2_and_write_nothing(self, tmp_path, capsys, suite, sizes):
+        """``100.5`` used to run n=100, and ``0`` and ``-5`` to write CSVs of failed trials."""
+        out = tmp_path / "bench"
+        code = main(["benchmark", "--suite", suite, "--trials", "1", f"--sizes={sizes}", "--out", str(out)])
+        assert code == 2
+        assert "--sizes" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_timing_suite(self, tmp_path):
         out = str(tmp_path / "bench")
         code = main(["benchmark", "--suite", "timing", "--sizes", "100,200", "--seed", "0",

@@ -135,7 +135,7 @@ class TestValidateDataset:
     @pytest.mark.parametrize(
         "field,value,message",
         [
-            ("sites", np.zeros((11, 2)), "11 sites vs 10"),
+            ("sites", np.zeros((11, 2)), "10 response values vs 11 sites"),
             ("covariates", np.zeros((9, 2)), "9 covariate rows vs 10"),
             ("offset", np.zeros(3), "3 offset values vs 10"),
         ],

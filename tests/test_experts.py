@@ -119,6 +119,19 @@ class TestFitLayer:
         np.testing.assert_array_equal(got.centers, heavy)
         _assert_layers_close(got, want, targets)
 
+    def test_zero_min_effective_weight_drops_weightless_centers(self):
+        """``min_effective_weight=0`` admits a center whose kernel weights all
+        underflow; it used to get a NaN ``sigma2`` that made ``tau2`` and every
+        evaluation NaN."""
+        sites = np.random.default_rng(4).random((50, 2))
+        targets = np.random.default_rng(5).normal(size=50)
+        centers = [[0.5, 0.5], [50.0, 50.0]]
+        layer = fit_layer(targets, np.ones(50), sites, centers, 0.05, FitConfig(min_effective_weight=0.0))
+        np.testing.assert_array_equal(layer.centers, [[0.5, 0.5]])
+        assert np.isfinite(layer.tau2)
+        default = fit_layer(targets, np.ones(50), sites, centers, 0.05, FitConfig())
+        _assert_evaluations_equal(evaluate_layer(layer, sites), evaluate_layer(default, sites))
+
     def test_permutation_invariance(self, rng):
         sites = rng.random((40, 2))
         targets = rng.normal(size=40)
@@ -156,6 +169,60 @@ class TestFitLayer:
         np.testing.assert_allclose(a.mu, b.mu, rtol=1e-12)
         np.testing.assert_allclose(a.sigma2, b.sigma2, rtol=1e-12)
         assert a.tau2 == pytest.approx(b.tau2, rel=1e-12)
+
+
+class TestScaleLayerChecks:
+    """A layer is copied, checked and made read-only when it is built."""
+
+    GOOD = dict(bandwidth=0.5, centers=[[0.0, 0.0], [1.0, 1.0]], mu=[1.0, 2.0], sigma2=[0.5, 1.0], tau2=1.0)
+
+    @pytest.mark.parametrize(
+        "fault,message",
+        [
+            (dict(sigma2=[0.0, 1.0]), "sigma2, bandwidth and tau2 must be finite and positive"),
+            (dict(sigma2=[-1.0, 1.0]), "sigma2, bandwidth and tau2 must be finite and positive"),
+            (dict(sigma2=[math.inf, 1.0]), "non-finite sigma2"),
+            (dict(mu=[math.nan, 1.0]), "non-finite mu"),
+            (dict(mu=[1.0]), "length mismatch: 1 mu values vs 2 centers"),
+            (dict(sigma2=[1.0, 1.0, 1.0]), "length mismatch: 3 sigma2 values vs 2 centers"),
+            (dict(bandwidth=-1.0), "bandwidth"),
+            (dict(bandwidth=math.nan), "bandwidth"),
+            (dict(bandwidth=math.inf), "bandwidth"),
+            (dict(centers=[[math.nan, 0.0], [1.0, 1.0]]), "non-finite coordinate"),
+            (dict(centers=[0.0, 0.0, 1.0, 1.0]), r"\(n, 2\) array"),
+            (dict(centers=np.empty((0, 2)), mu=[], sigma2=[]), "layer has no expert"),
+            (dict(tau2=0.0), "tau2"),
+            (dict(tau2=-1.0), "tau2"),
+            (dict(tau2=math.nan), "tau2"),
+        ],
+        ids=[
+            "sigma2-zero", "sigma2-negative", "sigma2-inf", "mu-nan", "mu-short", "sigma2-long",
+            "bandwidth-negative", "bandwidth-nan", "bandwidth-inf", "center-nan", "centers-flat", "empty",
+            "tau2-zero", "tau2-negative", "tau2-nan",
+        ],
+    )
+    def test_invalid_layer_rejected_when_built(self, fault, message):
+        """Each of these used to build, and most evaluated to NaN, zero
+        variance, a broadcast mean or a kernel growing with distance."""
+        with pytest.raises(ValidationError, match=message):
+            ScaleLayer(**{**self.GOOD, **fault})
+
+    def test_inputs_are_copied_and_read_only(self):
+        arrays = {name: np.array(self.GOOD[name], dtype=float) for name in ("centers", "mu", "sigma2")}
+        layer = ScaleLayer(**{**self.GOOD, **arrays})
+        before = evaluate_layer(layer, [[0.5, 0.5], [0.0, 0.0]])
+        for name, array in arrays.items():
+            array[0] = -7.0
+            stored = getattr(layer, name)
+            assert not stored.flags.writeable and not np.shares_memory(stored, array), name
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0] = -1.0
+        _assert_evaluations_equal(evaluate_layer(layer, [[0.5, 0.5], [0.0, 0.0]]), before)
+
+    def test_fitted_layer_is_read_only(self):
+        targets, weights, sites, centers, h = _fit_inputs(3, 50, 4)
+        layer = fit_layer(targets, weights, sites, centers, h, FitConfig())
+        assert not any(getattr(layer, name).flags.writeable for name in ("centers", "mu", "sigma2"))
 
 
 def _fit_inputs(seed: int, n_pts: int, n_centers: int, wide: bool = False):
@@ -310,8 +377,9 @@ class TestEvaluateLayer:
         _assert_evaluations_equal(evaluate_layer(fit[0], query), evaluate_layer(fit[1], query))
 
     def test_layer_without_expert_rejected(self):
-        with pytest.raises(ValueError, match="no expert"):
-            evaluate_layer(_layer(np.empty((0, 2)), [], [], bandwidth=1.0), [[0.0, 0.0]])
+        """An empty layer cannot be built, so no evaluation meets one."""
+        with pytest.raises(ValidationError, match="layer has no expert"):
+            _layer(np.empty((0, 2)), [], [], bandwidth=1.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("entry", ["evaluate_layer", "evaluate_stack", "layer_basis_expansion"])

@@ -276,6 +276,10 @@ class TestModelRoundTrip:
             (("family",), "gamma", "family"),
             (("layers", 0, "weight_power"), 2, "layer weight_power must be 1"),
             (("config", "aggregation_weight_power"), 2, "config aggregation_weight_power must be 1"),
+            (("layers", 1, "experts", 0, 3), math.nan, "model layer 1: non-finite sigma2"),
+            (("layers", 1, "experts", 0, 0), math.inf, "model layer 1: non-finite coordinate"),
+            (("layers", 0, "bandwidth"), math.nan, "model layer 0: .*bandwidth"),
+            (("layers", 0, "tau2"), 0.0, "model layer 0: .*tau2"),
         ],
     )
     def test_schema_fault_rejected(self, fitted, tmp_path, path, value, match):

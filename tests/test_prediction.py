@@ -103,8 +103,14 @@ class TestPredict:
 
     def test_column_mismatch_raises(self, poisson_model):
         model, sim = poisson_model
-        with pytest.raises(ValueError, match="column mismatch"):
+        with pytest.raises(ValidationError, match="covariate column mismatch: model expects 2, got 1"):
             predict(model, sim.test.sites, sim.test.covariates[:, :1])
+
+    def test_covariate_row_mismatch_raises(self, poisson_model):
+        """A plain ``ValueError`` before covariates were checked where they are coerced."""
+        model, sim = poisson_model
+        with pytest.raises(ValidationError, match="length mismatch: 2 covariate rows vs 3 sites"):
+            predict(model, sim.test.sites[:3], sim.test.covariates[:2])
 
     def test_offset_shifts_linear_predictor(self, poisson_model):
         model, sim = poisson_model
@@ -575,6 +581,18 @@ class TestDecompose:
             bands = decompose(model, sites, edges)
         pred = predict(model, sites, np.zeros((200, model.n_covariates)))
         np.testing.assert_allclose(bands.band_values.sum(axis=1), pred.z_total, atol=1e-12)
+
+    def test_zero_sites(self, poisson_model):
+        """No rows and NaN spreads, with no numpy warning; the empty-band
+        warnings stay."""
+        model, _ = poisson_model
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            bands = decompose(model, np.empty((0, 2)), (0.5, 0.1))
+        assert bands.band_values.shape == (0, 3)
+        assert bands.band_sds.shape == (3,) and np.isnan(bands.band_sds).all()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert all("no accepted layer" in str(w.message) for w in caught)
 
     def test_empty_band_warns(self, poisson_model):
         model, sim = poisson_model
