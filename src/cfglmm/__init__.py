@@ -6,7 +6,7 @@ kernel-weighted local Gaussian experts, grown coarse to fine and accepted
 only when it lowers a holdout validation deviance.
 """
 
-from .data import Dataset, FitConfig, HvSplit, ValidationError, make_split
+from .data import Dataset, FitConfig, ValidationError, make_split
 from .evaluate import (
     ExperimentReport,
     TrialResult,
@@ -47,7 +47,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Dataset",
     "FitConfig",
-    "HvSplit",
     "ValidationError",
     "make_split",
     "bbox_diagonal",

@@ -59,13 +59,17 @@ def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
 
 def _sizes(text: str) -> list[int]:
     """``--sizes``: comma-separated integers of at least 1, checked before a suite writes anything."""
-    try:
-        sizes = [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"could not parse {text!r} as comma-separated integers") from None
-    if not sizes or min(sizes) < 1:
+    sizes = [part.strip() for part in text.split(",") if part.strip()]
+    if not sizes or not all(size.isdecimal() and int(size) >= 1 for size in sizes):
         raise argparse.ArgumentTypeError(f"sizes must be integers of at least 1, got {text!r}")
-    return sizes
+    return [int(size) for size in sizes]
+
+
+def _trials(text: str) -> int:
+    """``--trials``: an integer of at least 1, checked the same way."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"trials must be an integer of at least 1, got {text!r}")
+    return int(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -105,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("benchmark", help="run a Monte Carlo suite")
     p_bench.add_argument("--suite", required=True, choices=(*_SUITES, "timing"))
-    p_bench.add_argument("--trials", type=int, default=20)
+    p_bench.add_argument("--trials", type=_trials, default=20)
     p_bench.add_argument("--sizes", type=_sizes, default="500,1000,2000")
     p_bench.add_argument("--beta0", type=float, default=SimScenario.beta0)
     p_bench.add_argument("--seed", type=int, default=0)
@@ -192,6 +196,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
+    if args.suite == "timing" and any(b <= a for a, b in zip(args.sizes, args.sizes[1:])):
+        raise ValidationError("sizes must be ascending")  # timing_curve's check, before the directory
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -52,11 +52,13 @@ def round_half_away(x: float) -> int:
     return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
 
 
-def as_int(name: str, value) -> int:
-    """``value`` as a plain int (model files hold plain JSON ints); a bool or a
-    non-integer raises ``ValueError``."""
+def as_int(name: str, value, low: int) -> int:
+    """``value`` as a plain int (model files hold plain JSON ints) of at least
+    ``low``; a bool, a non-integer or a smaller value raises :class:`ValidationError`."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValidationError(f"{name} must be at least {low}, got {value}")
     return int(value)
 
 
@@ -142,55 +144,35 @@ class FitConfig:
     irls_tol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("patience", "rng_seed", "max_scales", "irls_max_iter"):
-            object.__setattr__(self, name, as_int(name, getattr(self, name)))
+        for name, low in (("patience", 1), ("rng_seed", 0), ("max_scales", 1), ("irls_max_iter", 1)):
+            object.__setattr__(self, name, as_int(name, getattr(self, name), low))
         # the float checks read ``not x > 0`` so that NaN fails them
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
         if not 0.0 < self.bandwidth_decay < 1.0:
             raise ValueError("bandwidth_decay must be in (0, 1)")
-        if self.patience < 1:
-            raise ValueError("patience must be a positive integer")
         if not 0.0 < self.center_density < math.inf:
             raise ValueError("center_density must be finite and positive")
         if self.initial_bandwidth is not None and not 0.0 < self.initial_bandwidth < math.inf:
             raise ValueError("initial_bandwidth must be finite and positive")
-        if self.rng_seed < 0:
-            raise ValueError("rng_seed must be a nonnegative integer")
-        if self.max_scales < 1:
-            raise ValueError("max_scales must be a positive integer")
         if not self.min_effective_weight >= 0.0:
             raise ValueError("min_effective_weight must be nonnegative")
-        if self.irls_max_iter < 1:
-            raise ValueError("irls_max_iter must be a positive integer")
         if not self.irls_tol > 0.0:
             raise ValueError("irls_tol must be positive")
 
 
-@dataclass(frozen=True)
-class HvSplit:
-    """Disjoint train/validation index sets covering 0..n-1."""
-
-    train_idx: np.ndarray
-    valid_idx: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "train_idx", np.asarray(self.train_idx, dtype=np.intp))
-        object.__setattr__(self, "valid_idx", np.asarray(self.valid_idx, dtype=np.intp))
-
-
-def make_split(n: int, cfg: FitConfig) -> HvSplit:
-    """Draw the seeded uniform holdout split.
+def make_split(n: int, cfg: FitConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the seeded uniform holdout split: sorted ``intp`` arrays
+    ``(train_idx, valid_idx)``, disjoint and covering ``0..n-1``.
 
     The training size is ``round(train_fraction * n)`` with half rounded away
     from zero, clamped so both sides stay nonempty. Deterministic for a fixed
-    ``cfg.rng_seed``.
+    ``cfg.rng_seed``, so a model's split is ``make_split(n_sites, config)``.
     """
     if n < 4:
         raise ValidationError("dataset too small to split")
     n_train = round_half_away(cfg.train_fraction * n)
     n_train = min(max(n_train, 1), n - 1)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.rng_seed, spawn_key=(_SPLIT_STREAM,)))
-    perm = rng.permutation(n)
-    return HvSplit(np.sort(perm[:n_train]), np.sort(perm[n_train:]))
-
+    perm = rng.permutation(n).astype(np.intp, copy=False)
+    return np.sort(perm[:n_train]), np.sort(perm[n_train:])

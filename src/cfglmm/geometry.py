@@ -18,6 +18,7 @@ import collections
 import itertools
 import math
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -169,13 +170,16 @@ def center_count(diagonal: float, bandwidth: float, density: float) -> int:
 
     A target, not an exact count: :func:`place_centers` may return fewer
     (lattice cells without sites) or up to ``nx - 1`` more (its lattice of
-    ``nx`` columns has ``nx * ceil(count / nx)`` cells).
+    ``nx`` columns has ``nx * ceil(count / nx)`` cells). Where ``(D/h)^2`` is
+    past the floats (``h`` below about 1e-154 ``D``), the count is ``sys.maxsize``.
     """
     if not bandwidth > 0.0:  # so that NaN fails it
         raise ValueError("bandwidth must be positive")
     if not 0.0 <= diagonal < math.inf:
         raise ValueError("diagonal must be finite and nonnegative")
-    return max(1, round_half_away(density * diagonal * diagonal / (bandwidth * bandwidth)))
+    h2 = bandwidth * bandwidth
+    quotient = density * diagonal * diagonal / h2 if h2 > 0.0 else math.inf
+    return max(1, round_half_away(quotient)) if quotient < math.inf else sys.maxsize
 
 
 def pairwise_distances(a, b, out: np.ndarray | None = None) -> np.ndarray:
@@ -243,8 +247,7 @@ def place_centers(sites, n_centers: int) -> np.ndarray:
     pts = as_sites(sites)
     if len(pts) == 0:
         raise ValueError("place_centers requires at least one site")
-    if as_int("n_centers", n_centers) < 1:
-        raise ValueError("n_centers must be at least 1")
+    as_int("n_centers", n_centers, 1)
     return _place_distinct(*np.unique(pts, axis=0, return_counts=True), n_centers)
 
 

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
-from .data import Dataset, FitConfig, HvSplit, ValidationError, make_split
+from .data import Dataset, FitConfig, ValidationError, as_int, as_vector, freeze, make_split
 from .experts import LayerUnfittableError, ScaleLayer, evaluate_layer, fit_layer
 from .families import (
     Family,
@@ -60,12 +61,17 @@ class TrainCache:
 
 @dataclass(frozen=True)
 class CfModel:
-    """Fitted coarse-to-fine model: coefficients plus ordered accepted layers."""
+    """Fitted coarse-to-fine model: coefficients plus ordered accepted layers.
+
+    Checked when built (:class:`ValidationError`): nonnegative integer counts,
+    finite deviances, and ``n_covariates + 1`` finite ``beta`` values, copied and,
+    like the ``train_fitted`` arrays, read-only. The holdout split is
+    ``make_split(n_sites, config)``.
+    """
 
     beta: np.ndarray
     layers: tuple[ScaleLayer, ...]
     family: Family
-    split: HvSplit | None
     loss_trace: tuple[ScaleRecord, ...]
     config: FitConfig
     initial_deviance: float
@@ -73,6 +79,24 @@ class CfModel:
     n_sites: int
     n_covariates: int
     train_fitted: TrainCache | None = None
+
+    def __post_init__(self):
+        for name in ("n_sites", "n_covariates"):
+            object.__setattr__(self, name, as_int(name, getattr(self, name), 0))
+        for name in ("initial_deviance", "validation_deviance"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)!r}")
+        object.__setattr__(self, "layers", tuple(self.layers))
+        object.__setattr__(self, "loss_trace", tuple(self.loss_trace))
+        if self.train_fitted is not None:
+            freeze(self.train_fitted, z=self.train_fitted.z, var=self.train_fitted.var)
+        freeze(self, beta=as_vector("beta", self.beta, self.n_covariates + 1, per="coefficients"))
+
+    @property
+    def split(self) -> SimpleNamespace:
+        """``make_split(n_sites, config)`` by name, as ``bench/workloads.py`` reads it."""
+        train_idx, valid_idx = make_split(self.n_sites, self.config)
+        return SimpleNamespace(train_idx=train_idx, valid_idx=valid_idx)
 
 
 def accepted_scale_count(model: CfModel) -> int:
@@ -107,9 +131,7 @@ def fit_cf(
     if n < MIN_FIT_SITES:
         raise ValidationError(f"dataset too small for coarse-to-fine fitting (need {MIN_FIT_SITES} sites)")
     family = get_family(d.family_tag)
-    split = make_split(n, cfg)
-    tr = split.train_idx
-    va = split.valid_idx
+    tr, va = make_split(n, cfg)
 
     design = add_intercept(d.covariates)
     y = d.response
@@ -172,10 +194,9 @@ def fit_cf(
 
     return CfModel(
         beta=beta,
-        layers=tuple(layers),
+        layers=layers,
         family=family,
-        split=split,
-        loss_trace=tuple(trace),
+        loss_trace=trace,
         config=cfg,
         initial_deviance=initial_dev,
         validation_deviance=best_loss,

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .data import Dataset, FitConfig, HvSplit, ValidationError, make_split
+from .data import Dataset, FitConfig, ValidationError
 from .experts import ScaleLayer
 from .learner import CfModel, ScaleRecord
 from .families import get_family
@@ -83,13 +83,6 @@ def _positive(value, what: str) -> float:
     x = _number(value, what)
     if not (math.isfinite(x) and x > 0.0):
         raise ModelFormatError(f"{what} must be finite and positive, got {value!r}")
-    return x
-
-
-def _finite(value, what: str) -> float:
-    x = _number(value, what)
-    if not math.isfinite(x):
-        raise ModelFormatError(f"{what} must be finite, got {value!r}")
     return x
 
 
@@ -169,7 +162,12 @@ def _require(doc: dict, key: str, kind) -> object:
 
 
 def load_model(path) -> CfModel:
-    """Read a model file; a schema fault raises :class:`ModelFormatError`."""
+    """Read a model file; a schema fault raises :class:`ModelFormatError`.
+
+    Each value is read with its JSON type; the :class:`CfModel` built from
+    them checks the model's own invariants, and its ``ValidationError`` becomes
+    a ``ModelFormatError`` here. A loaded model has no ``train_fitted``.
+    """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -187,29 +185,20 @@ def load_model(path) -> CfModel:
         config = FitConfig(**cfg_doc)
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"bad config block: {exc}") from None
-    layers = tuple(_layer(entry, i) for i, entry in enumerate(_require(doc, "layers", list)))
-    trace = tuple(_trace_record(row) for row in _require(doc, "loss_trace", list))
-    n_sites = _integer(_require(doc, "n_sites", None), "n_sites")
-    split: HvSplit | None = None
-    if n_sites >= 4:
-        split = make_split(n_sites, config)
-    n_covariates = _integer(_require(doc, "n_covariates", None), "n_covariates")
-    beta = np.array([_number(b, "beta") for b in _require(doc, "beta", list)])
-    if len(beta) != n_covariates + 1 or not np.isfinite(beta).all():
-        raise ModelFormatError(f"beta must hold {n_covariates + 1} finite coefficients")
-    return CfModel(
-        beta=beta,
-        layers=layers,
-        family=family,
-        split=split,
-        loss_trace=trace,
-        config=config,
-        initial_deviance=_finite(_require(doc, "initial_deviance", None), "initial_deviance"),
-        validation_deviance=_finite(_require(doc, "validation_deviance", None), "validation_deviance"),
-        n_sites=n_sites,
-        n_covariates=n_covariates,
-        train_fitted=None,
-    )
+    try:
+        return CfModel(
+            beta=[_number(b, "beta") for b in _require(doc, "beta", list)],
+            layers=[_layer(entry, i) for i, entry in enumerate(_require(doc, "layers", list))],
+            family=family,
+            loss_trace=[_trace_record(row) for row in _require(doc, "loss_trace", list)],
+            config=config,
+            initial_deviance=_number(_require(doc, "initial_deviance", None), "initial_deviance"),
+            validation_deviance=_number(_require(doc, "validation_deviance", None), "validation_deviance"),
+            n_sites=_integer(_require(doc, "n_sites", None), "n_sites"),
+            n_covariates=_integer(_require(doc, "n_covariates", None), "n_covariates"),
+        )
+    except ValidationError as exc:
+        raise ModelFormatError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------

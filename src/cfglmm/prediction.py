@@ -49,7 +49,8 @@ def coefficient_of_variation(var_z, mu, family: Family):
     ``sd / |mu|``; logit uses the delta method, ``sqrt(var) * (1 - mu)``.
     Under the log link a variance above about 709.78 gives ``inf``, without a
     warning: the lognormal CoV diverges. Far from every expert the layer
-    variance is capped at 1e300, so such sites read ``cov = inf``.
+    variance is capped at 1e300, so such sites read ``cov = inf``. Identity
+    gives ``inf`` at a zero mean (NaN at zero variance too), also silently.
     """
     v = np.asarray(var_z, dtype=float)
     m = np.asarray(mu, dtype=float)
@@ -59,9 +60,8 @@ def coefficient_of_variation(var_z, mu, family: Family):
     elif family.tag == "bernoulli":
         out = np.sqrt(v) * (1.0 - m)
     else:
-        if np.any(m == 0.0):
-            raise ValueError("CoV undefined at zero mean")
-        out = np.sqrt(v) / np.abs(m)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.sqrt(v) / np.abs(m)
     return float(out) if out.ndim == 0 else out
 
 

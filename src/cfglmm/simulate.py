@@ -126,10 +126,8 @@ def generate(scenario: SimScenario, seed: int) -> SimData:
         raise ValueError(f"unsupported simulation family {scenario.family!r}")
     if scenario.multiscale is not None and not all(0.0 < h < np.inf for h in scenario.multiscale):
         raise ValueError("multiscale bandwidths must be finite and positive")
-    if as_int("n_train", scenario.n_train) < 1:
-        raise ValueError(f"n_train must be at least 1, got {scenario.n_train}")
-    if as_int("n_test", scenario.n_test) < 0:
-        raise ValueError(f"n_test must be nonnegative, got {scenario.n_test}")
+    as_int("n_train", scenario.n_train, 1)
+    as_int("n_test", scenario.n_test, 0)
     coef = scenario.coefficients()
     if not np.isfinite(coef).all():
         raise ValueError("beta0 and beta must be finite")

@@ -53,8 +53,7 @@ def direct_gaussian_cfsm(d: Dataset, cfg: FitConfig):
     (scale, bandwidth, n_centers, train_loss, valid_loss, accepted).
     """
     n = d.n_sites
-    split = make_split(n, cfg)
-    tr, va = split.train_idx, split.valid_idx
+    tr, va = make_split(n, cfg)
     design = add_intercept(d.covariates)
     y = d.response
     train_pts = d.sites[tr]

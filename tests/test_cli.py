@@ -194,6 +194,19 @@ class TestFitCommand:
 
 
 class TestPredictCommand:
+    def test_gaussian_zero_mean_writes_nan_cov(self, tmp_path):
+        """An all-zero Gaussian response fits beta = 0 and no layer; predict
+        writes its rows, cov NaN (0 / 0), where it used to exit 3."""
+        rng = np.random.default_rng(2)
+        data = tmp_path / "zeros.csv"
+        data.write_text("x,y,response\n" + "".join(f"{x:.17g},{y:.17g},0\n" for x, y in rng.random((100, 2))))
+        model_path, out = str(tmp_path / "m.json"), str(tmp_path / "pred.csv")
+        assert main(["fit", "--data", str(data), "--family", "gaussian", "--out", model_path]) == 0
+        assert main(["predict", "--model", model_path, "--sites", str(data), "--out", out]) == 0
+        rows = _read_csv(out)
+        assert len(rows) == 100
+        assert all(r["mu"] == "0" and r["var_z"] == "0" and r["cov"] == "nan" for r in rows)
+
     def test_output_columns_and_variance(self, fitted_files, tmp_path):
         sim_prefix, model_path, _ = fitted_files
         out = str(tmp_path / "pred.csv")
@@ -443,6 +456,22 @@ class TestBenchmarkCommand:
         code = main(["benchmark", "--suite", suite, "--trials", "1", f"--sizes={sizes}", "--out", str(out)])
         assert code == 2
         assert "--sizes" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("trials", ["0", "-1", "2.5", "x"])
+    def test_unusable_trials_exit_2_and_write_nothing(self, tmp_path, capsys, trials):
+        out = tmp_path / "bench"
+        code = main(["benchmark", "--suite", "prediction", f"--trials={trials}", "--sizes", "100", "--out", str(out)])
+        assert code == 2
+        assert "--trials" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sizes", ["200,100", "100,100"])
+    def test_timing_sizes_not_ascending_exit_3_and_write_nothing(self, tmp_path, capsys, sizes):
+        out = tmp_path / "bench"
+        code = main(["benchmark", "--suite", "timing", "--sizes", sizes, "--out", str(out)])
+        assert code == 3
+        assert "ascending" in capsys.readouterr().err
         assert not out.exists()
 
     def test_timing_suite(self, tmp_path):

@@ -21,20 +21,20 @@ def _poisson_dataset(n=10, family="poisson"):
 
 class TestMakeSplit:
     def test_sizes_n100(self):
-        split = make_split(100, FitConfig(rng_seed=3))
-        assert len(split.train_idx) == 75
-        assert len(split.valid_idx) == 25
+        train_idx, valid_idx = make_split(100, FitConfig(rng_seed=3))
+        assert len(train_idx) == 75
+        assert len(valid_idx) == 25
 
     def test_sizes_boundary_n4(self):
-        split = make_split(4, FitConfig(rng_seed=3))
-        assert len(split.train_idx) == 3
-        assert len(split.valid_idx) == 1
+        train_idx, valid_idx = make_split(4, FitConfig(rng_seed=3))
+        assert len(train_idx) == 3
+        assert len(valid_idx) == 1
 
     def test_same_seed_identical(self):
-        a = make_split(57, FitConfig(rng_seed=11))
-        b = make_split(57, FitConfig(rng_seed=11))
-        np.testing.assert_array_equal(a.train_idx, b.train_idx)
-        np.testing.assert_array_equal(a.valid_idx, b.valid_idx)
+        a_train, a_valid = make_split(57, FitConfig(rng_seed=11))
+        b_train, b_valid = make_split(57, FitConfig(rng_seed=11))
+        np.testing.assert_array_equal(a_train, b_train)
+        np.testing.assert_array_equal(a_valid, b_valid)
 
     def test_too_small(self):
         with pytest.raises(ValidationError, match="too small to split"):
@@ -46,12 +46,14 @@ class TestMakeSplit:
         frac=st.floats(min_value=0.05, max_value=0.95),
     )
     def test_partition_property(self, n, seed, frac):
-        split = make_split(n, FitConfig(rng_seed=seed, train_fraction=frac))
-        merged = np.concatenate([split.train_idx, split.valid_idx])
+        train_idx, valid_idx = make_split(n, FitConfig(rng_seed=seed, train_fraction=frac))
+        merged = np.concatenate([train_idx, valid_idx])
         assert sorted(merged) == list(range(n))
-        assert len(split.train_idx) >= 1 and len(split.valid_idx) >= 1
+        assert len(train_idx) >= 1 and len(valid_idx) >= 1
         expected = min(max(round_half_away(frac * n), 1), n - 1)
-        assert len(split.train_idx) == expected
+        assert len(train_idx) == expected
+        for idx in (train_idx, valid_idx):
+            assert idx.dtype == np.intp and (np.diff(idx) > 0).all()
 
 
 class TestRounding:

@@ -2,6 +2,7 @@ import itertools
 import math
 import multiprocessing
 import os
+import sys
 import threading
 from unittest import mock
 
@@ -13,6 +14,7 @@ from oracles import ref_lattice_means, ref_pairwise_distances
 
 from cfglmm import ValidationError, bbox_diagonal, center_count, place_centers
 from cfglmm import geometry
+from cfglmm.data import round_half_away
 from cfglmm.geometry import _assign_nearest, _chunks, _lattice_means, _map_kernel_blocks, _pin_worker, pairwise_distances
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -51,6 +53,15 @@ class TestCenterCount:
     def test_nonpositive_bandwidth_errors(self):
         with pytest.raises(ValueError):
             center_count(1.0, 0.0, 1.5)
+
+    @pytest.mark.parametrize("h", [1e-200, 1e-160, 5e-324])
+    def test_quotient_past_the_floats_is_maxsize(self, h):
+        """h^2 underflows to 0, or D^2/h^2 overflows: the count is finite."""
+        assert center_count(1.0, h, 1.5) == sys.maxsize
+
+    def test_huge_finite_quotient_keeps_the_formula(self):
+        h = 1.0 / math.sqrt(1.5e300)
+        assert center_count(1.0, h, 1.5) == round_half_away(1.5 / (h * h))
 
     @given(
         diag=st.floats(min_value=0.1, max_value=100),

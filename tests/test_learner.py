@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from oracles import direct_gaussian_cfsm, gaussian_spatial_dataset
 
-from cfglmm import Dataset, FitConfig, ValidationError, accepted_scale_count, fit_cf
+from cfglmm import POISSON, Dataset, FitConfig, ValidationError, accepted_scale_count, fit_cf, make_split
+from cfglmm.learner import CfModel, TrainCache
 from cfglmm.simulate import SimScenario, gen_poisson
 
 
@@ -123,6 +124,87 @@ class TestFitCf:
                 break
             trailing += 1
         assert trailing <= model.config.patience
+
+    def test_bandwidth_past_the_float_range(self):
+        """Below h ~ 1e-154 D the center count's (D/h)^2 overflows; such
+        scales place the distinct training sites instead of raising."""
+        sim = gen_poisson(SimScenario(beta0=0.5, n_train=30, n_test=0), seed=4)
+        model = fit_cf(sim.train, FitConfig(rng_seed=4, max_scales=4000, patience=4000))
+        assert len(model.loss_trace) == 4000
+        assert model.loss_trace[-1].bandwidth < 1e-180
+        train_idx, _ = make_split(model.n_sites, model.config)
+        n_distinct = len(np.unique(sim.train.sites[train_idx], axis=0))
+        assert all(r.n_centers == n_distinct for r in model.loss_trace[-100:])
+
+
+def _model(**fields):
+    """A hand-built Poisson model with one covariate, with ``fields`` replaced."""
+    base = dict(
+        beta=np.array([0.3, -0.2]),
+        layers=(),
+        family=POISSON,
+        loss_trace=(),
+        config=FitConfig(),
+        initial_deviance=10.0,
+        validation_deviance=9.0,
+        n_sites=40,
+        n_covariates=1,
+    )
+    return CfModel(**{**base, **fields})
+
+
+class TestCfModel:
+    """A model checks its fields when built, as a model file's reader does."""
+
+    @pytest.mark.parametrize("beta", [[0.3], [0.3, -0.2, 0.1], []])
+    def test_beta_length(self, beta):
+        with pytest.raises(ValidationError, match=f"length mismatch: {len(beta)} beta values vs 2"):
+            _model(beta=np.array(beta))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_beta(self, bad):
+        with pytest.raises(ValidationError, match="non-finite beta"):
+            _model(beta=np.array([0.3, bad]))
+
+    @pytest.mark.parametrize("field", ["initial_deviance", "validation_deviance"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_deviance(self, field, bad):
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            _model(**{field: bad})
+
+    @pytest.mark.parametrize("field", ["n_sites", "n_covariates"])
+    @pytest.mark.parametrize("bad", [-1, True, False, 2.0, 40.5])
+    def test_counts_are_nonnegative_integers(self, field, bad):
+        with pytest.raises(ValidationError, match=field):
+            _model(**{field: bad})
+
+    def test_numpy_counts_stored_as_int(self):
+        model = _model(n_sites=np.int64(40), n_covariates=np.int32(1))
+        assert type(model.n_sites) is int and type(model.n_covariates) is int
+
+    def test_beta_copied_and_read_only(self):
+        beta = np.array([0.3, -0.2])
+        model = _model(beta=beta)
+        beta[0] = 5.0
+        assert model.beta[0] == 0.3
+        with pytest.raises(ValueError, match="read-only"):
+            model.beta[0] = 5.0
+        assert model.beta.tolist() == [0.3, -0.2]
+
+    def test_fitted_arrays_read_only(self, poisson_fit):
+        model, _ = poisson_fit
+        for array in (model.beta, model.train_fitted.z, model.train_fitted.var):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    def test_train_cache_frozen(self):
+        cache = TrainCache(np.zeros(3), np.ones(3))
+        model = _model(train_fitted=cache)
+        assert not (model.train_fitted.z.flags.writeable or model.train_fitted.var.flags.writeable)
+
+    def test_sequences_become_tuples(self):
+        model = _model(layers=[], loss_trace=[])
+        assert model.layers == () and model.loss_trace == ()
 
 
 class TestThreads:

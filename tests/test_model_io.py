@@ -16,6 +16,7 @@ from cfglmm import (
     FitConfig,
     fit_cf,
     load_model,
+    make_split,
     predict,
     read_dataset_csv,
     save_model,
@@ -37,6 +38,13 @@ def fitted(tmp_path_factory):
     sim = gen_poisson(SimScenario(beta0=0.5, n_train=400, n_test=100), seed=8)
     model = fit_cf(sim.train, FitConfig(rng_seed=8))
     return model, sim
+
+
+def _assert_fit_split(loaded, sim):
+    """The loaded model's split is the one its fit drew, ``FitConfig(rng_seed=8)`` on the training sites."""
+    got = make_split(loaded.n_sites, loaded.config)
+    for a, b in zip(got, make_split(sim.train.n_sites, FitConfig(rng_seed=8)), strict=True):
+        np.testing.assert_array_equal(a, b, strict=True)
 
 
 class TestModelRoundTrip:
@@ -80,16 +88,16 @@ class TestModelRoundTrip:
                 np.testing.assert_array_equal(a, b, err_msg=field.name, strict=True)
 
     def test_split_rebuilt_from_seed(self, fitted, tmp_path):
-        model, _ = fitted
+        model, sim = fitted
         path = tmp_path / "m.json"
         save_model(model, path)
         loaded = load_model(path)
-        np.testing.assert_array_equal(loaded.split.train_idx, model.split.train_idx)
+        _assert_fit_split(loaded, sim)
 
     def test_old_file_with_split_seed_loads(self, fitted, tmp_path):
         # files written before ``split_seed`` was dropped carry it beside the
         # config's ``rng_seed``; it was never read
-        model, _ = fitted
+        model, sim = fitted
         path = tmp_path / "m.json"
         save_model(model, path)
         doc = json.loads(path.read_text())
@@ -99,7 +107,7 @@ class TestModelRoundTrip:
         loaded = load_model(path)
         assert loaded.config == model.config
         assert loaded.loss_trace == model.loss_trace
-        np.testing.assert_array_equal(loaded.split.train_idx, model.split.train_idx)
+        _assert_fit_split(loaded, sim)
 
     def test_older_document_drops_inactive_rows(self, tmp_path, rng):
         """A hand-built format-1 document as earlier writers wrote it: a row
@@ -301,7 +309,8 @@ class TestModelRoundTrip:
         and predict bit for bit like the serial layer loop."""
         sim = gen_poisson(SimScenario(beta0=0.5, n_train=500, n_test=200), seed=5)
         model = fit_cf(sim.train, FitConfig(rng_seed=5))
-        capped = [layer for layer in model.layers if layer.n_active == len(model.split.train_idx)]
+        n_train = len(make_split(model.n_sites, model.config)[0])
+        capped = [layer for layer in model.layers if layer.n_active == n_train]
         assert len(capped) >= 3
         assert all(np.array_equal(layer.centers, capped[0].centers) for layer in capped)
         path = tmp_path / "m.json"
@@ -327,16 +336,16 @@ class TestModelRoundTrip:
         assert len(lines) == 1 + len(model.loss_trace)
 
     def test_failed_save_leaves_file_unchanged(self, fitted, tmp_path):
-        """A model that cannot be written (a non-finite coefficient) raises
-        before the path is opened, so an earlier model there stays as it was."""
+        """A model that cannot be written (an infinite config value; a model
+        with a non-finite coefficient cannot be built) raises before the path
+        is opened, so an earlier model there stays as it was."""
         model, _ = fitted
         file = tmp_path / "m.json"
         save_model(model, file)
         before = file.read_bytes()
-        beta = model.beta.copy()
-        beta[0] = math.inf
+        config = dataclasses.replace(model.config, min_effective_weight=math.inf)
         with pytest.raises(ValueError):
-            save_model(dataclasses.replace(model, beta=beta), file)
+            save_model(dataclasses.replace(model, config=config), file)
         assert file.read_bytes() == before
 
     def test_negative_n_covariates_rejected(self, fitted, tmp_path):
@@ -388,7 +397,6 @@ class TestRoundTripProperty:
             beta=np.array(beta),
             layers=tuple(layers),
             family=family,
-            split=None,
             loss_trace=tuple(ScaleRecord(i + 1, *row) for i, row in enumerate(rows)),
             config=FitConfig(),
             initial_deviance=1.0,

@@ -13,6 +13,7 @@ import pytest
 from oracles import gaussian_spatial_dataset, ref_band_values, ref_predict
 
 from cfglmm import (
+    Dataset,
     FitConfig,
     GAUSSIAN,
     POISSON,
@@ -41,7 +42,6 @@ def _bare_model(family, beta, layers=(), n_cov=None):
         beta=np.asarray(beta, dtype=float),
         layers=tuple(layers),
         family=family,
-        split=None,
         loss_trace=(),
         config=FitConfig(),
         initial_deviance=1.0,
@@ -73,8 +73,6 @@ class TestPredict:
         x = rng.normal(size=(200, 2))
         mu = np.exp(0.3 + x @ [0.8, -0.3])
         y = rng.poisson(mu).astype(float)
-        from cfglmm import Dataset
-
         d = Dataset(rng.random((200, 2)), y, x, "poisson")
         glm = fit_glm(d)
         model = _bare_model(POISSON, glm.beta)
@@ -148,6 +146,21 @@ class TestPredict:
         pred = predict(model, np.empty((0, 2)), np.empty((0, 2)))
         for field in FIELDS:
             assert getattr(pred, field).shape == (0,), field
+
+    @pytest.mark.filterwarnings("error")
+    def test_gaussian_zero_mean(self, rng):
+        """An all-zero Gaussian response fits beta = 0 and no layer; its
+        predictions have cov NaN (zero variance), and inf under a layer whose
+        means are all zero."""
+        d = Dataset(rng.random((100, 2)), np.zeros(100), np.empty((100, 0)), "gaussian")
+        model = fit_cf(d, FitConfig(rng_seed=1))
+        assert model.beta.tolist() == [0.0] and not model.layers
+        pred = predict(model, d.sites[:10], np.empty((10, 0)))
+        assert (pred.mu == 0.0).all() and np.isnan(pred.cov).all()
+        layer = _toy_layer(0.5, [[0.2, 0.3], [0.7, 0.6]], [0.0, 0.0], [0.5, 2.0])
+        pred = predict(_bare_model(GAUSSIAN, [0.0], [layer], n_cov=0), d.sites[:10], np.empty((10, 0)))
+        assert (pred.mu == 0.0).all() and (pred.var_z > 0.0).all()
+        assert (pred.cov == math.inf).all()
 
     def test_deterministic(self, poisson_model):
         model, sim = poisson_model
@@ -476,8 +489,6 @@ class TestEvaluateStack:
         assert list(evaluate_stack([], np.empty((0, 2)))) == []
         x = rng.normal(size=(200, 2))
         y = rng.poisson(np.exp(0.3 + x @ [0.8, -0.3])).astype(float)
-        from cfglmm import Dataset
-
         glm = fit_glm(Dataset(rng.random((200, 2)), y, x, "poisson"))
         model = _bare_model(POISSON, glm.beta)
         sites, off = rng.random((200, 2)), rng.normal(size=200)
@@ -524,9 +535,14 @@ class TestCoefficientOfVariation:
     def test_identity_link(self):
         assert coefficient_of_variation(0.25, -2.0, GAUSSIAN) == pytest.approx(0.25)
 
-    def test_identity_link_zero_mean_errors(self):
-        with pytest.raises(ValueError, match="zero mean"):
-            coefficient_of_variation(0.5, 0.0, GAUSSIAN)
+    @pytest.mark.filterwarnings("error")
+    def test_identity_link_zero_mean_is_inf_or_nan_silently(self):
+        """sd / |mu| with numpy's division results: inf where only mu is 0, NaN where var is 0 too."""
+        assert coefficient_of_variation(0.5, 0.0, GAUSSIAN) == math.inf
+        assert coefficient_of_variation(0.25, -0.0, GAUSSIAN) == math.inf
+        assert math.isnan(coefficient_of_variation(0.0, 0.0, GAUSSIAN))
+        got = coefficient_of_variation(np.array([0.25, 0.5, 0.0]), np.array([-2.0, 0.0, 0.0]), GAUSSIAN)
+        np.testing.assert_array_equal(got, [0.25, math.inf, math.nan])
 
     def test_logit_delta_method(self):
         assert coefficient_of_variation(0.04, 0.25, BERNOULLI) == pytest.approx(0.2 * 0.75)
