@@ -155,10 +155,10 @@ class FitConfig:
             raise ValueError("center_density must be finite and positive")
         if self.initial_bandwidth is not None and not 0.0 < self.initial_bandwidth < math.inf:
             raise ValueError("initial_bandwidth must be finite and positive")
-        if not self.min_effective_weight >= 0.0:
-            raise ValueError("min_effective_weight must be nonnegative")
-        if not self.irls_tol > 0.0:
-            raise ValueError("irls_tol must be positive")
+        if not 0.0 <= self.min_effective_weight < math.inf:
+            raise ValueError("min_effective_weight must be finite and nonnegative")
+        if not 0.0 < self.irls_tol < math.inf:
+            raise ValueError("irls_tol must be finite and positive")
 
 
 def make_split(n: int, cfg: FitConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -6,10 +6,20 @@ a scale is an argument of the layer fit, not of its centers.
 Also home of the one engine of the dense kernel passes (local-expert fits,
 layer evaluations, the simulator's smooth): callers hand
 :func:`_map_kernel_blocks` their kernels as data, whose row blocks go into one
-queue of the worker pool, each block one :func:`_kernel_block`. Kernels with
-the same ``query`` object and equal ``anchors`` (layers with equal centers,
-the bandwidth groups of a multiscale draw) share one distance pass per row
-block, at the cost of one more block buffer per worker.
+queue of the worker pool, each block one :func:`_kernel_block`. Consecutive
+kernels with the same ``query`` object and equal ``anchors`` (layers with
+equal centers, the bandwidth groups of a multiscale draw) share one distance
+pass per row block, at the cost of one more block buffer per worker.
+
+A kernel whose ``query`` is its ``anchors`` (the same object: the simulator's
+training field, a layer fit on the distinct training sites) is symmetric, and
+is run in square tiles instead: each tile pair on or above the diagonal gets
+its distances and ``exp`` once and serves both of its row ranges
+(:func:`_tile_run`). This halves the distances and ``exp`` of the pass, and
+changes its order of summation, so its results are within ``rtol=1e-12`` of
+the dense pass, not equal to it. Its partial sums take O(n) memory and are
+added in an order fixed by n, so they too do not depend on the number of
+workers.
 """
 
 from __future__ import annotations
@@ -41,6 +51,9 @@ _THREAD = threading.local()
 # BLAS calls whichever thread runs it, so results do not depend on the number
 # of workers.
 _BLOCK_DOUBLES = 262_144
+# Runs of a symmetric kernel's tile pairs, each with its own partial sums: a
+# fixed count, not the number of workers, so the sums do not depend on it.
+_SLOTS = 8
 
 
 def _pin_worker(cpus: list[int], counter) -> None:
@@ -80,53 +93,108 @@ def _chunks(n: int, width: int) -> list[slice]:
     return [slice(start, min(start + width, n)) for start in range(0, n, width)]
 
 
+def _pool_map(fn, items) -> list:
+    """``[fn(item) for item in items]``, on the pool when there are several items."""
+    return [fn(item) for item in items] if len(items) <= 1 else list(_POOL.map(fn, items))
+
+
+def _map_slices(fn, n: int) -> list:
+    """``fn`` of each of ``POOL_WORKERS`` consecutive slices of ``range(n)``, on the pool."""
+    return _pool_map(fn, _chunks(n, -(-n // POOL_WORKERS)))
+
+
 def _map_kernel_blocks(kernels) -> None:
     """Set ``out = exp(scale * d) @ rhs`` for every ``(query, anchors, scale,
     rhs, out)`` kernel, ``d`` the exact distances between ``query`` and
     ``anchors``, in row blocks of about ``_BLOCK_DOUBLES`` entries of one
-    kernel.
+    kernel, or in tile runs for a symmetric kernel.
 
-    Kernels with the same ``query`` object and equal ``anchors`` (same shape
-    and values) form one group, whose row blocks compute their distances once
-    for all its kernels. All blocks go into one queue, largest first (a block
-    weighs its entries times its group's kernels; ties in group and row
-    order), and one pool task per worker takes them until it is empty, so a
-    worker that gets less CPU takes fewer blocks and the caller waits on one
-    task per worker, not one per block. Each kernel is built in the running
-    thread's buffer, kept between calls; a shared block keeps its distances
-    in a second buffer of the same size. With one task, everything runs on
-    the calling thread.
+    A run of consecutive kernels with the same ``query`` object and equal
+    ``anchors`` (same shape and values) forms one group, whose blocks or
+    tiles compute their distances once for all its kernels; each kernel is
+    compared with the first of the group before it only. All units of work
+    go into one queue, largest first (a unit weighs its entries times its
+    group's kernels; ties in group and row order), and one pool task per
+    worker takes them until it is empty, so a worker that gets less CPU takes
+    fewer units and the caller waits on one task per worker, not one per
+    unit. Each kernel is built in the running thread's buffer, kept between
+    calls; a shared block keeps its distances in a second buffer of the same
+    size. With one task, everything runs on the calling thread.
+
+    A group whose first ``query`` is its ``anchors`` is symmetric: its n
+    points are cut into tiles of ``isqrt(_BLOCK_DOUBLES)`` (512) from n
+    alone, and its tile pairs ``I <= J``, in row order, into at most
+    ``_SLOTS`` runs of about equal length. Each run is one unit (:func:`_tile_run`) that adds into its
+    own partial sums of ``out``'s shape, O(n) memory; they are added in run
+    order. The result is within ``rtol=1e-12`` of the row blocks and, as the
+    runs come from n alone, the same bit for bit on any number of workers.
+    Every other group keeps the row blocks, and their bits.
     """
     groups: list[list] = []
     for kernel in kernels:
-        for group in groups:
-            if group[0][0] is kernel[0] and np.array_equal(group[0][1], kernel[1]):
-                group.append(kernel)
-                break
+        if groups and groups[-1][0][0] is kernel[0] and np.array_equal(groups[-1][0][1], kernel[1]):
+            groups[-1].append(kernel)
         else:
             groups.append([kernel])
-    blocks = [
-        (group, sl)
-        for group in groups
-        for sl in _chunks(len(group[0][0]), _BLOCK_DOUBLES // max(len(group[0][1]), 1))
-    ]
-    todo = collections.deque(sorted(blocks, key=lambda b: (b[1].start - b[1].stop) * len(b[0][0][1]) * len(b[0])))
+    units = []  # (entries, function, its arguments)
+    merges = []  # (out, a partial sum of it), in the order they are added
+    for group in groups:
+        n_anchors = len(group[0][1])
+        if group[0][0] is not group[0][1]:
+            blocks = _chunks(len(group[0][0]), _BLOCK_DOUBLES // max(n_anchors, 1))
+            units += [((sl.stop - sl.start) * n_anchors, _dense_block, (group, sl)) for sl in blocks]
+            continue
+        tiles = _chunks(n_anchors, math.isqrt(_BLOCK_DOUBLES))
+        pairs = [(a, b) for i, a in enumerate(tiles) for b in tiles[i:]]
+        ends = sorted({len(pairs) * r // _SLOTS for r in range(_SLOTS + 1)})
+        sums = [[out] + [np.zeros_like(out) for _ in ends[2:]] for *_, out in group]
+        for out, *parts in sums:
+            out.fill(0.0)
+            merges += [(out, part) for part in parts]
+        for r, (start, stop) in enumerate(zip(ends, ends[1:])):
+            entries = sum((a.stop - a.start) * (b.stop - b.start) for a, b in pairs[start:stop])
+            units.append((entries, _tile_run, (group, pairs[start:stop], [s[r] for s in sums])))
+    todo = collections.deque(sorted(units, key=lambda u: -u[0] * len(u[2][0])))
 
-    def run(_) -> None:
+    def work(_) -> None:
         while True:
             try:
-                group, sl = todo.popleft()  # thread-safe
+                _, fn, args = todo.popleft()  # thread-safe
             except IndexError:
                 return
-            shape = (sl.stop - sl.start, len(group[0][1]))
-            k = _thread_buffer("buf", shape)
-            _kernel_block(group, sl, k if len(group) == 1 else _thread_buffer("dist", shape), k)
+            fn(*args)
 
-    tasks = min(POOL_WORKERS, len(blocks))
-    if tasks <= 1:
-        run(None)
-    else:
-        list(_POOL.map(run, range(tasks)))
+    _pool_map(work, range(min(POOL_WORKERS, len(units))))
+    for out, part in merges:
+        out += part
+
+
+def _dense_block(group, sl: slice) -> None:
+    """Row block ``sl`` of a group, in the running thread's buffers."""
+    shape = (sl.stop - sl.start, len(group[0][1]))
+    k = _thread_buffer("buf", shape)
+    _kernel_block(group, sl, k if len(group) == 1 else _thread_buffer("dist", shape), k)
+
+
+def _tile_run(group, pairs, sums) -> None:
+    """Tile pairs ``(I, J)``, ``I <= J``, of a group of symmetric kernels,
+    added into ``sums``, one partial sum per kernel: each pair's distances
+    once, then for each kernel ``k = exp(scale * d)``, ``k @ rhs[J]`` into
+    rows ``I`` and, off the diagonal, ``k.T @ rhs[I]`` into rows ``J``, two
+    columns at a time (see :func:`_kernel_block`)."""
+    pts = group[0][0]
+    for a, b in pairs:
+        shape = (a.stop - a.start, b.stop - b.start)
+        k = _thread_buffer("buf", shape)
+        d = k if len(group) == 1 else _thread_buffer("dist", shape)
+        pairwise_distances(pts[a], pts[b], out=d)
+        for (_, _, scale, rhs, _), acc in zip(group, sums):
+            np.multiply(d, scale, out=k)
+            np.exp(k, out=k)
+            for j in range(0, rhs.shape[1], 2):
+                acc[a, j : j + 2] += k @ rhs[b, j : j + 2]
+                if a != b:
+                    acc[b, j : j + 2] += k.T @ rhs[a, j : j + 2]
 
 
 def _thread_buffer(name: str, shape: tuple[int, int]) -> np.ndarray:

@@ -63,10 +63,10 @@ class TrainCache:
 class CfModel:
     """Fitted coarse-to-fine model: coefficients plus ordered accepted layers.
 
-    Checked when built (:class:`ValidationError`): nonnegative integer counts,
-    finite deviances, and ``n_covariates + 1`` finite ``beta`` values, copied and,
-    like the ``train_fitted`` arrays, read-only. The holdout split is
-    ``make_split(n_sites, config)``.
+    Checked when built (:class:`ValidationError`): the type of each field,
+    nonnegative integer counts, finite deviances, and ``n_covariates + 1``
+    finite ``beta`` values, copied and, like the ``train_fitted`` arrays,
+    read-only. The holdout split is ``make_split(n_sites, config)``.
     """
 
     beta: np.ndarray
@@ -81,13 +81,24 @@ class CfModel:
     train_fitted: TrainCache | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "layers", tuple(self.layers))
+        object.__setattr__(self, "loss_trace", tuple(self.loss_trace))
+        typed = {
+            "family": (Family, [self.family]),
+            "config": (FitConfig, [self.config]),
+            "train_fitted": (TrainCache, [] if self.train_fitted is None else [self.train_fitted]),
+            "layers": (ScaleLayer, self.layers),
+            "loss_trace": (ScaleRecord, self.loss_trace),
+        }
+        for name, (kind, values) in typed.items():
+            for value in values:
+                if not isinstance(value, kind):
+                    raise ValidationError(f"{name}: expected {kind.__name__}, got {type(value).__name__}")
         for name in ("n_sites", "n_covariates"):
             object.__setattr__(self, name, as_int(name, getattr(self, name), 0))
         for name in ("initial_deviance", "validation_deviance"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite, got {getattr(self, name)!r}")
-        object.__setattr__(self, "layers", tuple(self.layers))
-        object.__setattr__(self, "loss_trace", tuple(self.loss_trace))
         if self.train_fitted is not None:
             freeze(self.train_fitted, z=self.train_fitted.z, var=self.train_fitted.var)
         freeze(self, beta=as_vector("beta", self.beta, self.n_covariates + 1, per="coefficients"))

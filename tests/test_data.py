@@ -186,11 +186,19 @@ class TestFitConfig:
             {"bandwidth_decay": math.nan},
             {"initial_bandwidth": math.inf},
             {"center_density": math.inf},
+            {"min_effective_weight": math.inf},
+            {"irls_tol": math.inf},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             FitConfig(**kwargs)
+
+    @pytest.mark.parametrize("field,what", [("min_effective_weight", "nonnegative"), ("irls_tol", "positive")])
+    def test_infinite_tolerances_name_the_field(self, field, what):
+        """An infinite value would make a model whose config is not strict JSON."""
+        with pytest.raises(ValueError, match=f"{field} must be finite and {what}"):
+            FitConfig(**{field: math.inf})
 
     def test_numpy_integers_stored_as_int(self):
         cfg = FitConfig(rng_seed=np.int64(3), patience=np.int32(2))

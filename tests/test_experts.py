@@ -440,10 +440,11 @@ def _eval_inputs(seed: int, n_sites: int, n_experts: int, wide: bool = False):
 
 
 def _shared_layers(seed: int, n_experts: int = 300) -> list[ScaleLayer]:
-    """Layers on copies of one set of centers at four bandwidths, so they share
-    one distance pass under four kernel scales; between them a layer on other
-    centers, and last one on the same centers less one, which differ, so it is
-    not shared."""
+    """Layers on copies of one set of centers at four bandwidths: the first
+    three in a row, so they share one distance pass under three kernel scales,
+    then a layer on other centers, the fourth, which follows it and so gets a
+    pass of its own (only consecutive layers are grouped), and last one on the
+    same centers less one, which differ, so it is not shared."""
     rng = np.random.default_rng(seed)
     cen = rng.random((n_experts, 2))
 
@@ -531,7 +532,7 @@ class TestEvaluateLayerBitwise:
 
     @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_equal_centers_share_one_distance_pass(self, workers, monkeypatch):
-        """Layers with equal centers share one distance pass per row
+        """Consecutive layers with equal centers share one distance pass per row
         block, and each still has the bits of a direct call, the far site's
         underflow fix-up included; every layer's blocks are those of a direct
         call, each in the running thread's own buffers."""
@@ -557,10 +558,11 @@ class TestEvaluateLayerBitwise:
             stack = list(experts.evaluate_stack(layers, sites))
         finally:
             pool.shutdown(wait=True)
-        # three groups: the four layers on one set of centers, the layer on
-        # others, the layer on those centers less one
+        # four groups: the three consecutive layers on one set of centers, the
+        # layer on others, the fourth layer on the first centers, the layer on
+        # those centers less one
         blocks = {c: _row_blocks(len(sites), c) for c in (300, 299)}
-        assert sorted(passes) == sorted((b.stop - b.start, c) for c in (300, 300, 299) for b in blocks[c])
+        assert sorted(passes) == sorted((b.stop - b.start, c) for c in (300, 300, 300, 299) for b in blocks[c])
         assert sorted((c[0], c[1].start) for c in calls) == sorted((k, b.start) for k in cols for b in blocks[k])
         assert all(own for *_, own in calls), calls
         for ev, w in zip(stack, want, strict=True):
@@ -773,3 +775,92 @@ def test_poe_oracle_property(seed, k):
     mean, var = grid_poe_moments(layer.mu, layer.sigma2, w)
     assert ev.mean[0] == pytest.approx(mean, rel=1e-9, abs=1e-9)
     assert ev.variance[0] == pytest.approx(var, rel=1e-9)
+
+
+def _capped_inputs(seed: int, n_pts: int, duplicates: int = 0):
+    """Working-target inputs ``(targets, weights, sites, centers, bandwidth)``
+    whose centers are what a capped scale places, the distinct sites sorted by
+    x and then y; the sites in random order, the last ``duplicates`` of them
+    copies of earlier ones, and some site weights zero."""
+    rng = np.random.default_rng(seed)
+    sites = rng.random((n_pts, 2))
+    if duplicates:
+        sites[-duplicates:] = sites[:duplicates]
+    targets = rng.normal(size=n_pts)
+    weights = rng.uniform(0.0, 2.0, n_pts)
+    weights[rng.random(n_pts) < 0.2] = 0.0
+    return targets, weights, sites, np.unique(sites, axis=0), 0.2
+
+
+def _symmetric_calls(monkeypatch) -> list[bool]:
+    """Record, per ``fit_layer`` kernel, whether its query is its anchors."""
+    calls = []
+    real = experts._map_kernel_blocks
+
+    def spy(kernels):
+        calls.extend(k[0] is k[1] for k in kernels)
+        real(kernels)
+
+    monkeypatch.setattr(experts, "_map_kernel_blocks", spy)
+    return calls
+
+
+class TestSymmetricFit:
+    """``fit_layer`` on the distinct sites runs the kernel of the centers on
+    themselves in tile pairs: within ``rtol=1e-12`` of the serial chunk loop,
+    with the same bits on any number of workers."""
+
+    @pytest.mark.parametrize("n_pts", [40, 64, 300])
+    def test_within_tolerance_of_reference(self, n_pts, monkeypatch):
+        """64-row tiles: one short tile, one full tile, four and a remainder."""
+        monkeypatch.setattr(geometry, "_BLOCK_DOUBLES", 64 * 64)
+        calls = _symmetric_calls(monkeypatch)
+        args = _capped_inputs(n_pts, n_pts)
+        got = fit_layer(*args, FitConfig())
+        assert calls == [True]
+        _assert_layers_close(got, ref_fit_layer(*args, FitConfig()), args[0])
+
+    def test_default_tiles(self):
+        """3000 sites in 512-row tiles, the last of 440: 21 tile pairs in seven runs."""
+        args = _capped_inputs(8, 3000)
+        _assert_layers_close(fit_layer(*args, FitConfig()), ref_fit_layer(*args, FitConfig()), args[0])
+
+    @pytest.mark.parametrize(
+        "case,symmetric",
+        [("distinct", True), ("duplicates", False), ("subset", False), ("unsorted", False), ("other_centers", False)],
+    )
+    def test_symmetric_exactly_on_the_distinct_sites(self, case, symmetric, monkeypatch):
+        """The tile pairs run when the centers are the distinct sites, sorted;
+        not for sites with duplicates, a subset of them, the same centers in
+        another order, or other centers of the same count. Either way the
+        layer is within tolerance of the serial chunk loop."""
+        targets, weights, sites, centers, h = _capped_inputs(4, 200, duplicates=20 if case == "duplicates" else 0)
+        centers = {
+            "subset": centers[1:],
+            "unsorted": centers[::-1],
+            "other_centers": centers + 1e-9,
+        }.get(case, centers)
+        calls = _symmetric_calls(monkeypatch)
+        got = fit_layer(targets, weights, sites, centers, h, FitConfig())
+        assert calls == [symmetric]
+        _assert_layers_close(got, ref_fit_layer(targets, weights, sites, centers, h, FitConfig()), targets)
+
+    def test_same_bits_on_any_number_of_workers(self, monkeypatch):
+        """16-row tiles of 400 sites, 325 tile pairs in eight runs: one worker,
+        then 2 and 8 with a 1 µs switch interval."""
+        monkeypatch.setattr(geometry, "_BLOCK_DOUBLES", 16 * 16)
+        args = _capped_inputs(12, 400)
+        want = _on_one_worker(monkeypatch, fit_layer, *args, FitConfig())
+        _assert_layers_close(want, ref_fit_layer(*args, FitConfig()), args[0])
+        for workers in (2, 8):
+            monkeypatch.setattr(geometry, "POOL_WORKERS", workers)
+            pool = _worker_pool(workers)
+            monkeypatch.setattr(geometry, "_POOL", pool)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for _ in range(3):
+                    _assert_layers_equal(fit_layer(*args, FitConfig()), want)
+            finally:
+                sys.setswitchinterval(interval)
+                pool.shutdown(wait=True)

@@ -217,23 +217,39 @@ class TestFitGlm:
         assert np.all(np.diff(trace) <= 1e-9)
 
     @pytest.mark.parametrize(
-        "family,seed,calls", [("poisson", 7, 6 + 1), ("bernoulli", 8, 5)], ids=["poisson", "bernoulli"]
+        "family,seed,calls", [("poisson", 7, 6), ("bernoulli", 8, 5)], ids=["poisson", "bernoulli"]
     )
-    def test_one_deviance_per_candidate(self, family, seed, calls, monkeypatch):
+    def test_one_deviance_per_candidate(self, family, seed, calls, monkeypatch, overshoot=None):
         """Each candidate's deviance is computed once: one call per iteration
-        plus one per step halving (the Poisson fit halves one step), never
-        twice in a row for the same candidate."""
+        plus one per step halving, never twice in a row for the same
+        candidate. ``overshoot``: the second IRLS step is taken that many
+        times over."""
         d = generate(SimScenario(family=family, n_train=5000, n_test=0), trial_seed(seed, 0)).train
-        args = []
+        args, steps = [], []
 
         def spy(fam, y, mu):
             args.append(mu.copy())
             return deviance(fam, y, mu)
 
+        def solve(*a):
+            beta = real_solve(*a)
+            if overshoot is not None and len(steps) == 1:
+                beta = steps[0] + overshoot * (beta - steps[0])
+            steps.append(beta)
+            return beta
+
+        real_solve = families.wls_beta
         monkeypatch.setattr(families, "deviance", spy)
+        monkeypatch.setattr(families, "wls_beta", solve)
         fit_glm(d)
         assert len(args) == calls
         assert not any(np.array_equal(a, b) for a, b in zip(args, args[1:]))
+
+    def test_one_deviance_per_halving(self, monkeypatch):
+        """The second step of the Poisson fit above taken four times over
+        raises the deviance (10012 against 7760), so it is halved once, to
+        twice the step (7507); seven iterations follow, with one call more."""
+        self.test_one_deviance_per_candidate("poisson", 7, 7 + 1, monkeypatch, overshoot=4.0)
 
     def test_bernoulli_separated_does_not_blow_up(self):
         # perfectly separated toy data; step halving must keep it finite

@@ -4,6 +4,8 @@ import multiprocessing
 import os
 import sys
 import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -459,3 +461,133 @@ class TestChunkMap:
     def test_pool_works_in_forked_child(self, two_workers):
         _block_threads(4)  # start the parent's workers
         assert _join_child(_blocks_in_child) == 0
+
+
+def _symmetric_kernels(n: int, scales, seed: int = 0, cols: int = 3) -> list[tuple]:
+    """Kernels of ``n`` points on themselves (``query is anchors``), one per
+    scale, with positive right-hand sides, so every output entry is a sum of
+    positive terms."""
+    rng = np.random.default_rng(seed)
+    pts = rng.random((n, 2))
+    return [(pts, pts, s, rng.uniform(0.5, 2.0, (n, cols)), np.full((n, cols), np.nan)) for s in scales]
+
+
+def _tile_pairs(monkeypatch) -> list:
+    """Record the tile pairs each ``_tile_run`` call is given."""
+    runs = []
+    real = geometry._tile_run
+
+    def spy(group, pairs, sums):
+        runs.append(list(pairs))
+        real(group, pairs, sums)
+
+    monkeypatch.setattr(geometry, "_tile_run", spy)
+    return runs
+
+
+class TestSymmetricTiles:
+    """A kernel whose query is its anchors runs in square tiles, each pair
+    ``I <= J`` once, in at most ``_SLOTS`` runs of partial sums."""
+
+    @pytest.mark.parametrize("n", [1, 2, 40, 64, 300])
+    def test_within_tolerance_of_dense(self, n, monkeypatch):
+        """64-row tiles: one short tile, one full tile, and four full tiles
+        and a remainder of 44; a group of three scales shares each tile's
+        distances. Each output is within ``rtol=1e-12`` of the dense product
+        over exact distances, and every pair ``I <= J`` runs once."""
+        monkeypatch.setattr(geometry, "_BLOCK_DOUBLES", 64 * 64)
+        runs = _tile_pairs(monkeypatch)
+        kernels = _symmetric_kernels(n, (-2.0, -20.0, -200.0))
+        _map_kernel_blocks(kernels)
+        pts = kernels[0][0]
+        for _, _, scale, rhs, out in kernels:
+            want = np.exp(scale * ref_pairwise_distances(pts, pts)) @ rhs
+            np.testing.assert_allclose(out, want, rtol=1e-12, atol=0.0)
+        tiles = _chunks(n, 64)
+        pairs = sorted((a.start, b.start) for run in runs for a, b in run)
+        assert pairs == [(a.start, b.start) for i, a in enumerate(tiles) for b in tiles[i:]]
+        assert len(runs) == min(geometry._SLOTS, len(pairs))
+
+    def test_same_bits_on_any_number_of_workers(self, monkeypatch):
+        """16-row tiles of 300 points: 190 tile pairs in eight runs. On 1, 2 and
+        8 workers with a 1 µs switch interval, a group and a lone kernel have
+        the same bits, and each kernel of the group those of a call alone."""
+        monkeypatch.setattr(geometry, "_BLOCK_DOUBLES", 16 * 16)
+
+        def run(workers):
+            monkeypatch.setattr(geometry, "POOL_WORKERS", workers)
+            pool = ThreadPoolExecutor(workers, "cfglmm-chunk")
+            monkeypatch.setattr(geometry, "_POOL", pool)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                kernels = _symmetric_kernels(300, (-3.0, -30.0, -300.0), seed=5)
+                kernels += _symmetric_kernels(300, (-7.0,), seed=6)
+                _map_kernel_blocks(kernels)
+                return [k[4] for k in kernels]
+            finally:
+                sys.setswitchinterval(interval)
+                pool.shutdown(wait=True)
+
+        want = run(1)
+        for workers in (2, 8, 8):
+            for got, w in zip(run(workers), want, strict=True):
+                assert np.array_equal(got, w)
+        monkeypatch.setattr(geometry, "POOL_WORKERS", 1)
+        for kernel, w in zip(_symmetric_kernels(300, (-3.0, -30.0, -300.0), seed=5), want):
+            _map_kernel_blocks([kernel])
+            assert np.array_equal(kernel[4], w)
+
+    def test_partials_stay_linear_in_n(self, monkeypatch):
+        """6000 points in 32-row tiles make 17,766 tile pairs: one partial sum
+        per pair would take 18 MB, the eight run partials take 1.5 MB. The
+        traced peak of a second call stays within ten outputs and 4 MB of
+        slack."""
+        monkeypatch.setattr(geometry, "_BLOCK_DOUBLES", 32 * 32)
+        kernel = _symmetric_kernels(6000, (-50.0,), cols=4)[0]
+        _map_kernel_blocks([kernel])  # the pool's threads and buffers exist
+        tracemalloc.start()
+        try:
+            _map_kernel_blocks([kernel])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (geometry._SLOTS + 2) * kernel[4].nbytes + 4 * 2**20, peak
+
+    def test_a_copy_of_the_query_keeps_the_row_blocks(self, monkeypatch):
+        """Anchors equal to the query but another object: the dense row blocks,
+        whose bits are those of the rows computed one block at a time."""
+        runs = _tile_pairs(monkeypatch)
+        (pts, _, scale, rhs, out), = _symmetric_kernels(300, (-20.0,))
+        _map_kernel_blocks([(pts, pts.copy(), scale, rhs, out)])
+        assert runs == []
+        k = np.exp(scale * pairwise_distances(pts, pts))
+        want = np.column_stack([k @ rhs[:, :2], k @ rhs[:, 2:]])
+        assert np.array_equal(out, want)
+
+
+class TestKernelGroups:
+    def test_each_kernel_compared_once(self, monkeypatch):
+        """Only runs of consecutive kernels are grouped: each kernel is
+        compared with the first of the group before it, so 43 kernels take at
+        most 42 comparisons, and each has the bits of a call alone."""
+        rng = np.random.default_rng(3)
+        query = rng.random((50, 2))
+        shared = rng.random((30, 2))
+        anchors = [rng.random((30, 2)) for _ in range(30)] + [shared.copy() for _ in range(13)]
+        kernels = [(query, a, -5.0, rng.normal(size=(30, 2)), np.empty((50, 2))) for a in anchors]
+        real = np.array_equal
+        calls = []
+
+        def count(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(geometry.np, "array_equal", count)
+        _map_kernel_blocks(kernels)
+        monkeypatch.undo()
+        assert 0 < len(calls) <= len(kernels) - 1
+        for q, a, scale, rhs, out in kernels:
+            alone = np.empty_like(out)
+            _map_kernel_blocks([(q, a, scale, rhs, alone)])
+            assert np.array_equal(out, alone)

@@ -1,3 +1,4 @@
+import dataclasses
 import threading
 
 import numpy as np
@@ -205,6 +206,27 @@ class TestCfModel:
     def test_sequences_become_tuples(self):
         model = _model(layers=[], loss_trace=[])
         assert model.layers == () and model.loss_trace == ()
+
+    @pytest.mark.parametrize(
+        "field,bad,kind",
+        [
+            ("family", "poisson", "Family"),
+            ("config", {"rng_seed": 0}, "FitConfig"),
+            ("train_fitted", "cache", "TrainCache"),
+            ("layers", ("x",), "ScaleLayer"),
+            ("loss_trace", [(1, 0.5, 3, 1.0, 1.0, True)], "ScaleRecord"),
+        ],
+    )
+    def test_field_types(self, field, bad, kind):
+        """A field of the wrong type is refused when the model is built, not
+        met later as an ``AttributeError`` inside ``predict``."""
+        with pytest.raises(ValidationError, match=f"{field}: expected {kind}, got"):
+            _model(**{field: bad})
+
+    def test_wrong_layer_among_good_ones(self, poisson_fit):
+        model, _ = poisson_fit
+        with pytest.raises(ValidationError, match="layers: expected ScaleLayer, got str"):
+            dataclasses.replace(model, layers=(*model.layers, "x"))
 
 
 class TestThreads:

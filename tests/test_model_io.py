@@ -22,6 +22,7 @@ from cfglmm import (
     save_model,
     write_dataset_csv,
 )
+from cfglmm import model_io
 from cfglmm.model_io import _TRACE_COLUMNS, CsvFormatError, ModelFormatError, read_sites_csv, write_trace_csv
 from cfglmm.data import ValidationError
 from cfglmm.experts import ScaleLayer
@@ -335,17 +336,21 @@ class TestModelRoundTrip:
         assert lines[0].split(",") == [name for name, _ in _TRACE_COLUMNS]
         assert len(lines) == 1 + len(model.loss_trace)
 
-    def test_failed_save_leaves_file_unchanged(self, fitted, tmp_path):
-        """A model that cannot be written (an infinite config value; a model
-        with a non-finite coefficient cannot be built) raises before the path
-        is opened, so an earlier model there stays as it was."""
+    def test_failed_save_leaves_file_unchanged(self, fitted, tmp_path, monkeypatch):
+        """A model whose encoding fails raises before the path is opened, so
+        an earlier model there stays as it was. A checked model always
+        encodes, so the encoder is made to fail."""
         model, _ = fitted
         file = tmp_path / "m.json"
         save_model(model, file)
         before = file.read_bytes()
-        config = dataclasses.replace(model.config, min_effective_weight=math.inf)
-        with pytest.raises(ValueError):
-            save_model(dataclasses.replace(model, config=config), file)
+
+        def fail(*args, **kwargs):
+            raise ValueError("Out of range float values are not JSON compliant")
+
+        monkeypatch.setattr(model_io.json, "dumps", fail)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_model(model, file)
         assert file.read_bytes() == before
 
     def test_negative_n_covariates_rejected(self, fitted, tmp_path):

@@ -348,12 +348,12 @@ class TestEvaluateStack:
             )
 
     def test_equal_centers_run_blocks_of_direct_calls(self, rng, spy, workers, monkeypatch):
-        """Three layers on copies of one set of centers share their blocks;
+        """Three consecutive layers on copies of one set of centers share their blocks;
         each layer still runs the blocks of a direct call, in the running
         thread's own buffers, and predict has the bits of the serial loop."""
         workers(2)
-        model = _stack_model(rng, sizes=(40, 10, 40, 25, 40), active_share=1.0)
-        cen = model.layers[0].centers
+        model = _stack_model(rng, sizes=(10, 40, 40, 40, 25), active_share=1.0)
+        cen = model.layers[1].centers
         layers = [replace(l, centers=cen.copy()) if l.n_active == 40 else l for l in model.layers]
         model = replace(model, layers=tuple(layers))
         _set_budget_to(monkeypatch, model, 256)

@@ -1,6 +1,8 @@
 import csv
 import itertools
+import math
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -216,8 +218,9 @@ class TestMultiscale:
 
     def test_groups_share_one_distance_pass(self, monkeypatch):
         """The bandwidth groups of a draw go to one kernel map, which computes
-        each row block's distances once, and the fields have the bits of one
-        map call per group."""
+        the distances of each tile pair of the training sites on themselves,
+        and of each row block of the test sites, once, and the fields have the
+        bits of one map call per group."""
         scn = SimScenario(beta0=0.5, n_train=600, n_test=300, multiscale=(3.0, 0.8, 0.3))
         monkeypatch.setattr(geometry, "_BLOCK_DOUBLES", 64 * 600)  # 64-row blocks
         real_map, real_distances = simulate._map_kernel_blocks, geometry.pairwise_distances
@@ -235,7 +238,9 @@ class TestMultiscale:
         monkeypatch.setattr(geometry, "pairwise_distances", count)
         got = gen_poisson(scn, seed=6)
         assert maps == [4, 4]  # train, then test: the covariate group and three components
-        assert sorted(passes) == sorted(b.stop - b.start for n in (600, 300) for b in geometry._chunks(n, 64))
+        tiles = geometry._chunks(600, math.isqrt(64 * 600))  # 195 rows each, the last 15
+        train = [a.stop - a.start for i, a in enumerate(tiles) for _ in tiles[i:]]
+        assert sorted(passes) == sorted(train + [b.stop - b.start for b in geometry._chunks(300, 64)])
         monkeypatch.setattr(simulate, "_map_kernel_blocks", lambda kernels: [real_map([k]) for k in kernels])
         want = gen_poisson(scn, seed=6)
         for a, b in ((got.train, want.train), (got.test, want.test)):
@@ -390,6 +395,86 @@ class TestSmoothBlocks:
         finally:
             tracemalloc.stop()
         assert peak < geometry.POOL_WORKERS * geometry._BLOCK_DOUBLES * 8 + out.nbytes + 8 * 2**20, peak
+
+
+
+class TestSymmetricSmooth:
+    """The training field, ``_smooth`` of the training sites on themselves,
+    runs in tile pairs: within the tolerances of ``_assert_smooth_close``,
+    with the same bits on any number of workers."""
+
+    @staticmethod
+    def _groups(seed: int, n: int):
+        rng = np.random.default_rng(seed)
+        return [(0.05, rng.normal(size=(n, 3))), (0.2, rng.normal(size=n)), (0.012, rng.normal(size=(n, 1)))]
+
+    @pytest.mark.parametrize("n", [40, 64, 300])
+    def test_multiscale_group_within_tolerance(self, n, monkeypatch):
+        """64-row tiles: one short tile, one full tile, four and a remainder;
+        three bandwidth groups share each tile's distances."""
+        monkeypatch.setattr(geometry, "_BLOCK_DOUBLES", 64 * 64)
+        runs = []
+        real = geometry._tile_run
+        monkeypatch.setattr(geometry, "_tile_run", lambda *args: runs.append(args[1]) or real(*args))
+        anchors = np.random.default_rng(n).random((n, 2))
+        groups = self._groups(n, n)
+        got = simulate._smooth(anchors, anchors, groups)
+        tiles = geometry._chunks(n, 64)
+        assert sum(map(len, runs)) == len(tiles) * (len(tiles) + 1) // 2
+        for field, (h, noise) in zip(got, groups, strict=True):
+            _assert_smooth_close(field, anchors, anchors, h, noise)
+
+    def test_same_bits_on_any_number_of_workers(self, monkeypatch):
+        """16-row tiles of 500 sites, 528 tile pairs in eight runs: one
+        worker, then 2 and 8 with a 1 µs switch interval."""
+        monkeypatch.setattr(geometry, "_BLOCK_DOUBLES", 16 * 16)
+        anchors = np.random.default_rng(2).random((500, 2))
+        groups = self._groups(3, 500)
+        monkeypatch.setattr(geometry, "POOL_WORKERS", 1)
+        want = simulate._smooth(anchors, anchors, groups)
+        for workers in (2, 8):
+            monkeypatch.setattr(geometry, "POOL_WORKERS", workers)
+            pool = ThreadPoolExecutor(workers, "cfglmm-chunk")
+            monkeypatch.setattr(geometry, "_POOL", pool)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for _ in range(3):
+                    for got, w in zip(simulate._smooth(anchors, anchors, groups), want, strict=True):
+                        np.testing.assert_array_equal(got, w)
+            finally:
+                sys.setswitchinterval(interval)
+                pool.shutdown(wait=True)
+
+
+class TestKnnBandwidthOnPool:
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    @pytest.mark.parametrize("n", [2, 3, 11, 1000])
+    def test_equals_one_query(self, n, workers, monkeypatch):
+        """The tree is queried in one slice of the sites per worker, on the
+        pool's threads when there are several slices, and the value has the
+        bits of one query of all the sites."""
+        pts = np.random.default_rng(n).random((n, 2))
+        k = min(10, n - 1)
+        want = float(cKDTree(pts).query(pts, k=k + 1)[0][:, 1:].mean())
+        queries = []
+
+        class Tree(cKDTree):
+            def query(self, x, *args, **kwargs):
+                queries.append((len(x), threading.current_thread().name))
+                return super().query(x, *args, **kwargs)
+
+        monkeypatch.setattr(simulate, "cKDTree", Tree)
+        monkeypatch.setattr(geometry, "POOL_WORKERS", workers)
+        pool = ThreadPoolExecutor(workers, "cfglmm-chunk")
+        monkeypatch.setattr(geometry, "_POOL", pool)
+        try:
+            assert knn_bandwidth(pts) == want
+        finally:
+            pool.shutdown(wait=True)
+        assert [q for q, _ in queries] == [sl.stop - sl.start for sl in geometry._chunks(n, -(-n // workers))]
+        if len(queries) > 1:
+            assert all(name.startswith("cfglmm-chunk") for _, name in queries), queries
 
 
 SIMULATE_ARGS = {
