@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,14 @@ def as_int(name: str, value, low: int) -> int:
     if value < low:
         raise ValidationError(f"{name} must be at least {low}, got {value}")
     return int(value)
+
+
+def as_real(name: str, value) -> float:
+    """``value`` as a plain float; a bool or a value that is not a real number
+    raises :class:`ValidationError`. Its range is the caller's to check."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def as_design_inputs(covariates, offset, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -146,6 +155,10 @@ class FitConfig:
     def __post_init__(self):
         for name, low in (("patience", 1), ("rng_seed", 0), ("max_scales", 1), ("irls_max_iter", 1)):
             object.__setattr__(self, name, as_int(name, getattr(self, name), low))
+        for name in ("train_fraction", "bandwidth_decay", "center_density", "min_effective_weight", "irls_tol"):
+            object.__setattr__(self, name, as_real(name, getattr(self, name)))
+        if self.initial_bandwidth is not None:
+            object.__setattr__(self, "initial_bandwidth", as_real("initial_bandwidth", self.initial_bandwidth))
         # the float checks read ``not x > 0`` so that NaN fails them
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")

@@ -3,23 +3,18 @@
 Placement returns the centers as a plain ``(k, 2)`` array; the bandwidth of
 a scale is an argument of the layer fit, not of its centers.
 
-Also home of the one engine of the dense kernel passes (local-expert fits,
-layer evaluations, the simulator's smooth): callers hand
-:func:`_map_kernel_blocks` their kernels as data, whose row blocks go into one
-queue of the worker pool, each block one :func:`_kernel_block`. Consecutive
-kernels with the same ``query`` object and equal ``anchors`` (layers with
-equal centers, the bandwidth groups of a multiscale draw) share one distance
-pass per row block, at the cost of one more block buffer per worker.
-
-A kernel whose ``query`` is its ``anchors`` (the same object: the simulator's
-training field, a layer fit on the distinct training sites) is symmetric, and
-is run in square tiles instead: each tile pair on or above the diagonal gets
-its distances and ``exp`` once and serves both of its row ranges
-(:func:`_tile_run`). This halves the distances and ``exp`` of the pass, and
-changes its order of summation, so its results are within ``rtol=1e-12`` of
-the dense pass, not equal to it. Its partial sums take O(n) memory and are
-added in an order fixed by n, so they too do not depend on the number of
-workers.
+Also home of the one engine of the kernel passes (local-expert fits, layer
+evaluations, the simulator's smooth): callers hand :func:`_map_kernel_blocks`
+their kernels as data; it cuts them into tiles whose runs go into one queue
+of the worker pool, and one function, :func:`_tile_run`, builds every tile
+and adds its products. A dense kernel's tiles are its row blocks against all
+of its anchors. A kernel whose ``query`` is its ``anchors`` (the same object:
+the simulator's training field, a layer fit on the distinct training sites)
+is symmetric: each tile pair on or above the diagonal serves both of its row
+ranges, which halves the distances and ``exp`` of the pass and keeps its
+results within ``rtol=1e-12`` of the dense pass. Consecutive kernels with the
+same ``query`` object and equal ``anchors`` (layers with equal centers, the
+bandwidth groups of a multiscale draw) share one distance pass per tile.
 """
 
 from __future__ import annotations
@@ -42,8 +37,7 @@ from .data import as_int, as_sites, round_half_away
 # ``taskset`` limits it), each pinned to its own CPU of that mask. Threads
 # start on first use, not at import.
 POOL_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-# ``buf``: the thread's kernel block buffer; ``dist``: its distance block
-# buffer, made for the first shared block it runs
+# ``buf``: the thread's kernel tile buffer; ``dist``: its distance tile buffer
 _THREAD = threading.local()
 
 # A kernel is cut into row blocks of about _BLOCK_DOUBLES entries (2 MB, an
@@ -93,42 +87,30 @@ def _chunks(n: int, width: int) -> list[slice]:
     return [slice(start, min(start + width, n)) for start in range(0, n, width)]
 
 
-def _pool_map(fn, items) -> list:
-    """``[fn(item) for item in items]``, on the pool when there are several items."""
-    return [fn(item) for item in items] if len(items) <= 1 else list(_POOL.map(fn, items))
-
-
-def _map_slices(fn, n: int) -> list:
-    """``fn`` of each of ``POOL_WORKERS`` consecutive slices of ``range(n)``, on the pool."""
-    return _pool_map(fn, _chunks(n, -(-n // POOL_WORKERS)))
-
-
 def _map_kernel_blocks(kernels) -> None:
     """Set ``out = exp(scale * d) @ rhs`` for every ``(query, anchors, scale,
     rhs, out)`` kernel, ``d`` the exact distances between ``query`` and
-    ``anchors``, in row blocks of about ``_BLOCK_DOUBLES`` entries of one
-    kernel, or in tile runs for a symmetric kernel.
+    ``anchors``: each ``out`` is zero-filled, and runs of tile pairs, each one
+    :func:`_tile_run`, add into it.
 
     A run of consecutive kernels with the same ``query`` object and equal
-    ``anchors`` (same shape and values) forms one group, whose blocks or
-    tiles compute their distances once for all its kernels; each kernel is
-    compared with the first of the group before it only. All units of work
-    go into one queue, largest first (a unit weighs its entries times its
-    group's kernels; ties in group and row order), and one pool task per
-    worker takes them until it is empty, so a worker that gets less CPU takes
-    fewer units and the caller waits on one task per worker, not one per
-    unit. Each kernel is built in the running thread's buffer, kept between
-    calls; a shared block keeps its distances in a second buffer of the same
-    size. With one task, everything runs on the calling thread.
+    ``anchors`` (same shape and values) forms one group, whose tiles compute
+    their distances once for all its kernels; each kernel is compared with the
+    first of the group before it only. A dense group's runs are its row blocks
+    of about ``_BLOCK_DOUBLES`` entries against all of its anchors, one tile
+    each. A group whose first ``query`` is its ``anchors`` is symmetric: its n
+    points are cut into tiles of ``isqrt(_BLOCK_DOUBLES)`` (512), and its tile
+    pairs ``I <= J``, in row order, into at most ``_SLOTS`` runs of about
+    equal length, each adding into its own partial sums of ``out``'s shape,
+    O(n) memory, added in run order; its result is within ``rtol=1e-12`` of
+    the row blocks. All runs are cut from the kernels' shapes alone, so every
+    result is the same bit for bit on any number of workers.
 
-    A group whose first ``query`` is its ``anchors`` is symmetric: its n
-    points are cut into tiles of ``isqrt(_BLOCK_DOUBLES)`` (512) from n
-    alone, and its tile pairs ``I <= J``, in row order, into at most
-    ``_SLOTS`` runs of about equal length. Each run is one unit (:func:`_tile_run`) that adds into its
-    own partial sums of ``out``'s shape, O(n) memory; they are added in run
-    order. The result is within ``rtol=1e-12`` of the row blocks and, as the
-    runs come from n alone, the same bit for bit on any number of workers.
-    Every other group keeps the row blocks, and their bits.
+    The runs go into one queue, largest first (a run weighs its entries times
+    its group's kernels; ties in group and row order), and one pool task per
+    worker takes them until it is empty, so a worker that gets less CPU takes
+    fewer runs and the caller waits on one task per worker, not one per run.
+    With one task, everything runs on the calling thread.
     """
     groups: list[list] = []
     for kernel in kernels:
@@ -136,64 +118,65 @@ def _map_kernel_blocks(kernels) -> None:
             groups[-1].append(kernel)
         else:
             groups.append([kernel])
-    units = []  # (entries, function, its arguments)
+    units = []  # (entries, group, tile pairs, one sum per kernel)
     merges = []  # (out, a partial sum of it), in the order they are added
     for group in groups:
-        n_anchors = len(group[0][1])
-        if group[0][0] is not group[0][1]:
-            blocks = _chunks(len(group[0][0]), _BLOCK_DOUBLES // max(n_anchors, 1))
-            units += [((sl.stop - sl.start) * n_anchors, _dense_block, (group, sl)) for sl in blocks]
+        query, anchors = group[0][:2]
+        outs = [out for *_, out in group]
+        for out in outs:
+            out.fill(0.0)
+        if query is not anchors:
+            cols = slice(0, len(anchors))
+            blocks = _chunks(len(query), _BLOCK_DOUBLES // max(len(anchors), 1))
+            units += [((sl.stop - sl.start) * len(anchors), group, [(sl, cols)], outs) for sl in blocks]
             continue
-        tiles = _chunks(n_anchors, math.isqrt(_BLOCK_DOUBLES))
+        tiles = _chunks(len(anchors), math.isqrt(_BLOCK_DOUBLES))
         pairs = [(a, b) for i, a in enumerate(tiles) for b in tiles[i:]]
         ends = sorted({len(pairs) * r // _SLOTS for r in range(_SLOTS + 1)})
-        sums = [[out] + [np.zeros_like(out) for _ in ends[2:]] for *_, out in group]
-        for out, *parts in sums:
-            out.fill(0.0)
-            merges += [(out, part) for part in parts]
-        for r, (start, stop) in enumerate(zip(ends, ends[1:])):
+        parts = [[np.zeros_like(out) for _ in ends[2:]] for out in outs]
+        merges += [(out, part) for out, own in zip(outs, parts) for part in own]
+        for start, stop, sums in zip(ends, ends[1:], [outs, *zip(*parts)]):
             entries = sum((a.stop - a.start) * (b.stop - b.start) for a, b in pairs[start:stop])
-            units.append((entries, _tile_run, (group, pairs[start:stop], [s[r] for s in sums])))
-    todo = collections.deque(sorted(units, key=lambda u: -u[0] * len(u[2][0])))
+            units.append((entries, group, pairs[start:stop], sums))
+    todo = collections.deque(sorted(units, key=lambda u: -u[0] * len(u[1])))
 
     def work(_) -> None:
         while True:
             try:
-                _, fn, args = todo.popleft()  # thread-safe
+                _, group, pairs, sums = todo.popleft()  # thread-safe
             except IndexError:
                 return
-            fn(*args)
+            _tile_run(group, pairs, sums)
 
-    _pool_map(work, range(min(POOL_WORKERS, len(units))))
+    tasks = range(min(POOL_WORKERS, len(units)))
+    list(map(work, tasks) if len(tasks) <= 1 else _POOL.map(work, tasks))
     for out, part in merges:
         out += part
 
 
-def _dense_block(group, sl: slice) -> None:
-    """Row block ``sl`` of a group, in the running thread's buffers."""
-    shape = (sl.stop - sl.start, len(group[0][1]))
-    k = _thread_buffer("buf", shape)
-    _kernel_block(group, sl, k if len(group) == 1 else _thread_buffer("dist", shape), k)
-
-
 def _tile_run(group, pairs, sums) -> None:
-    """Tile pairs ``(I, J)``, ``I <= J``, of a group of symmetric kernels,
-    added into ``sums``, one partial sum per kernel: each pair's distances
-    once, then for each kernel ``k = exp(scale * d)``, ``k @ rhs[J]`` into
-    rows ``I`` and, off the diagonal, ``k.T @ rhs[I]`` into rows ``J``, two
-    columns at a time (see :func:`_kernel_block`)."""
-    pts = group[0][0]
+    """Tile pairs ``(I, J)`` of a group of kernels, added into ``sums``, one
+    per kernel: each pair's distances once, in the running thread's buffers
+    (kept between calls; a lone kernel builds its tile in place), then for
+    each kernel ``k = exp(scale * d)``, ``k @ rhs[J]`` into rows ``I`` and,
+    for a symmetric group off the diagonal, ``k.T @ rhs[I]`` into rows ``J``.
+    The products go two columns at a time: OpenBLAS's SkylakeX kernels take a
+    product of up to about 1e6 multiply-adds through their small-matrix path,
+    which a tile of ``_BLOCK_DOUBLES`` entries times two columns is and times
+    four is not."""
+    query, anchors = group[0][:2]
     for a, b in pairs:
         shape = (a.stop - a.start, b.stop - b.start)
         k = _thread_buffer("buf", shape)
         d = k if len(group) == 1 else _thread_buffer("dist", shape)
-        pairwise_distances(pts[a], pts[b], out=d)
+        pairwise_distances(query[a], anchors[b], out=d)
         for (_, _, scale, rhs, _), acc in zip(group, sums):
             np.multiply(d, scale, out=k)
             np.exp(k, out=k)
             for j in range(0, rhs.shape[1], 2):
-                acc[a, j : j + 2] += k @ rhs[b, j : j + 2]
-                if a != b:
+                into = acc[a, j : j + 2]  # a view: ``+=`` on it skips a __setitem__
+                into += k @ rhs[b, j : j + 2]
+                if query is anchors and a != b:
                     acc[b, j : j + 2] += k.T @ rhs[a, j : j + 2]
 
 
@@ -205,22 +188,6 @@ def _thread_buffer(name: str, shape: tuple[int, int]) -> np.ndarray:
         buf = np.empty(size)
         setattr(_THREAD, name, buf)
     return buf[:size].reshape(shape)
-
-
-def _kernel_block(group, sl: slice, d: np.ndarray, k: np.ndarray) -> None:
-    """Rows ``sl`` of the products of a group of kernels with one ``query``
-    and ``anchors``: their distances into ``d`` once, then for each kernel
-    ``k = exp(scale * d)`` and its product. A lone kernel passes ``k`` as
-    ``d``, so its block is built in place. The product goes two columns at a
-    time: OpenBLAS's SkylakeX kernels take a product of up to about 1e6
-    multiply-adds through their small-matrix path, which a block of
-    ``_BLOCK_DOUBLES`` entries times two columns is and times four is not."""
-    pairwise_distances(group[0][0][sl], group[0][1], out=d)
-    for _, _, scale, rhs, out in group:
-        np.multiply(d, scale, out=k)
-        np.exp(k, out=k)
-        for j in range(0, rhs.shape[1], 2):
-            np.matmul(k, rhs[:, j : j + 2], out=out[sl, j : j + 2])
 
 
 def bbox_diagonal(sites) -> float:

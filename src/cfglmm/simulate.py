@@ -10,8 +10,9 @@ larger n.
 The smooth is dense, O(n_query * n_train), on the worker pool of
 :mod:`cfglmm.geometry` (see :func:`_smooth`). At the training sites the kernel
 is symmetric and each pair of sites is weighed once, which halves its cost;
-those fields are within ``rtol=1e-12`` of the dense pass. The fields do not
-depend on the number of CPUs.
+those fields are within ``rtol=1e-12`` of the dense pass. The k-d tree of the
+default bandwidth is queried on scipy's own workers. Neither depends on the
+number of CPUs.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .data import Dataset, as_int, as_sites
-from .geometry import _map_kernel_blocks, _map_slices
+from . import geometry
+from .geometry import _map_kernel_blocks
 
 MU_CAP = 1e8  # Poisson sampling overflow guard
 
@@ -49,13 +51,12 @@ def _smooth(query: np.ndarray, anchors: np.ndarray, groups) -> list[np.ndarray]:
 
     ``noise`` may hold several columns; they share one kernel. The kernel
     weights ``exp(-d/h)`` of the query against the anchors go times
-    ``[noise, 1]`` in row blocks on the pool, and the smoothed columns are
-    those products over the last, the row sums. All groups go to one
-    :func:`geometry._map_kernel_blocks` call, so each row block computes its
+    ``[noise, 1]`` in tiles on the pool, and the smoothed columns are those
+    products over the last, the row sums. All groups go to one
+    :func:`geometry._map_kernel_blocks` call, so each tile computes its
     distances once for all of them. When ``query`` is ``anchors`` (the
-    training field) the blocks are the symmetric tile pairs, each computed
-    once for both of its row ranges. No kernel larger than a block is
-    allocated.
+    training field) the tiles are the symmetric pairs, each computed once for
+    both of its row ranges. No kernel larger than a tile is allocated.
     """
     kernels = []
     for h, noise in groups:
@@ -69,15 +70,12 @@ def _smooth(query: np.ndarray, anchors: np.ndarray, groups) -> list[np.ndarray]:
 def knn_bandwidth(sites, k: int = 10) -> float:
     """Average (over sites) of the mean distance to the k nearest neighbors.
 
-    The k-d tree is queried in one slice of the sites per pool worker; a
-    site's neighbors do not depend on the slices, so neither does the value."""
+    The k-d tree is queried on ``geometry.POOL_WORKERS`` of scipy's workers; a
+    site's neighbors do not depend on them, so neither does the value."""
     pts = as_sites(sites)
-    n = len(pts)
-    if n < 2:
+    if len(pts) < 2:
         return 1.0
-    k_eff = min(k, n - 1)
-    tree = cKDTree(pts)
-    dist = np.concatenate(_map_slices(lambda sl: tree.query(pts[sl], k=k_eff + 1)[0], n))
+    dist = cKDTree(pts).query(pts, k=min(k, len(pts) - 1) + 1, workers=geometry.POOL_WORKERS)[0]
     return float(dist[:, 1:].mean())
 
 

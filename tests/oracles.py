@@ -1,11 +1,11 @@
-"""Independent reference implementations used by several test modules."""
+"""Independent reference implementations and checks used by several test modules."""
 
 import dataclasses
 import math
 
 import numpy as np
 
-from cfglmm import FitConfig, coefficient_of_variation, make_split, place_centers, wls_beta
+from cfglmm import FitConfig, coefficient_of_variation, geometry, make_split, place_centers, wls_beta
 from cfglmm.data import Dataset, as_sites
 from cfglmm.experts import (
     _VARIANCE_CAP,
@@ -136,6 +136,16 @@ def ref_pairwise_distances(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     d += dy
     np.sqrt(d, out=d)
     return d
+
+
+def tile_in_own_buffers(group, rows: slice) -> bool:
+    """Whether the running thread's kernel buffers hold the tile it built
+    last, for ``rows`` of a dense group of ``(query, anchors, scale, rhs,
+    out)`` kernels against all of their anchors: the last kernel's weights in
+    ``buf`` and, for a group of several kernels, the distances in ``dist``."""
+    d = pairwise_distances(group[0][0][rows], group[0][1])
+    held = np.array_equal(geometry._THREAD.buf[: d.size].reshape(d.shape), np.exp(group[-1][2] * d))
+    return held and (len(group) == 1 or np.array_equal(geometry._THREAD.dist[: d.size].reshape(d.shape), d))
 
 
 def ref_lattice_means(points: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:

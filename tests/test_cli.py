@@ -338,10 +338,12 @@ class TestPredictCommand:
             lambda doc: doc["layers"][0].__setitem__("weight_power", 2.0),
             lambda doc: doc["layers"][0].__setitem__("weight_power", 2),
             lambda doc: doc["config"].__setitem__("aggregation_weight_power", 2),
+            lambda doc: doc["config"].__setitem__("center_density", True),
         ],
         ids=["null_trace_scale", "null_expert_mu", "zero_sigma2", "nan_sigma2", "active_2",
              "float_rng_seed", "bool_patience", "negative_n_sites", "negative_n_covariates",
-             "bool_n_covariates", "float_weight_power", "weight_power_2", "aggregation_weight_power_2"],
+             "bool_n_covariates", "float_weight_power", "weight_power_2", "aggregation_weight_power_2",
+             "bool_center_density"],
     )
     def test_schema_fault_exit_3(self, fitted_files, tmp_path, capsys, corrupt):
         sim_prefix, model_path, _ = fitted_files

@@ -188,6 +188,12 @@ class TestFitConfig:
             {"center_density": math.inf},
             {"min_effective_weight": math.inf},
             {"irls_tol": math.inf},
+            {"center_density": True},
+            {"initial_bandwidth": True},
+            {"irls_tol": True},
+            {"min_effective_weight": False},
+            {"center_density": "2"},
+            {"train_fraction": None},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -199,6 +205,12 @@ class TestFitConfig:
         """An infinite value would make a model whose config is not strict JSON."""
         with pytest.raises(ValueError, match=f"{field} must be finite and {what}"):
             FitConfig(**{field: math.inf})
+
+    @pytest.mark.parametrize("field,value", [("center_density", True), ("irls_tol", "2"), ("initial_bandwidth", [1.0])])
+    def test_non_real_values_name_the_field(self, field, value):
+        """A bool would be saved as ``true``; a string or a list used to escape as a bare TypeError."""
+        with pytest.raises(ValidationError, match=f"{field} must be a real number"):
+            FitConfig(**{field: value})
 
     def test_numpy_integers_stored_as_int(self):
         cfg = FitConfig(rng_seed=np.int64(3), patience=np.int32(2))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import grid_poe_moments, ref_evaluate_layer, ref_fit_layer
+from oracles import grid_poe_moments, ref_evaluate_layer, ref_fit_layer, tile_in_own_buffers
 
 from cfglmm import (
     FitConfig,
@@ -410,18 +410,21 @@ def _row_blocks(rows: int, cols: int) -> list[slice]:
 
 def _record_blocks(monkeypatch) -> list[tuple[int, slice, str, bool]]:
     """Record every kernel block run, one record per kernel of a shared block:
-    (columns, block, thread that ran the block, whether the block's buffers
-    are the running thread's own)."""
+    (columns, block, thread that ran the block, whether the block was built
+    in the running thread's own buffers). Each run must be one row block
+    against all of its group's anchors."""
     calls = []
-    real = geometry._kernel_block
+    real = geometry._tile_run
 
-    def spy(group, sl, d, k):
-        own = np.shares_memory(k, geometry._THREAD.buf) and (d is k or np.shares_memory(d, geometry._THREAD.dist))
+    def spy(group, pairs, sums):
+        (sl, cols), = pairs
+        assert cols == slice(0, len(group[0][1]))
+        real(group, pairs, sums)
+        own = tile_in_own_buffers(group, sl)
         for kernel in group:
             calls.append((len(kernel[1]), sl, threading.current_thread().name, own))
-        real(group, sl, d, k)
 
-    monkeypatch.setattr(geometry, "_kernel_block", spy)
+    monkeypatch.setattr(geometry, "_tile_run", spy)
     return calls
 
 
@@ -660,14 +663,21 @@ class TestKernelBlocks:
         shape and fills its rows of the product."""
         monkeypatch.setattr(geometry, "_BLOCK_DOUBLES", block)
         blocks = []
-        real = geometry._kernel_block
+        real, real_distances = geometry._tile_run, geometry.pairwise_distances
 
-        def record(group, sl, d, k):
-            assert k.shape == (sl.stop - sl.start, cols) and d is k
+        def record(group, pairs, sums):
+            (sl, anchors), = pairs
+            assert anchors == slice(0, cols)
             blocks.append(sl)
-            real(group, sl, d, k)
+            real(group, pairs, sums)
+            assert tile_in_own_buffers(group, sl)
 
-        monkeypatch.setattr(geometry, "_kernel_block", record)
+        def in_place(a, b, out):  # a lone kernel's distances go into its block's buffer
+            assert out.shape == (len(a), cols) and (out.size == 0 or np.shares_memory(out, geometry._THREAD.buf))
+            return real_distances(a, b, out=out)
+
+        monkeypatch.setattr(geometry, "_tile_run", record)
+        monkeypatch.setattr(geometry, "pairwise_distances", in_place)
         out = np.full((rows, 1), -1.0)
         geometry._map_kernel_blocks([(np.zeros((rows, 2)), np.zeros((cols, 2)), -1.0, np.ones((cols, 1)), out)])
         assert (out == cols).all()  # zero distances: each row sums ``cols`` ones

@@ -371,15 +371,17 @@ def two_workers(monkeypatch):
 
 def _map_with(block, rows: int) -> None:
     """``_map_kernel_blocks`` on a ``rows`` by 1 kernel with ``block(group,
-    sl, buf)`` run before each of its row blocks, ``buf`` the kernel's block."""
-    real = geometry._kernel_block
+    rows, cols)`` run before each of its tile runs, ``rows`` and ``cols`` the
+    run's one tile."""
+    real = geometry._tile_run
 
-    def spy(group, sl, d, k):
-        block(group, sl, k)
-        real(group, sl, d, k)
+    def spy(group, pairs, sums):
+        (sl, cols), = pairs
+        block(group, sl, cols)
+        real(group, pairs, sums)
 
     kernel = (np.zeros((rows, 2)), np.zeros((1, 2)), -1.0, np.ones((1, 1)), np.empty((rows, 1)))
-    with mock.patch.object(geometry, "_kernel_block", spy):
+    with mock.patch.object(geometry, "_tile_run", spy):
         geometry._map_kernel_blocks([kernel])
 
 
@@ -387,8 +389,8 @@ def _block_threads(rows: int) -> list[str]:
     """The thread that ran each one-row block of a ``rows`` by 1 kernel, in row order."""
     names = [""] * rows
 
-    def record(group, sl, buf):
-        assert buf.shape == (1, 1)
+    def record(group, sl, cols):
+        assert (sl.stop - sl.start, cols) == (1, slice(0, 1))
         names[sl.start] = threading.current_thread().name
 
     _map_with(record, rows)
@@ -426,7 +428,7 @@ class TestChunkMap:
         barrier = threading.Barrier(geometry.POOL_WORKERS)
         got = []
 
-        def affinity(group, sl, buf):
+        def affinity(group, sl, cols):
             barrier.wait(timeout=30)  # every worker holds one block
             got.append(frozenset(os.sched_getaffinity(0)))
 
@@ -451,7 +453,7 @@ class TestChunkMap:
         assert os.sched_getaffinity(0) == set(cpus)  # the caller is never pinned
 
     def test_error_of_a_chunk_reaches_the_caller(self, two_workers):
-        def fail_at_two(group, sl, buf):
+        def fail_at_two(group, sl, cols):
             if sl.start == 2:
                 raise KeyError(sl.start)
 
@@ -555,15 +557,19 @@ class TestSymmetricTiles:
         assert peak < (geometry._SLOTS + 2) * kernel[4].nbytes + 4 * 2**20, peak
 
     def test_a_copy_of_the_query_keeps_the_row_blocks(self, monkeypatch):
-        """Anchors equal to the query but another object: the dense row blocks,
-        whose bits are those of the rows computed one block at a time."""
+        """Anchors equal to the query but another object: 64-row blocks, each
+        run one block against all the anchors. ``out``, filled with NaN
+        beforehand, gets the bits of the rows computed one block at a time, so
+        it was zero-filled and no transposed product added into it."""
+        monkeypatch.setattr(geometry, "_BLOCK_DOUBLES", 64 * 300)
         runs = _tile_pairs(monkeypatch)
         (pts, _, scale, rhs, out), = _symmetric_kernels(300, (-20.0,))
         _map_kernel_blocks([(pts, pts.copy(), scale, rhs, out)])
-        assert runs == []
-        k = np.exp(scale * pairwise_distances(pts, pts))
-        want = np.column_stack([k @ rhs[:, :2], k @ rhs[:, 2:]])
-        assert np.array_equal(out, want)
+        blocks = _chunks(300, 64)
+        assert sorted(runs, key=lambda run: run[0][0].start) == [[(sl, slice(0, 300))] for sl in blocks]
+        for sl in blocks:
+            k = np.exp(scale * pairwise_distances(pts[sl], pts))
+            assert np.array_equal(out[sl], np.column_stack([k @ rhs[:, :2], k @ rhs[:, 2:]]))
 
 
 class TestKernelGroups:

@@ -289,6 +289,7 @@ class TestModelRoundTrip:
             (("layers", 1, "experts", 0, 0), math.inf, "model layer 1: non-finite coordinate"),
             (("layers", 0, "bandwidth"), math.nan, "model layer 0: .*bandwidth"),
             (("layers", 0, "tau2"), 0.0, "model layer 0: .*tau2"),
+            (("config", "center_density"), True, "center_density must be a real number"),
         ],
     )
     def test_schema_fault_rejected(self, fitted, tmp_path, path, value, match):

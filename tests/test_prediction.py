@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import gaussian_spatial_dataset, ref_band_values, ref_predict
+from oracles import gaussian_spatial_dataset, ref_band_values, ref_predict, tile_in_own_buffers
 
 from cfglmm import (
     Dataset,
@@ -229,7 +229,7 @@ class _Spy:
     def __init__(self, real, delay=0.0, fail_on=None, error=None, slow_on=None, slow_delay=0.0):
         self.real, self.delay, self.fail_on, self.error = real, delay, fail_on, error
         self.slow_on, self.slow_delay = slow_on, slow_delay
-        self.real_block = geometry._kernel_block
+        self.real_block = geometry._tile_run
         self.lock = threading.Lock()
         self.in_flight = collections.Counter()
         self.peak_layers = 0
@@ -251,15 +251,13 @@ class _Spy:
         self.groups.append([len(anchors) for _, anchors, *_ in kernels])
         return self.real(kernels)
 
-    def block(self, group, sl, d, k):
+    def block(self, group, pairs, sums):
+        (sl, _), = pairs
         cols = len(group[0][1])
         with self.lock:
             self.shared.append(len(group))
             for _ in group:
                 self.runs.append((cols, sl, threading.current_thread().name))
-                self.own.append(
-                    np.shares_memory(k, geometry._THREAD.buf) and (d is k or np.shares_memory(d, geometry._THREAD.dist))
-                )
             self.in_flight[cols] += 1
             self.peak_layers = max(self.peak_layers, sum(1 for v in self.in_flight.values() if v))
         try:
@@ -267,7 +265,10 @@ class _Spy:
             time.sleep(self.slow_delay if slow else self.delay)
             if self.fail_on is not None and cols == self.fail_on.n_active:
                 raise self.error
-            self.real_block(group, sl, d, k)
+            self.real_block(group, pairs, sums)
+            own = tile_in_own_buffers(group, sl)
+            with self.lock:
+                self.own += [own] * len(group)
         finally:
             with self.lock:
                 self.in_flight[cols] -= 1
@@ -278,7 +279,7 @@ def spy(monkeypatch):
     def install(**kw):
         s = _Spy(experts._map_kernel_blocks, **kw)
         monkeypatch.setattr(experts, "_map_kernel_blocks", s)
-        monkeypatch.setattr(geometry, "_kernel_block", s.block)
+        monkeypatch.setattr(geometry, "_tile_run", s.block)
         return s
 
     return install
@@ -366,7 +367,7 @@ class TestEvaluateStack:
         assert sorted((c, b.start, b.stop) for c, b, _ in s.runs) == sorted((c, b.start, b.stop) for c, b in blocks)
         n_shared = sum(c == 40 for c, _ in blocks) // 3
         assert sorted(s.shared) == [1] * (len(blocks) - 3 * n_shared) + [3] * n_shared
-        assert all(s.own)
+        assert len(s.own) == len(s.runs) and all(s.own)
 
     def test_within_budget_layers_run_on_pool(self, rng, spy, workers, monkeypatch):
         workers(2)
@@ -383,7 +384,7 @@ class TestEvaluateStack:
         assert len(s.runs) > 2 * len(model.layers)  # layers of several blocks
         assert all(name.startswith("cfglmm-chunk") for *_, name in s.runs), s.runs
         assert len({name for *_, name in s.runs}) == 2
-        assert all(s.own)  # each block in the buffer of the thread that took it
+        assert len(s.own) == len(s.runs) and all(s.own)  # each block in the buffer of the thread that took it
 
     def test_over_budget_one_layer_at_a_time(self, rng, spy, workers, monkeypatch):
         workers(2)

@@ -2,7 +2,6 @@ import csv
 import itertools
 import math
 import sys
-import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -451,9 +450,9 @@ class TestKnnBandwidthOnPool:
     @pytest.mark.parametrize("workers", [1, 2, 8])
     @pytest.mark.parametrize("n", [2, 3, 11, 1000])
     def test_equals_one_query(self, n, workers, monkeypatch):
-        """The tree is queried in one slice of the sites per worker, on the
-        pool's threads when there are several slices, and the value has the
-        bits of one query of all the sites."""
+        """The tree is queried once for all the sites on ``POOL_WORKERS`` of
+        scipy's workers, read at call time, and the value has the bits of one
+        query on one thread."""
         pts = np.random.default_rng(n).random((n, 2))
         k = min(10, n - 1)
         want = float(cKDTree(pts).query(pts, k=k + 1)[0][:, 1:].mean())
@@ -461,20 +460,13 @@ class TestKnnBandwidthOnPool:
 
         class Tree(cKDTree):
             def query(self, x, *args, **kwargs):
-                queries.append((len(x), threading.current_thread().name))
+                queries.append((len(x), kwargs.get("workers")))
                 return super().query(x, *args, **kwargs)
 
         monkeypatch.setattr(simulate, "cKDTree", Tree)
         monkeypatch.setattr(geometry, "POOL_WORKERS", workers)
-        pool = ThreadPoolExecutor(workers, "cfglmm-chunk")
-        monkeypatch.setattr(geometry, "_POOL", pool)
-        try:
-            assert knn_bandwidth(pts) == want
-        finally:
-            pool.shutdown(wait=True)
-        assert [q for q, _ in queries] == [sl.stop - sl.start for sl in geometry._chunks(n, -(-n // workers))]
-        if len(queries) > 1:
-            assert all(name.startswith("cfglmm-chunk") for _, name in queries), queries
+        assert knn_bandwidth(pts) == want
+        assert queries == [(n, workers)]
 
 
 SIMULATE_ARGS = {
