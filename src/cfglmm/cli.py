@@ -1,7 +1,8 @@
 """Command-line interface: fit, predict, decompose, simulate, benchmark.
 
-Exit codes: 0 success, 2 argument/CSV parse error, 3 validation error,
-4 fit error. All paths are deterministic for a fixed ``--seed``.
+Exit codes: 0 success, 2 argument/CSV parse error or a file that cannot be
+read or written, 3 validation error, 4 fit error. All paths are
+deterministic for a fixed ``--seed``.
 """
 
 from __future__ import annotations
@@ -250,6 +251,10 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (CsvFormatError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except OSError as exc:  # a file that cannot be read or written, named as _read_table names a CSV
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ValidationError, ModelFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,15 +2,23 @@
 
 CSV header grammar: ``x,y[,response][,offset][,cov_1..cov_K]``. ``response``
 is required for a dataset CSV (``fit``) and ignored in a sites CSV
-(``predict``, ``decompose``). Numeric output uses
-12 significant digits; model JSON keeps full float precision so that a
-save/load round trip reproduces predictions bit-exactly. Model files are strict
-JSON: a non-finite loss in the trace (an unfittable scale) is written as
-``null`` and read back as NaN.
+(``predict``, ``decompose``). Numeric output uses 12 significant digits.
+
+Model files are one line of strict JSON. Format 2, the one written, stores
+each layer's arrays as base64 strings of their float64 bytes, little-endian
+(``<f8``) on every machine, so a save/load round trip reproduces predictions
+bit-exactly, ``-0.0`` and subnormals included. Each distinct center set is
+stored once, in the top-level ``center_sets`` list as row-major ``x, y``
+pairs; a layer is ``{"bandwidth", "tau2", "centers": <index into
+center_sets>, "mu", "sigma2"}``, so the capped layers of a fit, which place
+every training site, share one entry. Format 1, whose layers hold expert rows
+``[x, y, mu, sigma2, active]`` as JSON numbers, still loads. A non-finite loss
+in the trace (an unfittable scale) is written as ``null`` and read back as NaN.
 """
 
 from __future__ import annotations
 
+import base64
 import csv
 import dataclasses
 import json
@@ -23,7 +31,10 @@ from .experts import ScaleLayer
 from .learner import CfModel, ScaleRecord
 from .families import get_family
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
+
+# the byte order of every array in a format-2 file, whatever the machine's
+_F8 = np.dtype("<f8")
 
 _NUM_FMT = "%.12g"
 
@@ -42,6 +53,17 @@ class ModelFormatError(ValueError):
 
 def save_model(model: CfModel, path) -> None:
     """Write a model as one line of strict JSON that :func:`load_model` reads back bit for bit."""
+    center_sets: dict[bytes, int] = {}  # a center set's bytes -> its index
+    layers = [
+        {
+            "bandwidth": layer.bandwidth,
+            "tau2": layer.tau2,
+            "centers": center_sets.setdefault(_bytes(layer.centers), len(center_sets)),
+            "mu": _b64(_bytes(layer.mu)),
+            "sigma2": _b64(_bytes(layer.sigma2)),
+        }
+        for layer in model.layers
+    ]
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "family": model.family.tag,
@@ -51,17 +73,8 @@ def save_model(model: CfModel, path) -> None:
         "beta": [float(b) for b in model.beta],
         "initial_deviance": model.initial_deviance,
         "validation_deviance": model.validation_deviance,
-        "layers": [
-            {
-                "bandwidth": layer.bandwidth,
-                "tau2": layer.tau2,
-                "experts": [
-                    [*c, m, s2, True]
-                    for c, m, s2 in zip(*(v.tolist() for v in (layer.centers, layer.mu, layer.sigma2)))
-                ],
-            }
-            for layer in model.layers
-        ],
+        "center_sets": [_b64(raw) for raw in center_sets],
+        "layers": layers,
         "loss_trace": [
             [None if isinstance(v, float) and not math.isfinite(v) else v for v in dataclasses.astuple(r)]
             for r in model.loss_trace
@@ -70,6 +83,27 @@ def save_model(model: CfModel, path) -> None:
     text = json.dumps(doc, allow_nan=False) + "\n"  # one line (json's C encoder), before the path opens
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def _bytes(values: np.ndarray) -> bytes:
+    return np.ascontiguousarray(values, _F8).tobytes()
+
+
+def _b64(raw: bytes) -> str:
+    return base64.b64encode(raw).decode("ascii")
+
+
+def _doubles(text, what: str, width: int) -> np.ndarray:
+    """The doubles of a base64 string, ``width // 8`` to a row."""
+    if not isinstance(text, str):
+        raise ModelFormatError(f"{what} must be a base64 string, got {type(text).__name__}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:  # binascii.Error, or a non-ASCII character
+        raise ModelFormatError(f"{what} is not valid base64") from None
+    if len(raw) % width:
+        raise ModelFormatError(f"{what} holds {len(raw)} bytes, not a multiple of {width}")
+    return np.frombuffer(raw, _F8).reshape(-1, width // 8)
 
 
 def _number(value, what: str) -> float:
@@ -128,10 +162,8 @@ def _power_one(value, what: str) -> None:
         raise ModelFormatError(f"{what} must be 1, got {value!r}")
 
 
-def _layer(entry, index: int) -> ScaleLayer:
-    """A layer of the rows flagged active; older files may hold rows flagged 0."""
-    if not isinstance(entry, dict):
-        raise ModelFormatError("model layer is not a JSON object")
+def _layer_v1(entry: dict, index: int):
+    """The arrays of a format-1 layer's rows flagged active; older files may hold rows flagged 0."""
     shape_error = "layer experts must be rows of [x, y, mu, sigma2, active]"
     try:
         experts = np.asarray(_require(entry, "experts", list), dtype=float)
@@ -145,11 +177,35 @@ def _layer(entry, index: int) -> ScaleLayer:
         raise ModelFormatError(f"model layer {index} has no active expert")
     _power_one(entry.get("weight_power", 1), "layer weight_power")
     active = experts[experts[:, 4] != 0.0]
-    bandwidth, tau2 = (_number(_require(entry, key, None), f"layer {key}") for key in ("bandwidth", "tau2"))
-    try:
-        return ScaleLayer(bandwidth, active[:, 0:2], active[:, 2], active[:, 3], tau2)
-    except ValidationError as exc:
-        raise ModelFormatError(f"model layer {index}: {exc}") from None
+    return active[:, 0:2], active[:, 2], active[:, 3]
+
+
+def _layer_v2(entry: dict, index: int, center_sets: list[np.ndarray]):
+    """The arrays of a format-2 layer: the center set it indexes, its ``mu``
+    and ``sigma2``; ``ScaleLayer`` checks that these hold one value per center."""
+    j = _require(entry, "centers", None)
+    if isinstance(j, bool) or not isinstance(j, int) or not 0 <= j < len(center_sets):
+        raise ModelFormatError(f"model layer {index} centers must index center_sets, got {j!r}")
+    mu, sigma2 = (_doubles(_require(entry, key, None), f"model layer {index} {key}", 8) for key in ("mu", "sigma2"))
+    return center_sets[j], mu, sigma2
+
+
+def _layers(doc: dict, version: int) -> list[ScaleLayer]:
+    center_sets = None
+    if version == 2:
+        sets = enumerate(_require(doc, "center_sets", list))
+        center_sets = [_doubles(text, f"center set {j}", 16) for j, text in sets]
+    layers = []
+    for index, entry in enumerate(_require(doc, "layers", list)):
+        if not isinstance(entry, dict):
+            raise ModelFormatError("model layer is not a JSON object")
+        arrays = _layer_v1(entry, index) if center_sets is None else _layer_v2(entry, index, center_sets)
+        bandwidth, tau2 = (_number(_require(entry, key, None), f"layer {key}") for key in ("bandwidth", "tau2"))
+        try:
+            layers.append(ScaleLayer(bandwidth, *arrays, tau2))
+        except ValidationError as exc:
+            raise ModelFormatError(f"model layer {index}: {exc}") from None
+    return layers
 
 
 def _require(doc: dict, key: str, kind) -> object:
@@ -173,7 +229,7 @@ def load_model(path) -> CfModel:
     if not isinstance(doc, dict):
         raise ModelFormatError("model file is not a JSON object")
     version = _integer(_require(doc, "format_version", None), "format_version")
-    if version != MODEL_FORMAT_VERSION:
+    if version not in (1, MODEL_FORMAT_VERSION):
         raise ModelFormatError(f"unsupported model format version {version}")
     try:
         family = get_family(_require(doc, "family", str))
@@ -188,7 +244,7 @@ def load_model(path) -> CfModel:
     try:
         return CfModel(
             beta=[_number(b, "beta") for b in _require(doc, "beta", list)],
-            layers=[_layer(entry, i) for i, entry in enumerate(_require(doc, "layers", list))],
+            layers=_layers(doc, version),
             family=family,
             loss_trace=[_trace_record(row) for row in _require(doc, "loss_trace", list)],
             config=config,

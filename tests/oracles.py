@@ -1,7 +1,9 @@
 """Independent reference implementations and checks used by several test modules."""
 
+import base64
 import dataclasses
 import math
+import struct
 
 import numpy as np
 
@@ -323,9 +325,9 @@ def ref_band_values(model, sites, band_edges) -> np.ndarray:
 
 
 def ref_model_doc(model) -> dict:
-    """The JSON document ``save_model`` writes for a model, built value by
-    value with ``float()`` as the indented writer did; every expert row is
-    flagged active."""
+    """The format-1 JSON document earlier writers of ``save_model`` wrote for
+    a model, built value by value with ``float()`` as the indented writer did;
+    every expert row is flagged active."""
 
     def loss_doc(loss: float) -> float | None:
         return float(loss) if math.isfinite(loss) else None
@@ -355,3 +357,26 @@ def ref_model_doc(model) -> dict:
             for r in model.loss_trace
         ],
     }
+
+
+def ref_b64(values) -> str:
+    """Base64 of ``values`` packed one by one with ``struct`` as little-endian doubles."""
+    values = [float(v) for v in values]
+    return base64.b64encode(struct.pack("<%dd" % len(values), *values)).decode("ascii")
+
+
+def ref_model_doc_v2(model) -> dict:
+    """The format-2 JSON document ``save_model`` writes for a model, built
+    value by value: each array as :func:`ref_b64`, centers as row-major
+    ``x, y`` pairs. Each distinct center set is listed once, in order of
+    first use."""
+    doc = ref_model_doc(model)
+    center_sets: list[str] = []
+    for entry, layer in zip(doc["layers"], model.layers, strict=True):
+        centers = ref_b64(c for pair in layer.centers for c in pair)
+        if centers not in center_sets:
+            center_sets.append(centers)
+        del entry["experts"]
+        entry.update(centers=center_sets.index(centers), mu=ref_b64(layer.mu), sigma2=ref_b64(layer.sigma2))
+    doc.update(format_version=2, center_sets=center_sets)
+    return doc

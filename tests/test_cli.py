@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import filecmp
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from cfglmm.cli import main
 from cfglmm import FitConfig, SimScenario, decompose, generate, load_model, predict, run_experiment
 from cfglmm.model_io import read_sites_csv
+from oracles import ref_model_doc
 
 
 def _read_csv(path):
@@ -43,6 +45,11 @@ def sim_files(tmp_path_factory):
     )
     assert code == 0
     return prefix
+
+
+def _format1_doc(model_path) -> dict:
+    """The format-1 document of the model saved at ``model_path``."""
+    return ref_model_doc(load_model(model_path))
 
 
 def _nan_covariate_sites(sim_prefix, tmp_path) -> str:
@@ -184,6 +191,15 @@ class TestFitCommand:
         assert main(["fit", "--data", f"{sim_files}_train.csv", "--family", "poisson", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["config"] == dataclasses.asdict(FitConfig())
 
+    def test_directory_out_exit_2(self, sim_files, tmp_path, capsys):
+        """A model path that cannot be written exits 2 with the path named
+        (after the fit); the directory is left as it was."""
+        code = main(["fit", "--data", f"{sim_files}_train.csv", "--family", "poisson", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {tmp_path}: Is a directory\n"
+        assert not list(tmp_path.iterdir())
+
     def test_deterministic_model_file(self, sim_files, tmp_path):
         a = str(tmp_path / "a.json")
         b = str(tmp_path / "b.json")
@@ -295,7 +311,7 @@ class TestPredictCommand:
 
     def test_layer_without_experts_exit_3(self, fitted_files, tmp_path, capsys):
         sim_prefix, model_path, _ = fitted_files
-        doc = json.loads(Path(model_path).read_text())
+        doc = _format1_doc(model_path)
         assert doc["layers"]
         del doc["layers"][0]["experts"]
         bad = tmp_path / "bad.json"
@@ -309,7 +325,7 @@ class TestPredictCommand:
 
     def test_layer_without_active_expert_exit_3(self, fitted_files, tmp_path, capsys):
         sim_prefix, model_path, _ = fitted_files
-        doc = json.loads(Path(model_path).read_text())
+        doc = _format1_doc(model_path)
         for row in doc["layers"][0]["experts"]:
             row[4] = 0
         bad = tmp_path / "bad.json"
@@ -346,8 +362,9 @@ class TestPredictCommand:
              "bool_center_density"],
     )
     def test_schema_fault_exit_3(self, fitted_files, tmp_path, capsys, corrupt):
+        """Each fault on the format-1 document of the fitted model."""
         sim_prefix, model_path, _ = fitted_files
-        doc = json.loads(Path(model_path).read_text())
+        doc = _format1_doc(model_path)
         corrupt(doc)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -357,6 +374,52 @@ class TestPredictCommand:
         assert code == 3
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "corrupt,match",
+        [
+            (lambda doc: doc["layers"][0].update(mu="not base64!"), "model layer 0 mu is not valid base64"),
+            (lambda doc: doc["center_sets"].__setitem__(0, "QUJD"), "center set 0 holds 3 bytes"),
+            (lambda doc: doc["layers"][0].update(sigma2=""), "model layer 0: length mismatch: 0 sigma2 values"),
+            (lambda doc: doc["layers"][1].update(centers=True), "model layer 1 centers must index"),
+            (lambda doc: doc["layers"][1].update(centers=len(doc["center_sets"])), "model layer 1 centers must index"),
+            (lambda doc: doc.pop("center_sets"), "center_sets"),
+        ],
+        ids=["bad_base64", "center_bytes", "empty_sigma2", "bool_index", "index_past_end", "no_center_sets"],
+    )
+    def test_format2_schema_fault_exit_3(self, fitted_files, tmp_path, capsys, corrupt, match):
+        """Faults of the format-2 arrays of the written file, for predict and decompose."""
+        sim_prefix, model_path, _ = fitted_files
+        doc = json.loads(Path(model_path).read_text())
+        assert doc["format_version"] == 2
+        corrupt(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        for cmd in ("predict", "decompose"):
+            out = tmp_path / f"{cmd}.csv"
+            code = main([cmd, "--model", str(bad), "--sites", f"{sim_prefix}_test.csv", "--out", str(out)])
+            err = capsys.readouterr().err
+            assert code == 3
+            assert err.startswith("error: ") and re.search(match, err)
+            assert "Traceback" not in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("cmd", ["predict", "decompose"])
+    def test_missing_model_file_exit_2(self, fitted_files, tmp_path, capsys, cmd):
+        sim_prefix, _, _ = fitted_files
+        missing = tmp_path / "missing.json"
+        code = main([cmd, "--model", str(missing), "--sites", f"{sim_prefix}_test.csv",
+                     "--out", str(tmp_path / "p.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {missing}: No such file or directory\n"
+
+    def test_directory_out_exit_2(self, fitted_files, tmp_path, capsys):
+        sim_prefix, model_path, _ = fitted_files
+        code = main(["predict", "--model", model_path, "--sites", f"{sim_prefix}_test.csv", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {tmp_path}: Is a directory\n"
 
 
 class TestDecomposeCommand:

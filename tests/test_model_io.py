@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import json
 import math
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import ref_model_doc, ref_predict
+from oracles import ref_b64, ref_model_doc, ref_model_doc_v2, ref_predict
 
 from cfglmm import (
     BERNOULLI,
@@ -32,6 +33,9 @@ from cfglmm.simulate import SimScenario, gen_poisson
 # A model file of an earlier writer whose layers still held inactive experts,
 # with that writer's predictions; its "about" field says how it was made.
 OLDER_WRITER_FIXTURE = Path(__file__).parent / "data" / "format1_inactive_experts.json"
+# A format-1 model file whose finest layers are capped (each places every
+# training site), written by the last format-1 writer, with its predictions.
+CAPPED_FIXTURE = Path(__file__).parent / "data" / "format1_capped.json"
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +43,34 @@ def fitted(tmp_path_factory):
     sim = gen_poisson(SimScenario(beta0=0.5, n_train=400, n_test=100), seed=8)
     model = fit_cf(sim.train, FitConfig(rng_seed=8))
     return model, sim
+
+
+def _saved_doc(model, tmp_path) -> dict:
+    """The document ``save_model`` writes for ``model``."""
+    path = tmp_path / "saved.json"
+    save_model(model, path)
+    return json.loads(path.read_text())
+
+
+def _faulty_file(tmp_path, doc: dict, path: tuple, value) -> Path:
+    """``doc`` with the value at ``path`` set to ``value``, written to a file."""
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    file = tmp_path / "m.json"
+    file.write_text(json.dumps(doc))
+    return file
+
+
+def _assert_layers_equal(got, want):
+    """Each field of each layer equal, type and bits."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want, strict=True):
+        for field in dataclasses.fields(ScaleLayer):
+            x, y = getattr(a, field.name), getattr(b, field.name)
+            assert type(x) is type(y), field.name
+            np.testing.assert_array_equal(x, y, err_msg=field.name, strict=True)
 
 
 def _assert_fit_split(loaded, sim):
@@ -82,11 +114,7 @@ class TestModelRoundTrip:
         save_model(model, path)
         loaded = load_model(path)
         assert len(model.layers) >= 1
-        for fit, back in zip(model.layers, loaded.layers, strict=True):
-            for field in dataclasses.fields(ScaleLayer):
-                a, b = getattr(fit, field.name), getattr(back, field.name)
-                assert type(a) is type(b), field.name
-                np.testing.assert_array_equal(a, b, err_msg=field.name, strict=True)
+        _assert_layers_equal(loaded.layers, model.layers)
 
     def test_split_rebuilt_from_seed(self, fitted, tmp_path):
         model, sim = fitted
@@ -208,16 +236,52 @@ class TestModelRoundTrip:
         np.testing.assert_array_equal(
             predict(loaded, sites, sim.test.covariates).mu, predict(model, sites, sim.test.covariates).mu
         )
-        assert doc == ref_model_doc(model)
+        assert doc == ref_model_doc_v2(model)
 
     def test_document_unchanged(self, fitted, tmp_path):
-        """The file holds the document of the value-by-value builder, on one line."""
+        """The file holds the format-2 document of the value-by-value builder, on one line."""
         model, _ = fitted
         path = tmp_path / "m.json"
         save_model(model, path)
         text = path.read_text()
-        assert json.loads(text) == ref_model_doc(model)
+        doc = json.loads(text)
+        assert doc == ref_model_doc_v2(model)
+        assert doc["format_version"] == 2 and len(doc["center_sets"]) < len(model.layers)
         assert text.endswith("}\n") and text.count("\n") == 1
+
+    def test_format1_document_loads_bit_exact(self, fitted, tmp_path):
+        """The one-line format-1 document of the same model loads to equal layers."""
+        model, _ = fitted
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(ref_model_doc(model), allow_nan=False) + "\n")
+        loaded = load_model(path)
+        _assert_layers_equal(loaded.layers, model.layers)
+        assert loaded.loss_trace == model.loss_trace and loaded.config == model.config
+
+    def test_negative_zero_and_subnormals_keep_their_bits(self, tmp_path):
+        """Format 2 stores the raw bytes: ``-0.0`` and subnormals come back as
+        they were, and center sets equal by value but not by bits (``0.0``
+        against ``-0.0``) are stored apart, while equal ones are stored once."""
+        tiny = np.nextafter(0.0, 1.0)  # the smallest subnormal
+        plus = np.array([[0.0, 0.25], [tiny, -3.5]])
+        minus = np.array([[-0.0, 0.25], [-tiny, -3.5]])
+        layers = tuple(
+            ScaleLayer(h, centers, np.array([-0.0, tiny]), np.array([tiny, 2.0]), 0.5)
+            for h, centers in ((1.0, plus), (0.5, minus), (0.25, plus))
+        )
+        model = CfModel(
+            beta=np.array([-0.0]), layers=layers, family=POISSON, loss_trace=(), config=FitConfig(),
+            initial_deviance=1.0, validation_deviance=1.0, n_sites=0, n_covariates=0,
+        )
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        assert [entry["centers"] for entry in doc["layers"]] == [0, 1, 0]
+        loaded = load_model(path)
+        for a, b in zip(loaded.layers, model.layers, strict=True):
+            for f in ("centers", "mu", "sigma2"):
+                np.testing.assert_array_equal(getattr(a, f).view(np.uint64), getattr(b, f).view(np.uint64), err_msg=f)
+        assert np.signbit(loaded.beta[0])
 
     def test_indented_file_loads_bit_exact(self, fitted, tmp_path, rng):
         """A file in the earlier indented layout loads and predicts bit for bit."""
@@ -234,16 +298,22 @@ class TestModelRoundTrip:
             np.testing.assert_array_equal(getattr(got, f), getattr(want, f), err_msg=f)
         assert loaded.loss_trace == model.loss_trace and loaded.config == model.config
 
-    @pytest.mark.parametrize("key", ["experts", "bandwidth", "tau2"])
+    @pytest.mark.parametrize("key", ["experts", "bandwidth", "tau2", "centers", "mu", "sigma2"])
     def test_layer_missing_field_rejected(self, fitted, tmp_path, key):
+        """``experts`` on a format-1 document, the arrays of format 2 on the
+        written file, ``bandwidth`` and ``tau2`` on both."""
         model, _ = fitted
-        path = tmp_path / "m.json"
-        save_model(model, path)
-        doc = json.loads(path.read_text())
-        del doc["layers"][0][key]
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ModelFormatError, match=key):
-            load_model(path)
+        docs = []
+        if key not in ("centers", "mu", "sigma2"):
+            docs.append(ref_model_doc(model))
+        if key != "experts":
+            docs.append(_saved_doc(model, tmp_path))
+        for doc in docs:
+            del doc["layers"][0][key]
+            path = tmp_path / "m.json"
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ModelFormatError, match=key):
+                load_model(path)
 
     @pytest.mark.parametrize(
         "path,value,match",
@@ -293,14 +363,52 @@ class TestModelRoundTrip:
         ],
     )
     def test_schema_fault_rejected(self, fitted, tmp_path, path, value, match):
+        """Each fault on a format-1 document; a fault outside the format-1
+        expert rows and layer ``weight_power`` also on the written file."""
         model, _ = fitted
+        docs = [ref_model_doc(model)]
+        if "experts" not in path and "weight_power" not in path:
+            docs.append(_saved_doc(model, tmp_path))
+        for doc in docs:
+            with pytest.raises(ModelFormatError, match=match):
+                load_model(_faulty_file(tmp_path, doc, path, value))
+
+    @pytest.mark.parametrize(
+        "corrupt,match",
+        [
+            (lambda doc: doc["layers"][0].update(mu="not base64!"), "model layer 0 mu is not valid base64"),
+            (lambda doc: doc["layers"][1].update(sigma2="AAAA\u00e9"), "model layer 1 sigma2 is not valid base64"),
+            (lambda doc: doc["center_sets"].__setitem__(0, "QUJD"), "center set 0 holds 3 bytes"),
+            (lambda doc: doc["layers"][0].update(mu=[1.0, 2.0]), "model layer 0 mu must be a base64 string"),
+            (lambda doc: doc["center_sets"].__setitem__(0, None), "center set 0 must be a base64 string"),
+            (lambda doc: doc["layers"][2].update(mu=doc["layers"][2]["mu"][:-4]), "model layer 2 mu holds .* bytes, not a multiple of 8"),
+            (lambda doc: doc["center_sets"].__setitem__(0, ref_b64([0.5] * 3)), "center set 0 holds 24 bytes, not a multiple of 16"),
+            (lambda doc: doc["layers"][0].update(mu=ref_b64([0.5])), "model layer 0: length mismatch: 1 mu values"),
+            (lambda doc: doc["layers"][0].update(sigma2=ref_b64([1.0] * 1000)), "model layer 0: length mismatch: 1000 sigma2"),
+            (lambda doc: doc["layers"][0].update(centers=True), "model layer 0 centers must index center_sets, got True"),
+            (lambda doc: doc["layers"][0].update(centers=0.0), "model layer 0 centers must index center_sets, got 0.0"),
+            (lambda doc: doc["layers"][0].update(centers="0"), "model layer 0 centers must index center_sets"),
+            (lambda doc: doc["layers"][1].update(centers=-1), "model layer 1 centers must index center_sets, got -1"),
+            (lambda doc: doc["layers"][1].update(centers=len(doc["center_sets"])), "model layer 1 centers must index"),
+            (lambda doc: doc.pop("center_sets"), "missing field 'center_sets'"),
+            (lambda doc: doc.update(center_sets={"0": ""}), "'center_sets' has unexpected type dict"),
+            (lambda doc: doc["center_sets"].__setitem__(0, ref_b64([math.nan, 0.5])), "model layer 0: non-finite coordinate"),
+            (lambda doc: doc["center_sets"].__setitem__(0, ""), "model layer 0: layer has no expert"),
+            (lambda doc: doc["layers"][0].update(mu=ref_b64([math.inf] * _n_experts(doc, 0))), "model layer 0: non-finite mu"),
+            (lambda doc: doc["layers"][0].update(sigma2=ref_b64([0.0] * _n_experts(doc, 0))), "model layer 0: .*sigma2"),
+            (lambda doc: doc["layers"][0].update(bandwidth=-0.5), "model layer 0: .*bandwidth"),
+        ],
+        ids=["bad_base64", "non_ascii_base64", "center_bytes_3", "mu_list", "center_set_null", "mu_bytes",
+             "center_bytes_24", "short_mu", "long_sigma2", "bool_index", "float_index", "string_index",
+             "negative_index", "index_past_end", "no_center_sets", "center_sets_object", "nan_center",
+             "empty_center_set", "inf_mu", "zero_sigma2", "negative_bandwidth"],
+    )
+    def test_format2_schema_fault_rejected(self, fitted, tmp_path, corrupt, match):
+        """Faults of the format-2 arrays; the message names the layer or center set."""
+        model, _ = fitted
+        doc = _saved_doc(model, tmp_path)
+        corrupt(doc)
         file = tmp_path / "m.json"
-        save_model(model, file)
-        doc = json.loads(file.read_text())
-        node = doc
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
         file.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match=match):
             load_model(file)
@@ -325,6 +433,37 @@ class TestModelRoundTrip:
             got = predict(m, sites, x)
             for f in ("mu_lin", "mu", "z_total", "var_z", "cov"):
                 np.testing.assert_array_equal(getattr(got, f), getattr(want, f), err_msg=f)
+
+    def test_capped_fixture_loads_and_resaves(self, tmp_path):
+        """The committed format-1 file of a fit with capped layers loads with
+        exactly its rows and predicts what its writer predicted (within 1e-12
+        relative, as other BLAS kernels sum in other orders). Saved again, it
+        is format 2 with one center set for all capped layers, and it loads
+        back to equal layers."""
+        fixture = json.loads(CAPPED_FIXTURE.read_text(), parse_constant=pytest.fail)
+        assert fixture["model"]["format_version"] == 1
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(fixture["model"]))
+        model = load_model(path)
+        for layer, entry in zip(model.layers, fixture["model"]["layers"], strict=True):
+            rows = np.array(entry["experts"])
+            assert rows[:, 4].all()
+            for f, want in (("centers", rows[:, 0:2]), ("mu", rows[:, 2]), ("sigma2", rows[:, 3])):
+                np.testing.assert_array_equal(getattr(layer, f), want, err_msg=f)
+        got = predict(model, fixture["sites"], fixture["covariates"])
+        for f, want in fixture["predict"].items():
+            want = np.array(want)
+            np.testing.assert_allclose(getattr(got, f), want, rtol=1e-12, atol=1e-12 * np.abs(want).max(), err_msg=f)
+        n_train = len(make_split(model.n_sites, model.config)[0])
+        capped = [i for i, layer in enumerate(model.layers) if layer.n_active == n_train]
+        assert len(capped) >= 2
+        again = tmp_path / "again.json"
+        save_model(model, again)
+        doc = json.loads(again.read_text())
+        assert doc["format_version"] == 2
+        assert len({doc["layers"][i]["centers"] for i in capped}) == 1
+        assert again.stat().st_size < path.stat().st_size / 2
+        _assert_layers_equal(load_model(again).layers, model.layers)
 
     def test_trace_columns_follow_scale_record(self, fitted, tmp_path):
         """One trace column per ``ScaleRecord`` field; the ``--trace`` CSV
@@ -365,6 +504,11 @@ class TestModelRoundTrip:
         file.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match="n_covariates"):
             load_model(file)
+
+
+def _n_experts(doc: dict, index: int) -> int:
+    """The experts of a format-2 document's layer: its center set's rows."""
+    return len(base64.b64decode(doc["center_sets"][doc["layers"][index]["centers"]])) // 16
 
 
 @st.composite
